@@ -26,6 +26,7 @@ from .partitions import (
     bell_number,
     common_refinement,
     iter_coarsenings,
+    require_full,
 )
 from .structure import (
     cond_orthogonal,
@@ -83,9 +84,7 @@ def observes_partition(
     their block.  ``inconclusive`` means the budget ran out before the
     candidate space was covered.
     """
-    for part in (agent, x, world):
-        if part.ground != fs.ground or not part.is_full:
-            raise ValidationError("full-domain partitions over this set are required")
+    require_full(fs.ground, agent, x, world)
     if not orthogonal(fs, agent, x):
         return ObservesVerdict("no")
     blocks = x.block_sets
@@ -148,13 +147,11 @@ def counterfactable(fs: FactoredSet, x: Partition) -> bool:
     Holds when the partition equals the common refinement of its own history,
     so a chimera along those factors changes nothing beyond the partition.
     """
-    if x.ground != fs.ground or not x.is_full:
-        raise ValidationError("a full-domain partition over this set is required")
+    require_full(fs.ground, x)
     return history_join(fs, x) == x
 
 
 def relatively_counterfactable(fs: FactoredSet, x: Partition, world: Partition) -> bool:
     """Counterfactable up to the world model: the partition screens off its history."""
-    if x.ground != fs.ground or not x.is_full:
-        raise ValidationError("a full-domain partition over this set is required")
+    require_full(fs.ground, x)
     return cond_orthogonal(fs, history_join(fs, x), world, x)

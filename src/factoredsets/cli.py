@@ -183,6 +183,11 @@ def _cmd_ft_verify(args) -> tuple[int, dict, list[str]]:
     import itertools
     import random
 
+    # A sweep that checks no triple must not report agreement.
+    if args.max_size < 2:
+        raise _Failure("--max-size must be at least 2")
+    if args.sample is not None and args.sample < 1:
+        raise _Failure("--sample must be at least 1")
     rng = random.Random(args.seed)
     triples_checked = 0
     mismatches = 0
@@ -385,10 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format", choices=("text", "structured"), default="text",
         help="output format; 'structured' is deterministic JSON",
-    )
-    parser.add_argument(
-        "--threads", type=int, default=1,
-        help="worker hint (accepted for compatibility; evaluation is single-threaded)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

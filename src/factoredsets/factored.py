@@ -17,7 +17,13 @@ import itertools
 import math
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .partitions import GroundSet, Partition, ValidationError, format_partition
+from .partitions import (
+    GroundSet,
+    Partition,
+    ValidationError,
+    format_partition,
+    require_full,
+)
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -26,6 +32,19 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def mixed_radix_strides(ks: Sequence[int]) -> list[int]:
+    """Mixed-radix place values, last digit fastest.
+
+    Code ``s`` has digit ``(s // strides[j]) % ks[j]`` in position ``j``.
+    """
+    strides = [0] * len(ks)
+    acc = 1
+    for j in reversed(range(len(ks))):
+        strides[j] = acc
+        acc *= ks[j]
+    return strides
 
 
 class FactoredSet:
@@ -45,7 +64,6 @@ class FactoredSet:
         "ground",
         "factors",
         "coords",
-        "_strides",
         "_codes",
         "_contribs",
         "_inverse",
@@ -57,12 +75,8 @@ class FactoredSet:
 
     def __init__(self, ground: GroundSet, factors: Iterable[Partition]):
         facs = sorted(set(factors), key=lambda p: p.key)
-        full = tuple(range(ground.n))
+        require_full(ground, *facs)
         for p in facs:
-            if p.ground != ground or p.domain != full:
-                raise ValidationError(
-                    "factors must be partitions of the full ground set"
-                )
             if p.block_count == 1:
                 raise ValidationError(f"trivial factor {format_partition(p)}")
         sizes = [p.block_count for p in facs]
@@ -75,11 +89,7 @@ class FactoredSet:
         self.ground = ground
         self.factors = tuple(facs)
         d = len(facs)
-        strides = [0] * d
-        acc = 1
-        for j in reversed(range(d)):
-            strides[j] = acc
-            acc *= sizes[j]
+        strides = mixed_radix_strides(sizes)
         coords = []
         codes = []
         contribs = []
@@ -98,7 +108,6 @@ class FactoredSet:
             codes.append(code)
             contribs.append(contrib)
         self.coords = tuple(coords)
-        self._strides = tuple(strides)
         self._codes = tuple(codes)
         self._contribs = tuple(contribs)
         self._inverse = inverse
@@ -126,17 +135,6 @@ class FactoredSet:
         if got is None:
             got = self._mask_bits[mask] = tuple(iter_bits(mask))
         return got
-
-    def mask_of(self, factors: Iterable[Partition]) -> int:
-        """Bitmask for a collection of factor partitions."""
-        index = {p: j for j, p in enumerate(self.factors)}
-        mask = 0
-        for p in factors:
-            try:
-                mask |= 1 << index[p]
-            except KeyError:
-                raise ValidationError(f"{format_partition(p)} is not a factor") from None
-        return mask
 
     def factors_of_mask(self, mask: int) -> tuple[Partition, ...]:
         return tuple(self.factors[j] for j in self.mask_indices(mask))
@@ -245,11 +243,7 @@ def _iter_grids(n: int, ks: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], 
     """
     d = len(ks)
     caps = [n // k for k in ks]
-    strides = [0] * d
-    acc = 1
-    for j in reversed(range(d)):
-        strides[j] = acc
-        acc *= ks[j]
+    strides = mixed_radix_strides(ks)
     first = (0,) * d
     rows: list[tuple[int, ...]] = [first]
     used = {0}
@@ -318,16 +312,11 @@ def grid_factored_set(n: int, ks: Sequence[int], labels=None) -> FactoredSet:
     ground = GroundSet(n, labels)
     if not ks:
         return FactoredSet(ground, [])
-    d = len(ks)
-    strides = [0] * d
-    acc = 1
-    for j in reversed(range(d)):
-        strides[j] = acc
-        acc *= ks[j]
+    strides = mixed_radix_strides(ks)
     full = tuple(range(n))
     factors = [
         Partition(ground, full, tuple((s // strides[j]) % ks[j] for s in full))
-        for j in range(d)
+        for j in range(len(ks))
     ]
     return FactoredSet(ground, factors)
 
@@ -354,6 +343,8 @@ def enumerate_factorizations(n: int) -> Iterator[FactoredSet]:
 
 def count_factorizations(n: int) -> int:
     """Number of factorizations of an n-element set, counted by enumeration."""
+    if n < 0:
+        raise ValidationError(f"ground set size must be >= 0, got {n}")
     if n < 2:
         return 1
     return sum(

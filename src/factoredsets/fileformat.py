@@ -24,11 +24,13 @@ from typing import Iterator, Mapping
 from .factored import FactoredSet
 from .inference import Model, OrthogonalityDatabase
 from .partitions import (
+    RESERVED_NAMES,
     GroundSet,
     Partition,
     ValidationError,
     format_partition,
     parse_partition,
+    resolve_name,
 )
 from .probability import FactoredDistribution
 
@@ -51,6 +53,22 @@ def _meaningful_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
+def _named_partition(
+    origin: str, lineno: int, line: str, ground: GroundSet, named: dict[str, Partition]
+) -> tuple[str, Partition]:
+    """Parse a ``KEYWORD NAME {...}`` line and bind the new name in ``named``."""
+    tokens = line.split()
+    if len(tokens) < 3:
+        raise ParseError(origin, lineno, f"'{tokens[0]}' expects a name and blocks")
+    name = tokens[1]
+    if name in RESERVED_NAMES:
+        raise ParseError(origin, lineno, f"{name!r} is reserved", name)
+    if name in named:
+        raise ParseError(origin, lineno, f"duplicate partition name {name!r}", name)
+    part = named[name] = parse_partition(line.split(None, 2)[2], ground)
+    return name, part
+
+
 @dataclass(frozen=True)
 class FactoredSetFile:
     """A parsed factored-set file: the set, name bindings, and an optional map."""
@@ -59,19 +77,11 @@ class FactoredSetFile:
     factor_names: tuple[str, ...]  # aligned with fs.factors
     partitions: Mapping[str, Partition]  # factors and extra named partitions
     map_pairs: tuple[tuple[str, str], ...] | None
+    map_lines: tuple[int, ...]  # line number of each map pair, for errors
+    origin: str
 
     def resolve(self, name: str) -> Partition:
-        if name == "_":
-            return Partition.indiscrete(self.fs.ground)
-        if name == "!":
-            return Partition.discrete(self.fs.ground)
-        try:
-            return self.partitions[name]
-        except KeyError:
-            raise ValidationError(f"unknown partition name {name!r}") from None
-
-    def name_of_factor(self, index: int) -> str:
-        return self.factor_names[index]
+        return resolve_name(name, self.fs.ground, self.partitions)
 
 
 def load_factored_set_file(path: str | Path) -> FactoredSetFile:
@@ -85,6 +95,7 @@ def parse_factored_set_text(text: str, origin: str = "<string>") -> FactoredSetF
     factor_decls: list[tuple[str, Partition, int]] = []
     named: dict[str, Partition] = {}
     map_pairs: list[tuple[str, str]] = []
+    map_lines: list[int] = []
 
     for lineno, line in _meaningful_lines(text):
         tokens = line.split()
@@ -109,15 +120,7 @@ def parse_factored_set_text(text: str, origin: str = "<string>") -> FactoredSetF
                 if ground is None:
                     raise ParseError(origin, lineno, "'set N' must come first")
                 body_started = True
-                if len(tokens) < 3:
-                    raise ParseError(origin, lineno, f"'{keyword}' expects a name and blocks")
-                name = tokens[1]
-                if name in ("_", "!"):
-                    raise ParseError(origin, lineno, f"{name!r} is reserved", name)
-                if name in named:
-                    raise ParseError(origin, lineno, f"duplicate partition name {name!r}", name)
-                part = parse_partition(line.split(None, 2)[2], ground)
-                named[name] = part
+                name, part = _named_partition(origin, lineno, line, ground, named)
                 if keyword == "factor":
                     factor_decls.append((name, part, lineno))
             elif keyword == "map":
@@ -127,6 +130,7 @@ def parse_factored_set_text(text: str, origin: str = "<string>") -> FactoredSetF
                 if len(tokens) != 4 or tokens[2] != "->":
                     raise ParseError(origin, lineno, "'map' expects 'map FROM -> TO'")
                 map_pairs.append((tokens[1], tokens[3]))
+                map_lines.append(lineno)
             else:
                 raise ParseError(origin, lineno, f"unknown keyword {keyword!r}", keyword)
         except ValidationError as exc:
@@ -134,7 +138,9 @@ def parse_factored_set_text(text: str, origin: str = "<string>") -> FactoredSetF
 
     if ground is None:
         raise ParseError(origin, 1, "missing 'set N' line")
-    return _assemble_factored_file(origin, ground, factor_decls, named, map_pairs)
+    return _assemble_factored_file(
+        origin, ground, factor_decls, named, map_pairs, map_lines
+    )
 
 
 def _assemble_factored_file(
@@ -143,6 +149,7 @@ def _assemble_factored_file(
     factor_decls: list[tuple[str, Partition, int]],
     named: dict[str, Partition],
     map_pairs: list[tuple[str, str]],
+    map_lines: list[int],
 ) -> FactoredSetFile:
     by_part: dict[Partition, str] = {}
     for name, part, lineno in factor_decls:
@@ -161,6 +168,8 @@ def _assemble_factored_file(
         factor_names=factor_names,
         partitions=named,
         map_pairs=tuple(map_pairs) if map_pairs else None,
+        map_lines=tuple(map_lines),
+        origin=origin,
     )
 
 
@@ -169,19 +178,25 @@ def resolve_model(fsf: FactoredSetFile, omega: GroundSet) -> Model:
 
     Explicit ``map`` lines win; otherwise elements are matched by shared
     labels, or by index when the sizes agree and either side lacks labels.
+    Errors in the map cite ``file:line``; a map that leaves an element out
+    cites its first line.
     """
     fs = fsf.fs
     if fsf.map_pairs is not None:
         targets: dict[int, int] = {}
-        for s_tok, w_tok in fsf.map_pairs:
-            s = fs.ground.index_of(s_tok)
-            if s in targets:
-                raise ValidationError(f"element {s_tok!r} mapped twice")
-            targets[s] = omega.index_of(w_tok)
+        for (s_tok, w_tok), lineno in zip(fsf.map_pairs, fsf.map_lines):
+            try:
+                s = fs.ground.index_of(s_tok)
+                if s in targets:
+                    raise ValidationError(f"element {s_tok!r} mapped twice")
+                targets[s] = omega.index_of(w_tok)
+            except ValidationError as exc:
+                raise ValidationError(f"{fsf.origin}:{lineno}: {exc}") from None
         missing = [s for s in range(fs.size) if s not in targets]
         if missing:
             raise ValidationError(
-                f"map does not cover element {fs.ground.label(missing[0])!r}"
+                f"{fsf.origin}:{fsf.map_lines[0]}: map does not cover element "
+                f"{fs.ground.label(missing[0])!r}"
             )
         labeling = tuple(targets[s] for s in range(fs.size))
     elif fs.ground.labels is not None and omega.labels is not None:
@@ -236,19 +251,11 @@ def parse_database_text(text: str, origin: str = "<string>") -> OrthogonalityDat
             if keyword in ("omega", "labels"):
                 continue
             if keyword == "partition":
-                if len(tokens) < 3:
-                    raise ParseError(origin, lineno, "'partition' expects a name and blocks")
-                name = tokens[1]
-                if name in ("_", "!"):
-                    raise ParseError(origin, lineno, f"{name!r} is reserved", name)
-                if name in named:
-                    raise ParseError(origin, lineno, f"duplicate partition name {name!r}", name)
-                part = parse_partition(line.split(None, 2)[2], omega)
+                name, part = _named_partition(origin, lineno, line, omega, named)
                 if not part.is_full:
                     raise ParseError(
                         origin, lineno, f"partition {name!r} must cover all elements"
                     )
-                named[name] = part
             elif keyword in ("orthogonal", "dependent"):
                 rest = tokens[1:]
                 if len(rest) != 4 or rest[2] != "|":
@@ -257,7 +264,7 @@ def parse_database_text(text: str, origin: str = "<string>") -> OrthogonalityDat
                     )
                 triple = (rest[0], rest[1], rest[3])
                 for name in triple:
-                    if name not in named and name not in ("_", "!"):
+                    if name not in named and name not in RESERVED_NAMES:
                         raise ParseError(
                             origin, lineno, f"unknown partition name {name!r}", name
                         )

@@ -17,6 +17,10 @@ multiset and enumerates labelings up to the grid's automorphisms (block
 relabelings within a factor composed with swaps of equal-size factors).
 Each isomorphism orbit of models is visited exactly once, and every verdict
 checked is invariant under relabeling.
+
+The search filter and ``models_database`` share one pass over the
+assertions: each name is pulled back once per model and each triple goes
+through ``structure``'s conditional-orthogonality loop.
 """
 
 from __future__ import annotations
@@ -27,17 +31,26 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
-from .factored import FactoredSet, factor_size_multisets, grid_factored_set
+from .factored import (
+    FactoredSet,
+    factor_size_multisets,
+    grid_factored_set,
+    mixed_radix_strides,
+)
 from .partitions import (
+    RESERVED_NAMES,
     GroundSet,
     Partition,
     ValidationError,
     bell_number,
     iter_partitions,
+    require_full,
+    resolve_name,
 )
-from .structure import history, orthogonal
+from .structure import cond_orthogonal_unchecked, history
 
-SPECIAL_NAMES = ("_", "!")
+# (expected orthogonal, names, resolved partitions) of one assertion.
+ResolvedTriple = tuple[bool, tuple[str, str, str], tuple[Partition, Partition, Partition]]
 
 
 @dataclass(frozen=True)
@@ -62,29 +75,18 @@ class OrthogonalityDatabase:
         object.__setattr__(
             self, "dependent_triples", frozenset(self.dependent_triples)
         )
-        full = tuple(range(self.omega.n))
-        for name, part in self.partitions.items():
-            if name in SPECIAL_NAMES:
+        for name in self.partitions:
+            if name in RESERVED_NAMES:
                 raise ValidationError(f"{name!r} is reserved")
-            if part.ground != self.omega or part.domain != full:
-                raise ValidationError(
-                    f"partition {name!r} must cover the whole observation space"
-                )
+        require_full(self.omega, *self.partitions.values())
         for triple in self.orthogonal_triples | self.dependent_triples:
             for name in triple:
                 self.resolve(name)
 
     def resolve(self, name: str) -> Partition:
-        if name == "_":
-            return Partition.indiscrete(self.omega)
-        if name == "!":
-            return Partition.discrete(self.omega)
-        try:
-            return self.partitions[name]
-        except KeyError:
-            raise ValidationError(f"unknown partition name {name!r}") from None
+        return resolve_name(name, self.omega, self.partitions)
 
-    def resolved_triples(self) -> list[tuple[bool, tuple[str, str, str], tuple[Partition, Partition, Partition]]]:
+    def resolved_triples(self) -> list[ResolvedTriple]:
         """All assertions as (expected-orthogonal, names, partitions)."""
         out = []
         for names in sorted(self.orthogonal_triples):
@@ -112,35 +114,33 @@ class Model:
 
 def pullback(model: Model, part: Partition) -> Partition:
     """Preimage partition on the model's elements; empty preimages vanish."""
-    if part.ground != model.omega or not part.is_full:
-        raise ValidationError("pullback needs a full partition of the observation space")
+    require_full(model.omega, part)
     block_of = part.block_of
     labeling = model.labeling
     owner = {s: block_of[labeling[s]] for s in range(model.factored.size)}
     return Partition.from_block_of(model.factored.ground, owner)
 
 
-def _satisfies(
-    model: Model,
-    triples: Sequence[tuple[bool, tuple[str, str, str], tuple[Partition, Partition, Partition]]],
-) -> bool:
+def _verdicts(
+    model: Model, triples: Sequence[ResolvedTriple]
+) -> Iterator[tuple[bool, tuple[str, str, str], bool]]:
+    """``(expected, names, actual)`` per assertion, pulling each name back once.
+
+    Pullbacks are full partitions of the model's elements, so the
+    conditional-orthogonality loop runs without re-checking them.
+    """
     fs = model.factored
     pulled: dict[str, Partition] = {}
-
-    def pull(name: str, part: Partition) -> Partition:
-        got = pulled.get(name)
-        if got is None:
-            got = pulled[name] = pullback(model, part)
-        return got
-
     for expected, names, parts in triples:
-        x, y, z = (pull(n, p) for n, p in zip(names, parts))
-        actual = all(
-            orthogonal(fs, x.restrict(zb), y.restrict(zb)) for zb in z.blocks
-        )
-        if actual != expected:
-            return False
-    return True
+        for name, part in zip(names, parts):
+            if name not in pulled:
+                pulled[name] = pullback(model, part)
+        x, y, z = (pulled[n] for n in names)
+        yield expected, names, cond_orthogonal_unchecked(fs, x, y, z)
+
+
+def _satisfies(model: Model, triples: Sequence[ResolvedTriple]) -> bool:
+    return all(expected == actual for expected, _, actual in _verdicts(model, triples))
 
 
 @dataclass(frozen=True)
@@ -165,30 +165,16 @@ def models_database(model: Model, db: OrthogonalityDatabase) -> ModelCheckReport
     """Check every database assertion against the model, with a per-triple report."""
     if model.omega != db.omega:
         raise ValidationError("model and database observe different spaces")
-    fs = model.factored
-    pulled: dict[str, Partition] = {}
-
-    def pull(name: str) -> Partition:
-        got = pulled.get(name)
-        if got is None:
-            got = pulled[name] = pullback(model, db.resolve(name))
-        return got
-
-    entries = []
-    for expected, names, _ in db.resolved_triples():
-        x, y, z = (pull(n) for n in names)
-        actual = all(
-            orthogonal(fs, x.restrict(zb), y.restrict(zb)) for zb in z.blocks
+    entries = tuple(
+        TripleVerdict(
+            kind="orthogonal" if expected else "dependent",
+            names=names,
+            expected=expected,
+            actual=actual,
         )
-        entries.append(
-            TripleVerdict(
-                kind="orthogonal" if expected else "dependent",
-                names=names,
-                expected=expected,
-                actual=actual,
-            )
-        )
-    return ModelCheckReport(all(e.ok for e in entries), tuple(entries))
+        for expected, names, actual in _verdicts(model, db.resolved_triples())
+    )
+    return ModelCheckReport(all(e.ok for e in entries), entries)
 
 
 @dataclass(frozen=True)
@@ -228,11 +214,7 @@ def _grid_automorphisms(n: int, ks: tuple[int, ...]) -> tuple[tuple[int, ...], .
     permutations of equal-block-count factor positions.
     """
     d = len(ks)
-    strides = [0] * d
-    acc = 1
-    for j in reversed(range(d)):
-        strides[j] = acc
-        acc *= ks[j]
+    strides = mixed_radix_strides(ks)
 
     runs: list[list[int]] = []
     for j in range(d):

@@ -11,13 +11,17 @@ domain element is block 0, and each further block id first appears in order
 of its smallest member.  Two partitions are equal exactly when their domains
 and block-id sequences are equal, which makes values hashable and cheap to
 deduplicate.
+
+The layers above share three helpers from here: the full-partition guard,
+the block-triple identity that independence and polynomial divisibility
+decide with their own measures, and the ``_``/``!`` name resolver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 
 class ValidationError(ValueError):
@@ -181,15 +185,8 @@ class Partition:
     def is_full(self) -> bool:
         return len(self.domain) == self.ground.n
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.block_count == 1
-
     def same_block(self, a: int, b: int) -> bool:
         return self.block_of[a] == self.block_of[b]
-
-    def block_containing(self, e: int) -> frozenset[int]:
-        return self.block_sets[self.block_of[e]]
 
     @property
     def key(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -223,6 +220,43 @@ class Partition:
 
     def __str__(self) -> str:
         return format_partition(self)
+
+
+def require_full(ground: GroundSet, *parts: Partition) -> None:
+    """Reject any partition that is not a partition of the whole ground set."""
+    for part in parts:
+        if part.ground != ground or not part.is_full:
+            raise ValidationError("partitions of the full ground set are required")
+
+
+M = TypeVar("M")
+
+
+def block_triple_identity(
+    x: Partition, y: Partition, z: Partition, measure: Callable[[frozenset[int]], M]
+) -> bool:
+    """Whether ``m(x&z) * m(y&z) == m(x&y&z) * m(z)`` for every block triple.
+
+    ``measure`` maps an event to a value with exact ``*`` and ``==``; it is
+    called once per distinct event.
+    """
+    cache: dict[frozenset[int], M] = {}
+
+    def m(event: frozenset[int]) -> M:
+        got = cache.get(event)
+        if got is None:
+            got = cache[event] = measure(event)
+        return got
+
+    for zb in z.block_sets:
+        mz = m(zb)
+        for xb in x.block_sets:
+            xz = xb & zb
+            mxz = m(xz)
+            for yb in y.block_sets:
+                if mxz * m(yb & zb) != m(xz & yb) * mz:
+                    return False
+    return True
 
 
 def common_refinement(
@@ -299,7 +333,10 @@ def bell_number(n: int) -> int:
 # -- text syntax -----------------------------------------------------------
 #
 # ``{ a b | c d | e }`` with whitespace-separated element tokens, ``_`` for
-# the indiscrete partition and ``!`` for the discrete one.
+# the indiscrete partition and ``!`` for the discrete one.  The two are
+# reserved: files and databases cannot declare partitions under those names.
+
+RESERVED_NAMES = ("_", "!")
 
 
 def parse_partition(
@@ -329,6 +366,18 @@ def parse_partition(
             continue
         blocks.append([ground.index_of(tok) for tok in tokens])
     return Partition.from_blocks(ground, blocks)
+
+
+def resolve_name(
+    name: str, ground: GroundSet, named: Mapping[str, Partition]
+) -> Partition:
+    """A declared partition by name, or a reserved name's partition of ``ground``."""
+    if name in RESERVED_NAMES:
+        return parse_partition(name, ground)
+    try:
+        return named[name]
+    except KeyError:
+        raise ValidationError(f"unknown partition name {name!r}") from None
 
 
 def format_partition(part: Partition) -> str:

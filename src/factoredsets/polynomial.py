@@ -21,7 +21,12 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .factored import FactoredSet
-from .partitions import Partition, ValidationError
+from .partitions import (
+    Partition,
+    ValidationError,
+    block_triple_identity,
+    require_full,
+)
 
 VarId = tuple[int, int]
 Monomial = tuple[VarId, ...]
@@ -121,10 +126,6 @@ class SetPolynomial:
             total += prod
         return total
 
-    @property
-    def support(self) -> frozenset[VarId]:
-        return frozenset(v for mono in self.terms for v in mono)
-
     def __repr__(self) -> str:
         return f"SetPolynomial({format_polynomial(self)})"
 
@@ -216,30 +217,15 @@ def cond_orth_by_divisibility(
     """Conditional orthogonality decided purely by polynomial identities.
 
     For every block triple the products must agree exactly:
-    ``Q(z) * Q(x&y&z) == Q(x&z) * Q(y&z)``.  This route never looks at
+    ``Q(z) * Q(x&y&z) == Q(x&z) * Q(y&z)``, the block-triple identity with
+    characteristic polynomials as the measure.  This route never looks at
     histories, which makes it an independent cross-check of the
     splice-based decision.
     """
-    for part in (x, y, z):
-        if part.ground != fs.ground or not part.is_full:
-            raise ValidationError("full-domain partitions over this set are required")
-    char_cache: dict[frozenset[int], SetPolynomial] = {}
-
-    def char(event: frozenset[int]) -> SetPolynomial:
-        got = char_cache.get(event)
-        if got is None:
-            got = char_cache[event] = characteristic_polynomial(fs, event)
-        return got
-
-    for zb in z.block_sets:
-        qz = char(zb)
-        for xb in x.block_sets:
-            xz = xb & zb
-            qxz = char(xz)
-            for yb in y.block_sets:
-                if qz * char(xz & yb) != qxz * char(yb & zb):
-                    return False
-    return True
+    require_full(fs.ground, x, y, z)
+    return block_triple_identity(
+        x, y, z, lambda event: characteristic_polynomial(fs, event)
+    )
 
 
 def format_polynomial(

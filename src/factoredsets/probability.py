@@ -3,7 +3,8 @@
 A distribution on a factored set assigns each factor a rational weight
 vector; the mass of an element is the product of the weights of its blocks.
 Everything is computed in exact rational arithmetic, so conditional
-independence is a hard equality, never a tolerance check.
+independence is a hard equality, never a tolerance check: it is the
+block-triple identity of ``partitions`` with point-mass sums as the measure.
 
 ``fundamental_theorem_check`` cross-examines one triple of partitions three
 ways: the splice-based orthogonality verdict, the exact polynomial identity,
@@ -22,7 +23,12 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .factored import FactoredSet
-from .partitions import Partition, ValidationError
+from .partitions import (
+    Partition,
+    ValidationError,
+    block_triple_identity,
+    require_full,
+)
 from .polynomial import VarId, cond_orth_by_divisibility
 from .structure import cond_orthogonal
 
@@ -122,28 +128,10 @@ def conditional_independence_holds(
     z: Partition,
 ) -> bool:
     """Exact check of P(x&z) P(y&z) == P(x&y&z) P(z) over all block triples."""
-    for part in (x, y, z):
-        if part.ground != fs.ground or not part.is_full:
-            raise ValidationError("full-domain partitions over this set are required")
-    cache: dict[frozenset[int], Fraction] = {}
-
-    def p(event: frozenset[int]) -> Fraction:
-        got = cache.get(event)
-        if got is None:
-            got = cache[event] = sum(
-                (dist.point_mass(s) for s in event), Fraction(0)
-            )
-        return got
-
-    for zb in z.block_sets:
-        pz = p(zb)
-        for xb in x.block_sets:
-            xz = xb & zb
-            pxz = p(xz)
-            for yb in y.block_sets:
-                if pxz * p(yb & zb) != p(xz & yb) * pz:
-                    return False
-    return True
+    require_full(fs.ground, x, y, z)
+    return block_triple_identity(
+        x, y, z, lambda event: sum((dist.point_mass(s) for s in event), Fraction(0))
+    )
 
 
 def random_distribution(

@@ -14,6 +14,11 @@ factor can be tested independently; for proper subpartitions that closure
 fails (the family is only a lattice), so the minimum is found by intersecting
 all generating subsets.
 
+Conditional orthogonality is one z-block loop, ``cond_orthogonal_unchecked``;
+``cond_orthogonal`` validates its arguments and calls it, and model checking
+in ``inference`` calls it directly on pullbacks, which are full partitions by
+construction.
+
 Orthogonality and order between subpartitions with different domains are
 computed as the same raw history comparisons; whether that carries meaning is
 left to the caller.
@@ -26,18 +31,7 @@ from enum import Enum
 from typing import Iterable
 
 from .factored import FactoredSet
-from .partitions import Partition, ValidationError
-
-
-def _check_ground(fs: FactoredSet, part: Partition) -> None:
-    if part.ground != fs.ground:
-        raise ValidationError("partition belongs to a different ground set")
-
-
-def _check_full(fs: FactoredSet, part: Partition) -> None:
-    _check_ground(fs, part)
-    if not part.is_full:
-        raise ValidationError("a full-domain partition is required here")
+from .partitions import Partition, ValidationError, require_full
 
 
 def _check_subset(fs: FactoredSet, elements: Iterable[int]) -> tuple[int, ...]:
@@ -49,7 +43,8 @@ def _check_subset(fs: FactoredSet, elements: Iterable[int]) -> tuple[int, ...]:
 
 def generates(fs: FactoredSet, mask: int, part: Partition) -> bool:
     """Whether the factors in ``mask`` pin down the block of every domain element."""
-    _check_ground(fs, part)
+    if part.ground != fs.ground:
+        raise ValidationError("partition belongs to a different ground set")
     block_of = part.block_of
     pair = fs.chimera_pair
     for s in part.domain:
@@ -112,10 +107,6 @@ class TemporalVerdict:
             TemporalRelation.EQUAL_HISTORY,
         )
 
-    @property
-    def is_strictly_before(self) -> bool:
-        return self.relation is TemporalRelation.STRICTLY_BEFORE
-
 
 def before(fs: FactoredSet, x: Partition, y: Partition) -> TemporalVerdict:
     """Compare histories: contained means before, proper containment strictly so."""
@@ -136,17 +127,21 @@ def cond_orthogonal_given_subset(
     fs: FactoredSet, x: Partition, y: Partition, elements: Iterable[int]
 ) -> bool:
     """Orthogonality of the two restrictions to an event."""
-    _check_full(fs, x)
-    _check_full(fs, y)
+    require_full(fs.ground, x, y)
     sub = _check_subset(fs, elements)
     return orthogonal(fs, x.restrict(sub), y.restrict(sub))
 
 
 def cond_orthogonal(fs: FactoredSet, x: Partition, y: Partition, z: Partition) -> bool:
     """Orthogonal given every block of the conditioning partition."""
-    _check_full(fs, x)
-    _check_full(fs, y)
-    _check_full(fs, z)
+    require_full(fs.ground, x, y, z)
+    return cond_orthogonal_unchecked(fs, x, y, z)
+
+
+def cond_orthogonal_unchecked(
+    fs: FactoredSet, x: Partition, y: Partition, z: Partition
+) -> bool:
+    """``cond_orthogonal`` for callers whose partitions are full by construction."""
     return all(
         orthogonal(fs, x.restrict(zb), y.restrict(zb)) for zb in z.blocks
     )
@@ -156,8 +151,7 @@ def cond_before(
     fs: FactoredSet, x: Partition, y: Partition, elements: Iterable[int]
 ) -> bool:
     """History containment after restricting both partitions to an event."""
-    _check_full(fs, x)
-    _check_full(fs, y)
+    require_full(fs.ground, x, y)
     sub = _check_subset(fs, elements)
     hx = history(fs, x.restrict(sub))
     hy = history(fs, y.restrict(sub))

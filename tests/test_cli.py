@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from factoredsets import data_path
 from factoredsets.cli import main
 
@@ -175,6 +177,45 @@ class TestReports:
         assert code == 2
         assert "no such file" in capsys.readouterr().err
 
+    def test_negative_count_fact_exits_2(self, capsys):
+        code, out, err = run(capsys, "count-fact", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+
+class TestMapLineErrors:
+    """A bad ``map`` line in a model file is reported as ``file:line: message``."""
+
+    def check(self, capsys, tmp_path, map_lines, message, lineno):
+        model = tmp_path / "model.ffs"
+        model.write_text(
+            "set 4\nlabels 00 01 10 11\n"
+            "factor X { 00 01 | 10 11 }\nfactor V { 00 11 | 01 10 }\n"
+            + "".join(f"map {line}\n" for line in map_lines)
+        )
+        code, _, err = run(capsys, "check-model", "--model", str(model), "--db", DB1)
+        assert code == 2
+        assert err.startswith(f"error: {model}:{lineno}: {message}")
+
+    def test_unknown_element(self, capsys, tmp_path):
+        self.check(
+            capsys, tmp_path, ["00 -> 00", "01 -> 9", "10 -> 10", "11 -> 11"],
+            "unknown element '9'", 6,
+        )
+
+    def test_element_mapped_twice(self, capsys, tmp_path):
+        self.check(
+            capsys, tmp_path, ["00 -> 00", "01 -> 01", "00 -> 10", "11 -> 11"],
+            "element '00' mapped twice", 7,
+        )
+
+    def test_map_leaves_an_element_out(self, capsys, tmp_path):
+        self.check(
+            capsys, tmp_path, ["00 -> 00", "10 -> 10", "11 -> 11"],
+            "map does not cover element '01'", 5,
+        )
+
 
 class TestFtVerify:
     def test_small_sweep_agrees(self, capsys):
@@ -183,6 +224,21 @@ class TestFtVerify:
         )
         assert code == 0
         assert "verdict mismatches: 0" in out
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--max-size", "1"], "--max-size must be at least 2"),
+            (["--max-size", "0"], "--max-size must be at least 2"),
+            (["--sample", "0"], "--sample must be at least 1"),
+            (["--sample", "-1"], "--sample must be at least 1"),
+        ],
+    )
+    def test_sweep_that_checks_nothing_is_an_input_error(self, capsys, flags, message):
+        code, out, err = run(capsys, "ft-verify", *flags)
+        assert code == 2
+        assert "agree" not in out
+        assert err == f"error: {message}\n"
 
 
 class TestDump:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -10,8 +11,10 @@ from factoredsets import (
     ValidationError,
     count_factorizations,
     enumerate_factorizations,
+    factor_size_multisets,
     trivial_factorization,
 )
+from factoredsets.factored import mixed_radix_strides
 from conftest import random_factored_set
 
 
@@ -222,6 +225,21 @@ class TestEnumeration:
             assert math.prod(p.block_count for p in fs.factors) == 8
 
 
+class TestMixedRadixStrides:
+    def test_codes_decode_to_lexicographic_digits(self):
+        # Element s of the reference grid is the s-th digit tuple in
+        # lexicographic order, for every ordering of every block-count multiset.
+        for n in range(2, 25):
+            for multiset in factor_size_multisets(n):
+                for ks in set(itertools.permutations(multiset)):
+                    strides = mixed_radix_strides(ks)
+                    decoded = [
+                        tuple((s // strides[j]) % k for j, k in enumerate(ks))
+                        for s in range(n)
+                    ]
+                    assert decoded == list(itertools.product(*map(range, ks)))
+
+
 class TestCounting:
     @pytest.mark.parametrize(
         "n,expected",
@@ -229,6 +247,10 @@ class TestCounting:
     )
     def test_known_counts(self, n, expected):
         assert count_factorizations(n) == expected
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValidationError, match=">= 0"):
+            count_factorizations(-1)
 
     def test_consistent_with_enumeration(self):
         for n in range(9):

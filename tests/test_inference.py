@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from factoredsets import (
     FactoredSet,
@@ -12,15 +13,21 @@ from factoredsets import (
     Truncation,
     ValidationError,
     before,
+    cond_orthogonal,
+    data_path,
+    grid_factored_set,
     history,
     infer_before,
     is_complete,
     is_consistent_up_to_bound,
+    load_database_file,
     models_database,
     pullback,
     search_models,
     trivial_factorization,
 )
+from factoredsets.inference import _satisfies
+from conftest import brute_history
 
 
 def _two_bit_db(**kwargs):
@@ -121,6 +128,65 @@ class TestModelsDatabase:
         report = models_database(ex2.model, ex2.db)
         assert report.ok
         assert len(report.entries) == 6
+
+
+# Grid shapes and observation spaces for the model-check oracle.
+ORACLE_GRIDS = {4: (2, 2), 6: (2, 3), 8: (2, 2, 2)}
+ORACLE_DBS = {
+    "ex1": load_database_file(data_path("ex1.db")),
+    "ex2": load_database_file(data_path("ex2.db")),
+}
+
+
+@st.composite
+def grid_labelings(draw):
+    name = draw(st.sampled_from(sorted(ORACLE_DBS)))
+    n = draw(st.sampled_from(sorted(ORACLE_GRIDS)))
+    omega_n = ORACLE_DBS[name].omega.n
+    labeling = draw(st.lists(st.integers(0, omega_n - 1), min_size=n, max_size=n))
+    return name, n, tuple(labeling)
+
+
+def _brute_cond_orthogonal(fs, x, y, z):
+    """Blockwise disjointness of brute-force histories, sharing no library loop."""
+    return all(
+        not brute_history(fs, x.restrict(zb)) & brute_history(fs, y.restrict(zb))
+        for zb in z.block_sets
+    )
+
+
+class TestModelCheckOracle:
+    """Per-assertion verdicts of the search filter and of ``models_database``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid_labelings())
+    # Satisfying labelings: the two-bit square and the size-8 three-bit witness.
+    @example(("ex1", 4, (0, 1, 3, 2)))
+    @example(("ex2", 8, (0, 0, 2, 3, 6, 7, 4, 4)))
+    def test_matches_cond_orthogonal_on_pullbacks(self, case):
+        name, n, labeling = case
+        db = ORACLE_DBS[name]
+        model = Model(grid_factored_set(n, ORACLE_GRIDS[n]), labeling, db.omega)
+        fs = model.factored
+        report = models_database(model, db)
+        triples = db.resolved_triples()
+        assert [e.names for e in report.entries] == [names for _, names, _ in triples]
+        for entry, (expected, _, parts) in zip(report.entries, triples):
+            x, y, z = (pullback(model, p) for p in parts)
+            assert entry.expected == expected
+            assert entry.actual == cond_orthogonal(fs, x, y, z)
+            assert entry.actual == _brute_cond_orthogonal(fs, x, y, z)
+        assert report.ok == all(e.ok for e in report.entries)
+        assert _satisfies(model, triples) == report.ok
+
+    def test_examples_include_a_satisfying_model_of_each_db(self):
+        for name, n, labeling in (
+            ("ex1", 4, (0, 1, 3, 2)),
+            ("ex2", 8, (0, 0, 2, 3, 6, 7, 4, 4)),
+        ):
+            db = ORACLE_DBS[name]
+            model = Model(grid_factored_set(n, ORACLE_GRIDS[n]), labeling, db.omega)
+            assert models_database(model, db).ok
 
 
 class TestSearch:

@@ -1,7 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from factoredsets import (
     FactoredDistribution,
@@ -14,6 +16,7 @@ from factoredsets import (
     conditional_independence_holds,
     fundamental_theorem_check,
     is_distribution_on_factored_set,
+    iter_partitions,
     prob,
     random_distribution,
 )
@@ -109,7 +112,47 @@ class TestIsDistributionOnFactoredSet:
         )
 
 
+def _table_independence(dist, x, y, z):
+    """P(x&z) P(y&z) == P(x&y&z) P(z) for every block triple, from the joint table."""
+    table = dist.as_table()
+
+    def p(event):
+        return sum((table[s] for s in event), Fraction(0))
+
+    return all(
+        p(xb & zb) * p(yb & zb) == p(xb & yb & zb) * p(zb)
+        for zb in z.block_sets
+        for xb in x.block_sets
+        for yb in y.block_sets
+    )
+
+
 class TestConditionalIndependence:
+    def test_matches_table_sums_on_every_triple_of_the_square(self, ex1):
+        parts = list(iter_partitions(ex1.fs.ground))
+        skewed = FactoredDistribution(
+            ex1.fs,
+            ((Fraction(1, 3), Fraction(2, 3)), (Fraction(1, 4), Fraction(3, 4))),
+        )
+        for dist in (FactoredDistribution.uniform(ex1.fs), skewed):
+            verdicts = set()
+            for x, y, z in itertools.product(parts, repeat=3):
+                got = conditional_independence_holds(ex1.fs, dist, x, y, z)
+                assert got == _table_independence(dist, x, y, z)
+                verdicts.add(got)
+            assert verdicts == {True, False}
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_table_sums_on_random_sets(self, seed):
+        rng = random.Random(seed)
+        fs = random_factored_set(rng, min_n=1, max_n=8)
+        dist = random_distribution(fs, rng, max_weight=rng.choice((1, 3, 97)))
+        x, y, z = (mixed_random_partition(rng, fs) for _ in range(3))
+        assert conditional_independence_holds(fs, dist, x, y, z) == (
+            _table_independence(dist, x, y, z)
+        )
+
     def test_discrete_conditioning_is_always_independent(self):
         rng = random.Random(59)
         for _ in range(40):
