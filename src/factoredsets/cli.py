@@ -47,20 +47,6 @@ def _digest(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
 
 
-def _load_ffs(path: str) -> FactoredSetFile:
-    try:
-        return load_factored_set_file(path)
-    except FileNotFoundError:
-        raise _Failure(f"no such file: {path}") from None
-
-
-def _load_db(path: str):
-    try:
-        return load_database_file(path)
-    except FileNotFoundError:
-        raise _Failure(f"no such file: {path}") from None
-
-
 def _event(fsf: FactoredSetFile, text: str) -> frozenset[int]:
     return frozenset(fsf.fs.ground.index_of(tok) for tok in text.split())
 
@@ -75,10 +61,15 @@ def _factor_names_of_mask(fsf: FactoredSetFile, mask: int) -> list[str]:
 
 def _cmd_count_fact(args) -> tuple[int, dict, list[str]]:
     count = count_factorizations(args.n)
-    return 0, {"n": args.n, "count": count}, [str(count)]
+    try:
+        return 0, {"n": args.n, "count": count}, [str(count)]
+    except ValueError:  # past the interpreter's int-to-string digit limit
+        raise _Failure(f"the count for n = {args.n} is too long to print") from None
 
 
 def _cmd_enum_fact(args) -> tuple[int, dict, list[str]]:
+    if args.limit is not None and args.limit < 0:
+        raise _Failure("--limit must be at least 0")
     rendered = []
     for i, fs in enumerate(enumerate_factorizations(args.n)):
         if args.limit is not None and i >= args.limit:
@@ -90,7 +81,7 @@ def _cmd_enum_fact(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_history(args) -> tuple[int, dict, list[str]]:
-    fsf = _load_ffs(args.file)
+    fsf = load_factored_set_file(args.file)
     part = fsf.resolve(args.partition)
     mask = structure.history(fsf.fs, part)
     names = _factor_names_of_mask(fsf, mask)
@@ -100,7 +91,7 @@ def _cmd_history(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_orth(args) -> tuple[int, dict, list[str]]:
-    fsf = _load_ffs(args.file)
+    fsf = load_factored_set_file(args.file)
     fs = fsf.fs
     x = fsf.resolve(args.a)
     y = fsf.resolve(args.b)
@@ -124,7 +115,7 @@ def _cmd_orth(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_before(args) -> tuple[int, dict, list[str]]:
-    fsf = _load_ffs(args.file)
+    fsf = load_factored_set_file(args.file)
     fs = fsf.fs
     x = fsf.resolve(args.a)
     y = fsf.resolve(args.b)
@@ -147,7 +138,7 @@ def _cmd_before(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_poly(args) -> tuple[int, dict, list[str]]:
-    fsf = _load_ffs(args.file)
+    fsf = load_factored_set_file(args.file)
     event = _event(fsf, args.event)
     names = fsf.factor_names
     poly = characteristic_polynomial(fsf.fs, event)
@@ -172,7 +163,7 @@ def _cmd_poly(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_prob(args) -> tuple[int, dict, list[str]]:
-    fsf = _load_ffs(args.file)
+    fsf = load_factored_set_file(args.file)
     dist = load_distribution_file(args.dist, fsf)
     event = _event(fsf, args.event)
     p = probability.prob(fsf.fs, dist, event)
@@ -227,8 +218,8 @@ def _cmd_ft_verify(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_check_model(args) -> tuple[int, dict, list[str]]:
-    db = _load_db(args.db)
-    fsf = _load_ffs(args.model)
+    db = load_database_file(args.db)
+    fsf = load_factored_set_file(args.model)
     model = resolve_model(fsf, db.omega)
     report = inference.models_database(model, db)
     lines = []
@@ -254,7 +245,7 @@ def _bounds_from_args(args) -> inference.SearchBounds:
 
 
 def _cmd_infer(args) -> tuple[int, dict, list[str]]:
-    db = _load_db(args.db)
+    db = load_database_file(args.db)
     first, second = args.before
     bounds = _bounds_from_args(args)
     verdict = inference.infer_before(
@@ -274,6 +265,9 @@ def _cmd_infer(args) -> tuple[int, dict, list[str]]:
             f"{verdict.models_checked} models checked within {verdict.qualifier})"
         )
         code = 1
+    elif verdict.kind == "inconclusive":
+        line = f"inconclusive (no size searched completely: {verdict.qualifier})"
+        code = 1
     else:
         line = f"vacuous (no models found within {verdict.qualifier})"
         code = 1
@@ -289,7 +283,7 @@ def _cmd_infer(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_consistent(args) -> tuple[int, dict, list[str]]:
-    db = _load_db(args.db)
+    db = load_database_file(args.db)
     bounds = _bounds_from_args(args)
     verdict = inference.is_consistent_up_to_bound(db, bounds)
     if verdict.consistent:
@@ -297,13 +291,11 @@ def _cmd_consistent(args) -> tuple[int, dict, list[str]]:
         line = f"consistent (witness model of size {size} found)"
         code = 0
     else:
-        line = f"no model found within {bounds.describe()}"
-        if verdict.truncated:
-            line += " (search truncated by time budget)"
+        line = f"no model found within {bounds.describe(verdict.truncation)}"
         code = 1
     payload = {
         "consistent": verdict.consistent,
-        "bound": bounds.describe(),
+        "bound": bounds.describe(verdict.truncation),
         "witness_size": verdict.witness.factored.size if verdict.witness else None,
         "truncated": verdict.truncated,
     }
@@ -311,7 +303,9 @@ def _cmd_consistent(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_observes(args) -> tuple[int, dict, list[str]]:
-    fsf = _load_ffs(args.file)
+    if args.budget < 1:
+        raise _Failure("--budget must be at least 1")
+    fsf = load_factored_set_file(args.file)
     fs = fsf.fs
     agent = fsf.resolve(args.agent)
     world = fsf.resolve(args.world)
@@ -342,10 +336,7 @@ def _cmd_observes(args) -> tuple[int, dict, list[str]]:
 def _cmd_dump(args) -> tuple[int, dict, list[str]]:
     from .fileformat import format_database_file, format_factored_set_file
 
-    try:
-        head = Path(args.file).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise _Failure(f"no such file: {args.file}") from None
+    head = Path(args.file).read_text(encoding="utf-8")
     keyword = next(
         (
             line.split()[0]
@@ -355,14 +346,14 @@ def _cmd_dump(args) -> tuple[int, dict, list[str]]:
         "",
     )
     if keyword == "omega":
-        text = format_database_file(_load_db(args.file))
+        text = format_database_file(load_database_file(args.file))
     else:
-        text = format_factored_set_file(_load_ffs(args.file))
+        text = format_factored_set_file(load_factored_set_file(args.file))
     return 0, {"canonical": text}, [text.rstrip("\n")]
 
 
 def _cmd_counterfactable(args) -> tuple[int, dict, list[str]]:
-    fsf = _load_ffs(args.file)
+    fsf = load_factored_set_file(args.file)
     part = fsf.resolve(args.partition)
     if args.relative_to is not None:
         verdict = agency.relatively_counterfactable(
@@ -507,6 +498,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         code, results, lines = args.handler(args)
     except (_Failure, ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except FileNotFoundError as exc:
+        print(f"error: no such file: {exc.filename}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - started
 

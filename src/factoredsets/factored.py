@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .partitions import (
@@ -205,19 +206,21 @@ def trivial_factorization(ground: GroundSet) -> FactoredSet:
 
 
 def factor_size_multisets(n: int) -> list[tuple[int, ...]]:
-    """Nondecreasing tuples of integers >= 2 with product ``n`` (``n >= 2``)."""
+    """Nondecreasing tuples of integers >= 2 with product ``n`` (``n >= 1``).
+
+    ``n == 1`` has exactly the empty tuple: the empty product is 1.
+    """
     out: list[tuple[int, ...]] = []
 
-    def rec(remaining: int, minimum: int, acc: list[int]) -> None:
+    def rec(remaining: int, minimum: int, acc: tuple[int, ...]) -> None:
+        if remaining == 1:
+            out.append(acc)
+            return
         for k in range(minimum, remaining + 1):
-            if remaining % k:
-                continue
-            if k == remaining:
-                out.append(tuple(acc + [k]))
-            else:
-                rec(remaining // k, k, acc + [k])
+            if remaining % k == 0:
+                rec(remaining // k, k, acc + (k,))
 
-    rec(n, 2, [])
+    rec(n, 2, ())
     return out
 
 
@@ -310,8 +313,6 @@ def grid_factored_set(n: int, ks: Sequence[int], labels=None) -> FactoredSet:
     relabeling of this one.
     """
     ground = GroundSet(n, labels)
-    if not ks:
-        return FactoredSet(ground, [])
     strides = mixed_radix_strides(ks)
     full = tuple(range(n))
     factors = [
@@ -327,26 +328,31 @@ def enumerate_factorizations(n: int) -> Iterator[FactoredSet]:
     if n == 0:
         yield FactoredSet(ground, [Partition.empty(ground)])
         return
-    if n == 1:
-        yield FactoredSet(ground, [])
-        return
     full = tuple(range(n))
     for ks in factor_size_multisets(n):
-        d = len(ks)
         for rows in _iter_grids(n, ks):
-            factors = [
-                Partition(ground, full, tuple(row[j] for row in rows))
-                for j in range(d)
-            ]
-            yield FactoredSet(ground, factors)
+            columns = zip(*rows)
+            yield FactoredSet(ground, [Partition(ground, full, c) for c in columns])
 
 
 def count_factorizations(n: int) -> int:
-    """Number of factorizations of an n-element set, counted by enumeration."""
+    """Number of factorizations of an n-element set, by closed form.
+
+    A factorization with block counts ``ks`` is a bijection onto the
+    reference grid up to the grid's automorphisms, which act freely: per
+    multiset that is ``n! / (prod k_i! * prod m_k!)``, where ``m_k`` is the
+    number of factors with block count ``k``.
+    """
     if n < 0:
         raise ValidationError(f"ground set size must be >= 0, got {n}")
-    if n < 2:
+    if n == 0:
         return 1
+    n_factorial = math.factorial(n)
     return sum(
-        sum(1 for _ in _iter_grids(n, ks)) for ks in factor_size_multisets(n)
+        n_factorial
+        // (
+            math.prod(map(math.factorial, ks))
+            * math.prod(map(math.factorial, Counter(ks).values()))
+        )
+        for ks in factor_size_multisets(n)
     )

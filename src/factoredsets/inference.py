@@ -43,7 +43,6 @@ from .partitions import (
     Partition,
     ValidationError,
     bell_number,
-    iter_partitions,
     require_full,
     resolve_name,
 )
@@ -190,20 +189,27 @@ class SearchBounds:
         if self.max_size < 1:
             raise ValidationError("max_size must be at least 1")
 
-    def describe(self) -> str:
-        parts = [f"size <= {self.max_size}"]
+    def describe(self, truncation: Truncation | None) -> str:
+        """The bounds a search covered completely, and where its budget ran out."""
+        size = self.max_size if truncation is None else truncation.size - 1
+        parts = [f"size <= {size}"]
         if self.max_dim is not None:
             parts.append(f"dim <= {self.max_dim}")
         if self.surjective_only:
             parts.append("surjective labelings only")
+        if truncation is not None:
+            parts.append(f"search truncated by time budget in size {truncation.size}")
         return ", ".join(parts)
 
 
 @dataclass(frozen=True)
 class Truncation:
-    """In-stream marker: the search stopped before covering its bounds."""
+    """In-stream marker: the time budget ran out in ``size``.
 
-    reason: str
+    Every size below ``size`` was searched completely.
+    """
+
+    size: int
 
 
 @lru_cache(maxsize=None)
@@ -274,7 +280,8 @@ def search_models(
 
     The stream is deterministic: sizes ascend, block-count multisets follow
     the divisor enumeration, labelings are lexicographic.  A trailing
-    ``Truncation`` item signals an exhausted time budget.
+    ``Truncation`` item signals an exhausted time budget and names the size
+    it stopped in.
     """
     deadline = (
         None if bounds.time_budget is None else time.monotonic() + bounds.time_budget
@@ -282,10 +289,7 @@ def search_models(
     triples = db.resolved_triples()
     omega_n = db.omega.n
     for n in range(1, bounds.max_size + 1):
-        classes: list[tuple[int, ...]] = (
-            [()] if n == 1 else factor_size_multisets(n)
-        )
-        for ks in classes:
+        for ks in factor_size_multisets(n):
             if bounds.max_dim is not None and len(ks) > bounds.max_dim:
                 continue
             fs = grid_factored_set(n, ks)
@@ -293,7 +297,7 @@ def search_models(
                 n, ks, omega_n, bounds.surjective_only
             ):
                 if deadline is not None and time.monotonic() > deadline:
-                    yield Truncation("time budget exceeded")
+                    yield Truncation(n)
                     return
                 model = Model(fs, f, db.omega)
                 if _satisfies(model, triples):
@@ -305,22 +309,25 @@ class InferenceVerdict:
     """Bounded answer to "is X before Y in every model of the database?".
 
     ``holds-up-to-bound`` never claims unbounded validity; larger models
-    could still refute the relation.
+    could still refute the relation.  A truncated search qualifies its
+    verdict by the largest size it searched completely, and one that
+    completed no size is ``inconclusive``.
     """
 
-    kind: str  # "holds-up-to-bound" | "refuted" | "vacuous"
+    kind: str  # "holds-up-to-bound" | "refuted" | "vacuous" | "inconclusive"
     strict: bool
     bounds: SearchBounds
     models_checked: int
     counterexample: Model | None = None
-    truncated: bool = False
+    truncation: Truncation | None = None
+
+    @property
+    def truncated(self) -> bool:
+        return self.truncation is not None
 
     @property
     def qualifier(self) -> str:
-        scope = f"models with {self.bounds.describe()}"
-        if self.truncated:
-            scope += ", search truncated by time budget"
-        return scope
+        return f"models with {self.bounds.describe(self.truncation)}"
 
 
 def infer_before(
@@ -335,10 +342,10 @@ def infer_before(
     x = db.resolve(first)
     y = db.resolve(second)
     checked = 0
-    truncated = False
+    truncation = None
     for item in search_models(db, bounds):
         if isinstance(item, Truncation):
-            truncated = True
+            truncation = item
             break
         checked += 1
         fs = item.factored
@@ -352,22 +359,19 @@ def infer_before(
                 bounds=bounds,
                 models_checked=checked,
                 counterexample=item,
-                truncated=truncated,
             )
-    if checked == 0:
-        return InferenceVerdict(
-            kind="vacuous",
-            strict=strict,
-            bounds=bounds,
-            models_checked=0,
-            truncated=truncated,
-        )
+    if truncation is not None and truncation.size == 1:
+        kind = "inconclusive"
+    elif checked == 0:
+        kind = "vacuous"
+    else:
+        kind = "holds-up-to-bound"
     return InferenceVerdict(
-        kind="holds-up-to-bound",
+        kind=kind,
         strict=strict,
         bounds=bounds,
         models_checked=checked,
-        truncated=truncated,
+        truncation=truncation,
     )
 
 
@@ -376,7 +380,11 @@ class ConsistencyVerdict:
     consistent: bool
     bounds: SearchBounds
     witness: Model | None = None
-    truncated: bool = False
+    truncation: Truncation | None = None
+
+    @property
+    def truncated(self) -> bool:
+        return self.truncation is not None
 
 
 def is_consistent_up_to_bound(
@@ -385,28 +393,17 @@ def is_consistent_up_to_bound(
     """Find any model within bounds; a negative answer only rules out the bounds."""
     for item in search_models(db, bounds):
         if isinstance(item, Truncation):
-            return ConsistencyVerdict(False, bounds, None, truncated=True)
+            return ConsistencyVerdict(False, bounds, truncation=item)
         return ConsistencyVerdict(True, bounds, witness=item)
     return ConsistencyVerdict(False, bounds)
 
 
-def is_complete(db: OrthogonalityDatabase, *, max_partitions: int = 52) -> bool:
+def is_complete(db: OrthogonalityDatabase) -> bool:
     """Whether every partition triple of the observation space is asserted.
 
-    Guarded: refuses when the observation space has more partitions than
-    ``max_partitions``, since the check enumerates all of them.
+    Every assertion resolves to a triple of full partitions of the
+    observation space, so the database is complete exactly when it asserts
+    ``bell_number(n) ** 3`` distinct triples.
     """
-    n = db.omega.n
-    if bell_number(n) > max_partitions:
-        raise ValidationError(
-            f"{n} elements have {bell_number(n)} partitions, over the cap "
-            f"{max_partitions}"
-        )
-    asserted = {
-        tuple(db.resolve(name) for name in names)
-        for names in db.orthogonal_triples | db.dependent_triples
-    }
-    parts = list(iter_partitions(db.omega))
-    return all(
-        triple in asserted for triple in itertools.product(parts, repeat=3)
-    )
+    asserted = {parts for _, _, parts in db.resolved_triples()}
+    return len(asserted) == bell_number(db.omega.n) ** 3

@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .factored import FactoredSet
+from .structure import generates
 from .partitions import (
     Partition,
     ValidationError,
@@ -149,17 +150,6 @@ def characteristic_polynomial(fs: FactoredSet, elements: Iterable[int]) -> SetPo
     return restricted_polynomial(fs, fs.full_mask, elements)
 
 
-def _stable_masks(fs: FactoredSet, event: frozenset[int]) -> list[int]:
-    """Factor subsets under which the event is closed under splicing."""
-    members = list(event)
-    pair = fs.chimera_pair
-    out = []
-    for mask in range(1 << fs.dim):
-        if all(pair(mask, s, t) in event for s in members for t in members):
-            out.append(mask)
-    return out
-
-
 def irreducible_masks(fs: FactoredSet, elements: Iterable[int]) -> tuple[int, ...]:
     """Minimal nonempty splice-stable factor subsets; they partition the factors."""
     event = frozenset(elements)
@@ -168,7 +158,10 @@ def irreducible_masks(fs: FactoredSet, elements: Iterable[int]) -> tuple[int, ..
     cached = fs._irr_cache.get(event)
     if cached is not None:
         return cached
-    stable = _stable_masks(fs, event)
+    # A factor subset keeps the event closed under splicing exactly when it
+    # generates the one-block subpartition on the event.
+    block = Partition.from_blocks(fs.ground, [event])
+    stable = [mask for mask in range(1 << fs.dim) if generates(fs, mask, block)]
     comps: list[int] = []
     seen: set[int] = set()
     for j in range(fs.dim):

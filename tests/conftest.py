@@ -8,10 +8,12 @@ reproducibility.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
+from factoredsets import inference
 from factoredsets import (
     FactoredSet,
     GroundSet,
@@ -138,3 +140,27 @@ class Ex2:
 @pytest.fixture(scope="session")
 def ex2() -> Ex2:
     return Ex2()
+
+
+@pytest.fixture
+def expire_budget_in_size(monkeypatch):
+    """Run the search's time budget out at its first labeling of a given size.
+
+    ``inference.time.monotonic`` reads 0 until the search checks a model of
+    that size and infinity afterwards, so the next deadline check truncates
+    in that size, whatever the wall time.
+    """
+
+    def arm(size: int) -> None:
+        now = [0.0]
+        satisfies = inference._satisfies
+
+        def spy(model, triples):
+            if model.factored.size >= size:
+                now[0] = math.inf
+            return satisfies(model, triples)
+
+        monkeypatch.setattr(inference.time, "monotonic", lambda: now[0])
+        monkeypatch.setattr(inference, "_satisfies", spy)
+
+    return arm

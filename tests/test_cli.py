@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -33,6 +34,11 @@ class TestBasicCommands:
     def test_enum_fact_limit(self, capsys):
         _, out, _ = run(capsys, "enum-fact", "4", "--limit", "2")
         assert "2 factorization(s)" in out
+
+    def test_count_fact_twelve_by_formula(self, capsys):
+        code, out, _ = run(capsys, "count-fact", "12")
+        assert code == 0
+        assert out == "13638241\n"
 
     def test_history(self, capsys):
         code, out, _ = run(capsys, "history", EX1, "--partition", "Y")
@@ -108,6 +114,61 @@ class TestInferenceCommands:
         assert "consistent (witness model of size 2 found)" in out
 
 
+class TestTruncatedVerdicts:
+    """A truncated search names the largest size it searched completely."""
+
+    INFER = ("infer", "--db", DB1, "--before", "X", "Y", "--max-size", "20",
+             "--time-budget", "1")
+
+    def test_infer_holds_up_to_the_completed_size(self, capsys, expire_budget_in_size):
+        expire_budget_in_size(3)
+        code, out, _ = run(capsys, *self.INFER)
+        assert code == 0
+        assert out.startswith(
+            "strictly-before (holds for all models with size <= 2, "
+            "search truncated by time budget in size 3; "
+        )
+
+    def test_infer_structured_bound(self, capsys, expire_budget_in_size):
+        expire_budget_in_size(3)
+        code, out, _ = run(capsys, "--format", "structured", *self.INFER)
+        results = json.loads(out)["results"]
+        assert code == 0
+        assert results["verdict"] == "holds-up-to-bound"
+        assert results["truncated"] is True
+        assert results["bound"] == (
+            "models with size <= 2, search truncated by time budget in size 3"
+        )
+
+    def test_infer_with_no_completed_size_is_inconclusive(
+        self, capsys, expire_budget_in_size
+    ):
+        expire_budget_in_size(1)
+        code, out, _ = run(capsys, "--format", "structured", *self.INFER)
+        results = json.loads(out)["results"]
+        assert code == 1
+        assert results["verdict"] == "inconclusive"
+        expire_budget_in_size(1)
+        code, out, _ = run(capsys, *self.INFER)
+        assert code == 1
+        assert out == (
+            "inconclusive (no size searched completely: models with size <= 0, "
+            "search truncated by time budget in size 1)\n"
+        )
+
+    def test_consistent_names_the_completed_size(self, capsys, expire_budget_in_size):
+        expire_budget_in_size(4)
+        code, out, _ = run(
+            capsys, "consistent", "--db", DB2, "--max-size", "20",
+            "--time-budget", "1",
+        )
+        assert code == 1
+        assert out == (
+            "no model found within size <= 3, "
+            "search truncated by time budget in size 4\n"
+        )
+
+
 class TestAgencyCommands:
     def test_observes_event_no(self, capsys):
         path = str(data_path("newcomb-transparent.ffs"))
@@ -124,6 +185,16 @@ class TestAgencyCommands:
         )
         assert code == 0 and "yes" in out
         assert "subagent 0" in out
+
+    def test_non_positive_budget_exits_2(self, capsys):
+        for budget in ("0", "-5"):
+            code, out, err = run(
+                capsys, "observes", EX1, "--agent", "_", "--partition", "V",
+                "--world", "Y", "--budget", budget,
+            )
+            assert code == 2
+            assert out == ""
+            assert err == "error: --budget must be at least 1\n"
 
     def test_counterfactable(self, capsys):
         code, _, _ = run(capsys, "counterfactable", EX1, "X")
@@ -177,11 +248,36 @@ class TestReports:
         assert code == 2
         assert "no such file" in capsys.readouterr().err
 
+    def test_missing_distribution_file_exits_2(self, capsys):
+        code, out, err = run(capsys, "prob", EX1, "nope.dist", "--event", "00")
+        assert code == 2
+        assert out == ""
+        assert err == "error: no such file: nope.dist\n"
+
     def test_negative_count_fact_exits_2(self, capsys):
         code, out, err = run(capsys, "count-fact", "-1")
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="the interpreter has no int-to-string digit limit",
+    )
+    def test_count_too_long_to_print_exits_2(self, capsys):
+        # The count for 2048 elements has more digits than the interpreter
+        # converts to text by default.
+        for argv in (["count-fact", "2048"], ["--format", "structured", "count-fact", "2048"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert err == "error: the count for n = 2048 is too long to print\n"
+
+    def test_negative_enum_fact_limit_exits_2(self, capsys):
+        code, out, err = run(capsys, "enum-fact", "4", "--limit", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --limit must be at least 0\n"
 
 
 class TestMapLineErrors:

@@ -253,7 +253,12 @@ class TestCounting:
             count_factorizations(-1)
 
     def test_consistent_with_enumeration(self):
-        for n in range(9):
+        # The closed form against the grid enumeration it replaced.
+        for n in range(11):
             assert count_factorizations(n) == sum(
                 1 for _ in enumerate_factorizations(n)
             )
+
+    def test_one_element_set_has_the_empty_multiset(self):
+        assert factor_size_multisets(1) == [()]
+        assert [fs.factors for fs in enumerate_factorizations(1)] == [()]

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from factoredsets import (
     infer_before,
     is_complete,
     is_consistent_up_to_bound,
+    iter_partitions,
     load_database_file,
     models_database,
     pullback,
@@ -257,6 +259,13 @@ class TestSearch:
         items = list(search_models(ex1.db, SearchBounds(max_size=6, time_budget=0.0)))
         assert items and isinstance(items[-1], Truncation)
 
+    def test_truncation_names_the_size_it_stopped_in(self, ex1, expire_budget_in_size):
+        expire_budget_in_size(3)
+        items = list(search_models(ex1.db, SearchBounds(max_size=6, time_budget=1.0)))
+        assert items[-1] == Truncation(3)
+        sizes = [m.factored.size for m in items[:-1]]
+        assert sizes == sorted(sizes) and max(sizes) <= 3
+
     def test_relabeling_preserves_all_verdicts(self, ex1):
         # Push a found model through a random ground permutation and compare
         # every database verdict and every pairwise temporal verdict.
@@ -353,6 +362,29 @@ class TestInferBefore:
         assert verdict.truncated
         assert "truncated" in verdict.qualifier
 
+    def test_truncated_verdict_names_the_completed_size(
+        self, ex1, expire_budget_in_size
+    ):
+        expire_budget_in_size(3)
+        verdict = infer_before(
+            ex1.db, "X", "Y", SearchBounds(max_size=20, time_budget=1.0)
+        )
+        assert verdict.kind == "holds-up-to-bound"
+        assert verdict.truncation.size == 3
+        assert verdict.qualifier == (
+            "models with size <= 2, search truncated by time budget in size 3"
+        )
+
+    def test_truncated_before_any_completed_size_is_inconclusive(
+        self, ex1, expire_budget_in_size
+    ):
+        expire_budget_in_size(1)
+        verdict = infer_before(
+            ex1.db, "X", "Y", SearchBounds(max_size=20, time_budget=1.0)
+        )
+        assert verdict.kind == "inconclusive"
+        assert "size <= 0" in verdict.qualifier
+
 
 class TestConsistency:
     def test_two_bit_db_is_consistent(self, ex1):
@@ -366,6 +398,19 @@ class TestConsistency:
             dependent=frozenset({("X", "V", "_")}),
         )
         assert not is_consistent_up_to_bound(db, SearchBounds(max_size=4)).consistent
+
+    def test_truncated_search_names_the_completed_size(
+        self, ex2, expire_budget_in_size
+    ):
+        expire_budget_in_size(4)
+        verdict = is_consistent_up_to_bound(
+            ex2.db, SearchBounds(max_size=20, max_dim=3, time_budget=1.0)
+        )
+        assert not verdict.consistent
+        assert verdict.truncation.size == 4
+        assert verdict.bounds.describe(verdict.truncation) == (
+            "size <= 3, dim <= 3, search truncated by time budget in size 4"
+        )
 
     def test_twelve_element_witness_proves_consistency(self, ex2):
         # Searching to size 12 is out of reach, but the bundled witness
@@ -400,13 +445,47 @@ class TestCompleteness:
         )
         assert is_complete(db)
 
-    def test_cap_guard(self):
-        omega = GroundSet(9)
+    def test_nine_point_space_without_assertions_is_incomplete(self):
+        # Bell(9)**3 is about 9e12 triples; counting, not walking, decides it.
         db = OrthogonalityDatabase(
-            omega=omega,
+            omega=GroundSet(9),
             partitions={},
             orthogonal_triples=frozenset(),
             dependent_triples=frozenset(),
         )
-        with pytest.raises(ValidationError, match="cap"):
-            is_complete(db)
+        assert not is_complete(db)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_a_walk_over_all_triples(self, data):
+        omega = GroundSet(data.draw(st.integers(1, 3)))
+        parts = list(iter_partitions(omega))
+        # One or two declared names per partition; on one element "_" and "!"
+        # both name the single partition too.
+        named = {"_": Partition.indiscrete(omega), "!": Partition.discrete(omega)}
+        for i, part in enumerate(parts):
+            for alias in range(data.draw(st.integers(1, 2))):
+                named[f"P{i}{'ab'[alias]}"] = part
+        aliases = {
+            part: sorted(n for n, p in named.items() if p == part) for part in parts
+        }
+        space = list(itertools.product(parts, repeat=3))
+        if data.draw(st.booleans()):
+            kept = space
+        else:
+            kept = [t for t in space if data.draw(st.booleans())]
+        orthogonal, dependent = set(), set()
+        for triple in kept:
+            for _ in range(data.draw(st.integers(1, 2))):
+                names = tuple(data.draw(st.sampled_from(aliases[p])) for p in triple)
+                (orthogonal if data.draw(st.booleans()) else dependent).add(names)
+        db = OrthogonalityDatabase(
+            omega=omega,
+            partitions={n: p for n, p in named.items() if n not in ("_", "!")},
+            orthogonal_triples=frozenset(orthogonal),
+            dependent_triples=frozenset(dependent),
+        )
+        asserted = {
+            tuple(named[n] for n in names) for names in orthogonal | dependent
+        }
+        assert is_complete(db) == all(t in asserted for t in space)
