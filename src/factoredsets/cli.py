@@ -14,14 +14,22 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
+import math
+import random
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 from typing import Sequence
 
 from . import agency, inference, probability, structure
-from .factored import count_factorizations, enumerate_factorizations
+from .factored import (
+    count_factorizations,
+    enumerate_factorizations,
+    factor_size_multisets,
+)
 from .fileformat import (
     FactoredSetFile,
     ParseError,
@@ -30,7 +38,13 @@ from .fileformat import (
     load_factored_set_file,
     resolve_model,
 )
-from .partitions import ValidationError, format_partition, iter_partitions
+from .partitions import (
+    GroundSet,
+    ValidationError,
+    bell_number,
+    format_partition,
+    iter_partitions,
+)
 from .polynomial import (
     characteristic_polynomial,
     format_polynomial,
@@ -59,12 +73,34 @@ def _factor_names_of_mask(fsf: FactoredSetFile, mask: int) -> list[str]:
 # Each returns (exit_code, results_payload, human_lines).
 
 
+# Slack, in decimal digits, between the float estimate of the largest term of
+# the count and the interpreter's int-to-string limit before refusing early.
+_DIGIT_MARGIN = 16
+
+
+def _largest_term_log10(n: int) -> float:
+    """log10 of the largest term ``n! / (prod k_i! * prod m_k!)`` of the count."""
+    lg = math.lgamma
+    return max(
+        lg(n + 1)
+        - sum(lg(k + 1) for k in ks)
+        - sum(lg(m + 1) for m in Counter(ks).values())
+        for ks in factor_size_multisets(n)
+    ) / math.log(10)
+
+
 def _cmd_count_fact(args) -> tuple[int, dict, list[str]]:
+    too_long = _Failure(f"the count for n = {args.n} is too long to print")
+    # The count is at least its largest term, so a term whose digits are
+    # well past the limit is refused before any factorial is computed.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit and args.n > 1 and _largest_term_log10(args.n) > limit + _DIGIT_MARGIN:
+        raise too_long
     count = count_factorizations(args.n)
     try:
         return 0, {"n": args.n, "count": count}, [str(count)]
     except ValueError:  # past the interpreter's int-to-string digit limit
-        raise _Failure(f"the count for n = {args.n} is too long to print") from None
+        raise too_long from None
 
 
 def _cmd_enum_fact(args) -> tuple[int, dict, list[str]]:
@@ -170,25 +206,54 @@ def _cmd_prob(args) -> tuple[int, dict, list[str]]:
     return 0, {"event": args.event, "probability": str(p)}, [str(p)]
 
 
-def _cmd_ft_verify(args) -> tuple[int, dict, list[str]]:
-    import itertools
-    import random
+# Largest exhaustive ft-verify sweep, in partition triples: --max-size 5
+# (about 1.5e5 triples) runs, --max-size 6 (about 5.1e8) needs --sample.
+_EXHAUSTIVE_TRIPLE_LIMIT = 10**6
 
+
+def _sampled_triples(parts: list, k: int, rng: random.Random) -> list[tuple]:
+    """What ``rng.sample(list(product(parts, repeat=3)), k)`` selects.
+
+    ``random.sample`` draws indices from the population's length alone, so
+    sampling the index range and decoding product order picks the same
+    triples, and leaves ``rng`` in the same state, without the product list.
+    """
+    size = len(parts)
+    triples = []
+    for i in rng.sample(range(size**3), k):
+        xy, c = divmod(i, size)
+        a, b = divmod(xy, size)
+        triples.append((parts[a], parts[b], parts[c]))
+    return triples
+
+
+def _cmd_ft_verify(args) -> tuple[int, dict, list[str]]:
     # A sweep that checks no triple must not report agreement.
     if args.max_size < 2:
         raise _Failure("--max-size must be at least 2")
     if args.sample is not None and args.sample < 1:
         raise _Failure("--sample must be at least 1")
+    if args.sample is None:
+        exhaustive = 0
+        for n in range(2, args.max_size + 1):
+            exhaustive += count_factorizations(n) * bell_number(n) ** 3
+            if exhaustive > _EXHAUSTIVE_TRIPLE_LIMIT:
+                raise _Failure(
+                    f"an exhaustive sweep of sizes 2..{n} has {exhaustive} partition "
+                    f"triples (limit {_EXHAUSTIVE_TRIPLE_LIMIT}); cap the triples "
+                    "per factorization with --sample N"
+                )
     rng = random.Random(args.seed)
     triples_checked = 0
     mismatches = 0
     missed_witnesses = 0
     for n in range(2, args.max_size + 1):
+        parts = list(iter_partitions(GroundSet(n)))  # shared by every factorization
         for fs in enumerate_factorizations(n):
-            parts = list(iter_partitions(fs.ground))
-            space = list(itertools.product(parts, repeat=3))
-            if args.sample is not None and len(space) > args.sample:
-                space = rng.sample(space, args.sample)
+            if args.sample is not None and len(parts) ** 3 > args.sample:
+                space = _sampled_triples(parts, args.sample, rng)
+            else:
+                space = itertools.product(parts, repeat=3)
             for x, y, z in space:
                 report = fundamental_theorem_check(
                     fs, x, y, z, trials=args.trials,

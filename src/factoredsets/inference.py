@@ -254,19 +254,33 @@ def _grid_automorphisms(n: int, ks: tuple[int, ...]) -> tuple[tuple[int, ...], .
 
 
 def _iter_canonical_labelings(
-    n: int, ks: tuple[int, ...], omega_n: int, surjective_only: bool
-) -> Iterator[tuple[int, ...]]:
-    """Labelings of the reference grid, one per automorphism orbit, lex order."""
+    n: int,
+    ks: tuple[int, ...],
+    omega_n: int,
+    surjective_only: bool,
+    deadline: float | None,
+) -> Iterator[tuple[int, ...] | None]:
+    """Labelings of the reference grid, one per automorphism orbit, lex order.
+
+    The deadline is read before every candidate, rejected ones included;
+    once it has passed, a final ``None`` ends the stream.
+    """
     if ks == (n,):
         # Single discrete factor: every ground permutation is an automorphism,
         # so orbits are multisets of labels.
         for f in itertools.combinations_with_replacement(range(omega_n), n):
+            if deadline is not None and time.monotonic() > deadline:
+                yield None
+                return
             if surjective_only and len(set(f)) != omega_n:
                 continue
             yield f
         return
     auts = [p for p in _grid_automorphisms(n, ks) if p != tuple(range(n))]
     for f in itertools.product(range(omega_n), repeat=n):
+        if deadline is not None and time.monotonic() > deadline:
+            yield None
+            return
         if surjective_only and len(set(f)) != omega_n:
             continue
         if all(f <= tuple(f[p[s]] for s in range(n)) for p in auts):
@@ -294,9 +308,9 @@ def search_models(
                 continue
             fs = grid_factored_set(n, ks)
             for f in _iter_canonical_labelings(
-                n, ks, omega_n, bounds.surjective_only
+                n, ks, omega_n, bounds.surjective_only, deadline
             ):
-                if deadline is not None and time.monotonic() > deadline:
+                if f is None:
                     yield Truncation(n)
                     return
                 model = Model(fs, f, db.omega)

@@ -2,9 +2,13 @@
 
 A distribution on a factored set assigns each factor a rational weight
 vector; the mass of an element is the product of the weights of its blocks.
-Everything is computed in exact rational arithmetic, so conditional
-independence is a hard equality, never a tolerance check: it is the
-block-triple identity of ``partitions`` with point-mass sums as the measure.
+Conditional independence is the block-triple identity of ``partitions``
+with point-mass sums as the measure, a hard equality, never a tolerance
+check.  The identity is homogeneous: scaling every point mass by one
+positive constant leaves its verdict unchanged.  So the exact checks scale
+each factor's weight row to integers (by the lcm of its denominators, or by
+the total of a raw integer draw), and decide with integer masses alone;
+rational weights are what the public API takes and returns.
 
 ``fundamental_theorem_check`` cross-examines one triple of partitions three
 ways: the splice-based orthogonality verdict, the exact polynomial identity,
@@ -17,6 +21,7 @@ the negative direction since a finite sample can miss a witness.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,8 +40,37 @@ from .structure import cond_orthogonal
 DEFAULT_SEED = 1729
 _WEIGHT_RANGE = 97
 
+_IntRows = tuple[tuple[int, ...], ...]
 
-@dataclass(frozen=True)
+
+def _scaled_row(row: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """The row times the lcm of its denominators, and that lcm.
+
+    The integers keep the row's ratios and signs; the row sums to one
+    exactly when they sum to the lcm.
+    """
+    scale = math.lcm(*(w.denominator for w in row))
+    return tuple(w.numerator * (scale // w.denominator) for w in row), scale
+
+
+def _element_masses(fs: FactoredSet, rows: _IntRows) -> list[int]:
+    """Point masses from integer weight rows, one positive scale off the true ones."""
+    masses = []
+    for coord in fs.coords:
+        m = 1
+        for row, b in zip(rows, coord):
+            m *= row[b]
+        masses.append(m)
+    return masses
+
+
+def _independent(masses: Sequence[int], x: Partition, y: Partition, z: Partition) -> bool:
+    """The block-triple identity with sums of (scaled) point masses as the measure."""
+    at = masses.__getitem__
+    return block_triple_identity(x, y, z, lambda event: sum(map(at, event)))
+
+
+@dataclass(frozen=True, slots=True)
 class FactoredDistribution:
     """Per-factor block weights, nonnegative rationals summing to one."""
 
@@ -46,7 +80,8 @@ class FactoredDistribution:
     def __post_init__(self) -> None:
         fs = self.fs
         coerced = tuple(
-            tuple(Fraction(w) for w in row) for row in self.weights
+            tuple(w if isinstance(w, Fraction) else Fraction(w) for w in row)
+            for row in self.weights
         )
         object.__setattr__(self, "weights", coerced)
         if len(coerced) != fs.dim:
@@ -54,9 +89,10 @@ class FactoredDistribution:
         for j, row in enumerate(coerced):
             if len(row) != fs.factors[j].block_count:
                 raise ValidationError(f"factor {j} needs one weight per block")
-            if any(w < 0 for w in row):
+            scaled, scale = _scaled_row(row)
+            if any(w < 0 for w in scaled):
                 raise ValidationError(f"factor {j} has a negative weight")
-            if sum(row, Fraction(0)) != 1:
+            if sum(scaled) != scale:
                 raise ValidationError(f"factor {j} weights must sum to 1")
 
     @classmethod
@@ -127,11 +163,31 @@ def conditional_independence_holds(
     y: Partition,
     z: Partition,
 ) -> bool:
-    """Exact check of P(x&z) P(y&z) == P(x&y&z) P(z) over all block triples."""
+    """Exact check of P(x&z) P(y&z) == P(x&y&z) P(z) over all block triples.
+
+    Decided on integer-scaled weight rows, which scale every point mass by
+    the same positive constant and so leave the homogeneous identity intact.
+    """
     require_full(fs.ground, x, y, z)
-    return block_triple_identity(
-        x, y, z, lambda event: sum((dist.point_mass(s) for s in event), Fraction(0))
+    rows = tuple(_scaled_row(row)[0] for row in dist.weights)
+    return _independent(_element_masses(fs, rows), x, y, z)
+
+
+def _draw_rows(fs: FactoredSet, rng: random.Random, max_weight: int) -> _IntRows:
+    """Uniform integers in ``[1, max_weight]``, factor by factor, block by block."""
+    return tuple(
+        tuple(rng.randint(1, max_weight) for _ in range(p.block_count))
+        for p in fs.factors
     )
+
+
+def _normalized(fs: FactoredSet, rows: _IntRows) -> FactoredDistribution:
+    """Each integer row divided by its total."""
+    weights = []
+    for row in rows:
+        total = sum(row)
+        weights.append(tuple(Fraction(w, total) for w in row))
+    return FactoredDistribution(fs, tuple(weights))
 
 
 def random_distribution(
@@ -142,15 +198,10 @@ def random_distribution(
     Strict positivity avoids the measure-zero degeneracies where a dependent
     pair happens to look independent.
     """
-    rows = []
-    for p in fs.factors:
-        raw = [rng.randint(1, max_weight) for _ in range(p.block_count)]
-        total = sum(raw)
-        rows.append(tuple(Fraction(w, total) for w in raw))
-    return FactoredDistribution(fs, tuple(rows))
+    return _normalized(fs, _draw_rows(fs, rng, max_weight))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FundamentalTheoremReport:
     """Three-way comparison of one partition triple, with sampling evidence."""
 
@@ -180,7 +231,13 @@ def fundamental_theorem_check(
     trials: int = 20,
     seed: int = DEFAULT_SEED,
 ) -> FundamentalTheoremReport:
-    """Confront orthogonality, the polynomial identity, and sampled distributions."""
+    """Confront orthogonality, the polynomial identity, and sampled distributions.
+
+    Each trial draws what ``random_distribution`` draws and decides
+    independence on the raw integer rows (each row is its normalized weights
+    times its total); only the first failing trial is normalized, as the
+    witness.
+    """
     if trials < 1:
         raise ValidationError("at least one trial is required")
     orth = cond_orthogonal(fs, x, y, z)
@@ -189,11 +246,11 @@ def fundamental_theorem_check(
     independent = 0
     witness = None
     for _ in range(trials):
-        dist = random_distribution(fs, rng)
-        if conditional_independence_holds(fs, dist, x, y, z):
+        rows = _draw_rows(fs, rng, _WEIGHT_RANGE)
+        if _independent(_element_masses(fs, rows), x, y, z):
             independent += 1
         elif witness is None:
-            witness = dist
+            witness = _normalized(fs, rows)
     return FundamentalTheoremReport(
         orthogonal=orth,
         polynomial_identity=poly_ok,

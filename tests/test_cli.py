@@ -1,9 +1,18 @@
+import itertools
 import json
+import random
 import sys
+import time
 
 import pytest
 
-from factoredsets import data_path
+from factoredsets import (
+    data_path,
+    enumerate_factorizations,
+    fundamental_theorem_check,
+    iter_partitions,
+)
+from factoredsets import cli
 from factoredsets.cli import main
 
 
@@ -273,6 +282,24 @@ class TestReports:
             assert out == ""
             assert err == "error: the count for n = 2048 is too long to print\n"
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="the interpreter has no int-to-string digit limit",
+    )
+    def test_huge_count_is_refused_before_the_arithmetic(self, capsys):
+        # 1000000! alone has 5.5 million digits and takes seconds to compute.
+        started = time.perf_counter()
+        code, out, err = run(capsys, "count-fact", "1000000")
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        assert out == ""
+        assert err == "error: the count for n = 1000000 is too long to print\n"
+
+    def test_prime_size_has_one_factorization(self, capsys):
+        code, out, _ = run(capsys, "count-fact", "1009")
+        assert code == 0
+        assert out == "1\n"
+
     def test_negative_enum_fact_limit_exits_2(self, capsys):
         code, out, err = run(capsys, "enum-fact", "4", "--limit", "-1")
         assert code == 2
@@ -335,6 +362,90 @@ class TestFtVerify:
         assert code == 2
         assert "agree" not in out
         assert err == f"error: {message}\n"
+
+
+def _materialising_sweep(argv, max_size, sample, seed, trials):
+    """ft-verify's sampled sweep as it was: sample the full list of triples.
+
+    Returns the structured output ``main`` prints for ``argv`` and the
+    (triple, seed) pairs the sweep checked.
+    """
+    rng = random.Random(seed)
+    checked = []
+    mismatches = missed = 0
+    for n in range(2, max_size + 1):
+        for fs in enumerate_factorizations(n):
+            parts = list(iter_partitions(fs.ground))
+            space = list(itertools.product(parts, repeat=3))
+            if len(space) > sample:
+                space = rng.sample(space, sample)
+            for x, y, z in space:
+                s = rng.randrange(1 << 30)
+                report = fundamental_theorem_check(fs, x, y, z, trials=trials, seed=s)
+                checked.append((fs, x, y, z, s))
+                mismatches += not report.verdicts_agree
+                missed += not report.orthogonal and not report.witness_found
+    results = {
+        "max_size": max_size,
+        "trials": trials,
+        "triples_checked": len(checked),
+        "mismatches": mismatches,
+        "missed_witnesses": missed,
+        "agree": mismatches == 0,
+    }
+    payload = {"command": argv, "inputs": {}, "results": results, "seed": seed}
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n", checked
+
+
+class TestFtVerifySample:
+    @pytest.mark.parametrize("seed,sample", [(1, 7), (7, 30), (1729, 200)])
+    def test_matches_sampling_the_materialised_triples(
+        self, capsys, monkeypatch, seed, sample
+    ):
+        argv = [
+            "--format", "structured", "ft-verify", "--max-size", "4",
+            "--sample", str(sample), "--trials", "2", "--seed", str(seed),
+        ]
+        expected_out, expected_checked = _materialising_sweep(
+            argv, 4, sample, seed, 2
+        )
+        checked = []
+
+        def recording(fs, x, y, z, trials, seed):
+            checked.append((fs, x, y, z, seed))
+            return fundamental_theorem_check(fs, x, y, z, trials=trials, seed=seed)
+
+        monkeypatch.setattr(cli, "fundamental_theorem_check", recording)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == expected_out
+        assert checked == expected_checked
+
+    def test_exhaustive_size_6_is_refused_before_any_work(self, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(cli, "enumerate_factorizations", never)
+        code, out, err = run(capsys, "ft-verify", "--max-size", "6")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: an exhaustive sweep of sizes 2..6 has 510445288 partition "
+            "triples (limit 1000000); cap the triples per factorization with "
+            "--sample N\n"
+        )
+
+    def test_sampled_size_6_runs(self, capsys):
+        code, out, _ = run(
+            capsys, "--format", "structured", "ft-verify", "--max-size", "6",
+            "--sample", "10", "--trials", "2",
+        )
+        assert code == 0
+        results = json.loads(out)["results"]
+        # Size 2 has all its 8 triples; the 1 + 4 + 1 + 61 factorizations of
+        # sizes 3..6 have 10 sampled triples each.
+        assert results["triples_checked"] == 8 + 10 * 67
+        assert results["agree"] is True
 
 
 class TestDump:

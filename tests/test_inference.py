@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -28,6 +29,7 @@ from factoredsets import (
     search_models,
     trivial_factorization,
 )
+from factoredsets import inference
 from factoredsets.inference import _satisfies
 from conftest import brute_history
 
@@ -265,6 +267,41 @@ class TestSearch:
         assert items[-1] == Truncation(3)
         sizes = [m.factored.size for m in items[:-1]]
         assert sizes == sorted(sizes) and max(sizes) <= 3
+
+    @pytest.mark.parametrize("example,size", [("ex1", 3), ("ex2", 4)])
+    def test_budget_runs_out_among_rejected_labelings(
+        self, request, monkeypatch, example, size
+    ):
+        # With surjective labelings required and fewer elements than the
+        # database has observations, every labeling of the size is rejected,
+        # so no model is ever checked there.  The budget runs out as the
+        # search enters the size (ex1: single-factor combinations; ex2: the
+        # 2x2 grid's product walk) and the next labeling looked at stops it.
+        db = request.getfixturevalue(example).db
+        assert db.omega.n > size
+        now = [0.0]
+        reads_after_expiry = []
+        grid = inference.grid_factored_set
+
+        def clock():
+            if now[0] == math.inf:
+                reads_after_expiry.append(now[0])
+            return now[0]
+
+        def entering(n, ks):
+            if n >= size:
+                now[0] = math.inf
+            return grid(n, ks)
+
+        monkeypatch.setattr(inference.time, "monotonic", clock)
+        monkeypatch.setattr(inference, "grid_factored_set", entering)
+        items = list(
+            search_models(
+                db, SearchBounds(max_size=size, surjective_only=True, time_budget=1.0)
+            )
+        )
+        assert items == [Truncation(size)]
+        assert len(reads_after_expiry) == 1
 
     def test_relabeling_preserves_all_verdicts(self, ex1):
         # Push a found model through a random ground permutation and compare

@@ -8,12 +8,15 @@ from hypothesis import given, settings, strategies as st
 from factoredsets import (
     FactoredDistribution,
     FactoredSet,
+    FundamentalTheoremReport,
     GroundSet,
     Partition,
     ValidationError,
     characteristic_polynomial,
+    cond_orth_by_divisibility,
     cond_orthogonal,
     conditional_independence_holds,
+    enumerate_factorizations,
     fundamental_theorem_check,
     is_distribution_on_factored_set,
     iter_partitions,
@@ -27,16 +30,23 @@ H = Fraction(1, 2)
 
 class TestFactoredDistribution:
     def test_weights_must_sum_to_one(self, ex1):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^factor 1 weights must sum to 1$"):
             FactoredDistribution(ex1.fs, ((H, H), (H, Fraction(1, 3))))
+        with pytest.raises(ValidationError, match="^factor 0 weights must sum to 1$"):
+            FactoredDistribution(ex1.fs, ((Fraction(1, 6), Fraction(3, 4)), (H, H)))
 
     def test_weights_must_be_nonnegative(self, ex1):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^factor 1 has a negative weight$"):
             FactoredDistribution(ex1.fs, ((H, H), (Fraction(3, 2), Fraction(-1, 2))))
 
     def test_shape_must_match(self, ex1):
         with pytest.raises(ValidationError):
             FactoredDistribution(ex1.fs, ((H, H),))
+
+    def test_int_and_str_weights_are_coerced(self, ex1):
+        dist = FactoredDistribution(ex1.fs, ((1, 0), ("1/3", "2/3")))
+        assert dist.weights == ((1, 0), (Fraction(1, 3), Fraction(2, 3)))
+        assert all(type(w) is Fraction for row in dist.weights for w in row)
 
     def test_induced_table_is_a_product_distribution(self, ex1):
         dist = FactoredDistribution(
@@ -143,6 +153,29 @@ class TestConditionalIndependence:
             assert verdicts == {True, False}
 
     @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.data())
+    def test_matches_table_sums_on_hand_built_weights(self, seed, data):
+        # Rows with mixed denominators and zero weights, so the per-row
+        # scales differ and some point masses vanish.
+        rng = random.Random(seed)
+        fs = random_factored_set(rng, min_n=1, max_n=8)
+        rows = []
+        for p in fs.factors:
+            raw = data.draw(
+                st.lists(
+                    st.fractions(min_value=0, max_value=3, max_denominator=12),
+                    min_size=p.block_count,
+                    max_size=p.block_count,
+                ).filter(any)
+            )
+            rows.append(tuple(w / sum(raw) for w in raw))
+        dist = FactoredDistribution(fs, tuple(rows))
+        x, y, z = (mixed_random_partition(rng, fs) for _ in range(3))
+        assert conditional_independence_holds(fs, dist, x, y, z) == (
+            _table_independence(dist, x, y, z)
+        )
+
+    @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_matches_table_sums_on_random_sets(self, seed):
         rng = random.Random(seed)
@@ -219,3 +252,97 @@ class TestFundamentalTheoremCheck:
         a = fundamental_theorem_check(ex1.fs, ex1.V, ex1.V, ind, trials=5, seed=99)
         b = fundamental_theorem_check(ex1.fs, ex1.V, ex1.V, ind, trials=5, seed=99)
         assert a.witness.weights == b.witness.weights
+
+
+# -- the Fraction reference for the sampled trials ----------------------------
+#
+# The trial loop as it was before independence was decided on integer-scaled
+# weights: normalized Fraction weights, Fraction point masses, Fraction sums.
+
+
+def _reference_random_distribution(fs, rng, max_weight=97):
+    rows = []
+    for p in fs.factors:
+        raw = [rng.randint(1, max_weight) for _ in range(p.block_count)]
+        total = sum(raw)
+        rows.append(tuple(Fraction(w, total) for w in raw))
+    return FactoredDistribution(fs, tuple(rows))
+
+
+def _reference_independence(fs, dist, x, y, z):
+    def p(event):
+        total = Fraction(0)
+        for s in event:
+            mass = Fraction(1)
+            for j, b in enumerate(fs.coords[s]):
+                mass *= dist.weights[j][b]
+            total += mass
+        return total
+
+    return all(
+        p(xb & zb) * p(yb & zb) == p(xb & yb & zb) * p(zb)
+        for zb in z.block_sets
+        for xb in x.block_sets
+        for yb in y.block_sets
+    )
+
+
+def _reference_check(fs, x, y, z, trials, seed):
+    rng = random.Random(seed)
+    independent = 0
+    witness = None
+    for _ in range(trials):
+        dist = _reference_random_distribution(fs, rng)
+        if _reference_independence(fs, dist, x, y, z):
+            independent += 1
+        elif witness is None:
+            witness = dist
+    return FundamentalTheoremReport(
+        orthogonal=cond_orthogonal(fs, x, y, z),
+        polynomial_identity=cond_orth_by_divisibility(fs, x, y, z),
+        trials=trials,
+        independent_trials=independent,
+        witness=witness,
+        seed=seed,
+    )
+
+
+class TestIntegerRouteAgainstFractionReference:
+    TRIALS = 3
+
+    def assert_same_reports(self, fs, triples, rng):
+        witnesses = 0
+        for x, y, z in triples:
+            seed = rng.randrange(1 << 30)
+            got = fundamental_theorem_check(fs, x, y, z, trials=self.TRIALS, seed=seed)
+            assert got == _reference_check(fs, x, y, z, self.TRIALS, seed)
+            witnesses += got.witness is not None
+        return witnesses
+
+    def test_every_triple_of_sizes_2_and_3(self):
+        rng = random.Random(83)
+        witnesses = 0
+        for n in (2, 3):
+            for fs in enumerate_factorizations(n):
+                parts = list(iter_partitions(fs.ground))
+                witnesses += self.assert_same_reports(
+                    fs, itertools.product(parts, repeat=3), rng
+                )
+        assert witnesses > 0
+
+    def test_sampled_size_4_triples(self):
+        rng = random.Random(89)
+        witnesses = 0
+        for fs in enumerate_factorizations(4):
+            parts = list(iter_partitions(fs.ground))
+            triples = rng.sample(list(itertools.product(parts, repeat=3)), 500)
+            witnesses += self.assert_same_reports(fs, triples, rng)
+        assert witnesses > 0
+
+    def test_random_distribution_is_the_reference_draw(self):
+        rng = random.Random(97)
+        for _ in range(40):
+            fs = random_factored_set(rng, min_n=1, max_n=12)
+            seed = rng.randrange(1 << 30)
+            got = random_distribution(fs, random.Random(seed))
+            assert got == _reference_random_distribution(fs, random.Random(seed))
