@@ -103,9 +103,26 @@ def _cmd_count_fact(args) -> tuple[int, dict, list[str]]:
         raise too_long from None
 
 
+# Longest enum-fact listing without --limit.
+_LISTING_LIMIT = 10**6
+
+
 def _cmd_enum_fact(args) -> tuple[int, dict, list[str]]:
     if args.limit is not None and args.limit < 0:
         raise _Failure("--limit must be at least 0")
+    # The count is at least its largest term, and past 10^6 exactly when
+    # that term is (sizes up to 11 have at most 15121 factorizations, primes
+    # one, and larger composite sizes a term past 10^6), so the estimate
+    # decides without computing the count.
+    if (
+        (args.limit is None or args.limit > _LISTING_LIMIT)
+        and args.n > 1
+        and _largest_term_log10(args.n) > math.log10(_LISTING_LIMIT)
+    ):
+        raise _Failure(
+            f"enum-fact {args.n} would list more than {_LISTING_LIMIT} "
+            f"factorizations; list the first N with --limit N (N <= {_LISTING_LIMIT})"
+        )
     rendered = []
     for i, fs in enumerate(enumerate_factorizations(args.n)):
         if args.limit is not None and i >= args.limit:
@@ -206,9 +223,10 @@ def _cmd_prob(args) -> tuple[int, dict, list[str]]:
     return 0, {"event": args.event, "probability": str(p)}, [str(p)]
 
 
-# Largest exhaustive ft-verify sweep, in partition triples: --max-size 5
-# (about 1.5e5 triples) runs, --max-size 6 (about 5.1e8) needs --sample.
-_EXHAUSTIVE_TRIPLE_LIMIT = 10**6
+# Largest ft-verify sweep, in partition triples: --max-size 5 (about 1.5e5
+# triples) runs, --max-size 6 (about 5.1e8) needs --sample, and
+# --max-size 12 (13638241 factorizations) is refused even with --sample 1.
+_TRIPLE_LIMIT = 10**6
 
 
 def _sampled_triples(parts: list, k: int, rng: random.Random) -> list[tuple]:
@@ -233,16 +251,24 @@ def _cmd_ft_verify(args) -> tuple[int, dict, list[str]]:
         raise _Failure("--max-size must be at least 2")
     if args.sample is not None and args.sample < 1:
         raise _Failure("--sample must be at least 1")
-    if args.sample is None:
-        exhaustive = 0
-        for n in range(2, args.max_size + 1):
-            exhaustive += count_factorizations(n) * bell_number(n) ** 3
-            if exhaustive > _EXHAUSTIVE_TRIPLE_LIMIT:
-                raise _Failure(
-                    f"an exhaustive sweep of sizes 2..{n} has {exhaustive} partition "
-                    f"triples (limit {_EXHAUSTIVE_TRIPLE_LIMIT}); cap the triples "
-                    "per factorization with --sample N"
-                )
+    triples = 0
+    for n in range(2, args.max_size + 1):
+        per_factorization = bell_number(n) ** 3
+        if args.sample is not None:
+            per_factorization = min(per_factorization, args.sample)
+        triples += count_factorizations(n) * per_factorization
+        if triples <= _TRIPLE_LIMIT:
+            continue
+        if args.sample is None:
+            raise _Failure(
+                f"an exhaustive sweep of sizes 2..{n} has {triples} partition "
+                f"triples (limit {_TRIPLE_LIMIT}); cap the triples "
+                "per factorization with --sample N"
+            )
+        raise _Failure(
+            f"a sweep of sizes 2..{n} with --sample {args.sample} has {triples} "
+            f"partition triples (limit {_TRIPLE_LIMIT}); lower --max-size"
+        )
     rng = random.Random(args.seed)
     triples_checked = 0
     mismatches = 0

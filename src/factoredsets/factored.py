@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .partitions import (
@@ -206,9 +207,10 @@ def trivial_factorization(ground: GroundSet) -> FactoredSet:
 
 
 def factor_size_multisets(n: int) -> list[tuple[int, ...]]:
-    """Nondecreasing tuples of integers >= 2 with product ``n`` (``n >= 1``).
+    """Nondecreasing tuples of integers >= 2 with product ``n``.
 
-    ``n == 1`` has exactly the empty tuple: the empty product is 1.
+    ``n == 1`` has exactly the empty tuple: the empty product is 1.  Sizes
+    below 1 have none.
     """
     out: list[tuple[int, ...]] = []
 
@@ -216,11 +218,14 @@ def factor_size_multisets(n: int) -> list[tuple[int, ...]]:
         if remaining == 1:
             out.append(acc)
             return
-        for k in range(minimum, remaining + 1):
+        # Every factor but the last is at most the square root of what remains.
+        for k in range(minimum, math.isqrt(remaining) + 1):
             if remaining % k == 0:
                 rec(remaining // k, k, acc + (k,))
+        out.append(acc + (remaining,))
 
-    rec(n, 2, ())
+    if n >= 1:
+        rec(n, 2, ())
     return out
 
 
@@ -240,69 +245,43 @@ def _iter_grids(n: int, ks: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], 
       all labels in range and the product equal to ``n``, distinct rows make
       it a bijection).
 
-    Pruning keeps the walk near-linear in the output: a column label may
-    appear at most ``n / k`` times, and every column must still be able to
-    reach all of its labels in the remaining rows.
+    Distinct rows already imply the counting rules a walk could add: a
+    label used ``n / k`` times in a column has all its rows used, and every
+    label not yet seen in a column still has ``n / k`` unused rows, at
+    least one per label the column still needs.
     """
     d = len(ks)
-    caps = [n // k for k in ks]
     strides = mixed_radix_strides(ks)
-    first = (0,) * d
-    rows: list[tuple[int, ...]] = [first]
+    rows: list[tuple[int, ...]] = [(0,) * d]
     used = {0}
-    maxlab = [0] * d
-    counts = [[0] * k for k in ks]
-    for j in range(d):
-        counts[j][0] = 1
-    tie0 = tuple(ks[i] == ks[i + 1] for i in range(d - 1))
 
-    def rec(r: int, tie: tuple[bool, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
+    def rec(
+        r: int, tied: list[int], maxlab: tuple[int, ...]
+    ) -> Iterator[tuple[tuple[int, ...], ...]]:
+        # ``tied``: the columns ``i`` still equal to column ``i + 1`` so far.
         if r == n:
             yield tuple(rows)
             return
-        left_after = n - r - 1
-        ranges = [range(min(maxlab[j] + 1, ks[j] - 1) + 1) for j in range(d)]
+        ranges = [range(min(m + 1, k - 1) + 1) for m, k in zip(maxlab, ks)]
         for vec in itertools.product(*ranges):
-            ok = True
-            for i in range(d - 1):
-                if tie[i] and vec[i] > vec[i + 1]:
-                    ok = False
+            for i in tied:
+                if vec[i] > vec[i + 1]:
                     break
-            if not ok:
-                continue
-            code = 0
-            for j in range(d):
-                v = vec[j]
-                if counts[j][v] >= caps[j]:
-                    ok = False
-                    break
-                code += v * strides[j]
-            if not ok or code in used:
-                continue
-            newmax = [maxlab[j] if vec[j] <= maxlab[j] else vec[j] for j in range(d)]
-            for j in range(d):
-                if ks[j] - 1 - newmax[j] > left_after:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            oldmax = maxlab[:]
-            for j in range(d):
-                counts[j][vec[j]] += 1
-                maxlab[j] = newmax[j]
-            used.add(code)
-            rows.append(vec)
-            newtie = tuple(
-                tie[i] and vec[i] == vec[i + 1] for i in range(d - 1)
-            )
-            yield from rec(r + 1, newtie)
-            rows.pop()
-            used.discard(code)
-            for j in range(d):
-                counts[j][vec[j]] -= 1
-            maxlab[:] = oldmax
+            else:
+                code = sum(map(mul, vec, strides))
+                if code in used:
+                    continue
+                used.add(code)
+                rows.append(vec)
+                yield from rec(
+                    r + 1,
+                    [i for i in tied if vec[i] == vec[i + 1]],
+                    tuple(map(max, maxlab, vec)),
+                )
+                rows.pop()
+                used.discard(code)
 
-    yield from rec(1, tie0)
+    yield from rec(1, [i for i in range(d - 1) if ks[i] == ks[i + 1]], (0,) * d)
 
 
 def grid_factored_set(n: int, ks: Sequence[int], labels=None) -> FactoredSet:

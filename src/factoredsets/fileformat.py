@@ -69,6 +69,36 @@ def _named_partition(
     return name, part
 
 
+def _header_line(
+    origin: str,
+    lineno: int,
+    tokens: list[str],
+    count_keyword: str,
+    ground: GroundSet | None,
+    body_started: bool,
+) -> GroundSet:
+    """The ground set after a ``COUNT_KEYWORD N`` or ``labels ...`` line.
+
+    Both file kinds share one header rule: the count line comes first, and
+    at most one ``labels`` line follows it, before any partition.
+    """
+    if tokens[0] == count_keyword:
+        if ground is not None:
+            raise ParseError(origin, lineno, f"duplicate '{count_keyword}' line")
+        if len(tokens) != 2 or not tokens[1].isdigit():
+            raise ParseError(
+                origin, lineno, f"'{count_keyword}' expects one count", tokens[-1]
+            )
+        return GroundSet(int(tokens[1]))
+    if ground is None:
+        raise ParseError(origin, lineno, f"'labels' must follow '{count_keyword}'")
+    if ground.labels is not None or body_started:
+        raise ParseError(
+            origin, lineno, "'labels' may appear once, before any partitions"
+        )
+    return GroundSet(ground.n, tuple(tokens[1:]))
+
+
 @dataclass(frozen=True)
 class FactoredSetFile:
     """A parsed factored-set file: the set, name bindings, and an optional map."""
@@ -101,31 +131,16 @@ def parse_factored_set_text(text: str, origin: str = "<string>") -> FactoredSetF
         tokens = line.split()
         keyword = tokens[0]
         try:
-            if keyword == "set":
-                if ground is not None:
-                    raise ParseError(origin, lineno, "duplicate 'set' line")
-                if len(tokens) != 2 or not tokens[1].isdigit():
-                    raise ParseError(origin, lineno, "'set' expects one count", tokens[-1])
-                ground = GroundSet(int(tokens[1]))
-            elif keyword == "labels":
-                if ground is None:
-                    raise ParseError(origin, lineno, "'labels' must follow 'set'")
-                if ground.labels is not None or body_started:
-                    raise ParseError(
-                        origin, lineno,
-                        "'labels' may appear once, before any partitions",
-                    )
-                ground = GroundSet(ground.n, tuple(tokens[1:]))
+            if keyword in ("set", "labels"):
+                ground = _header_line(origin, lineno, tokens, "set", ground, body_started)
+            elif ground is None:
+                raise ParseError(origin, lineno, "'set N' must come first")
             elif keyword in ("factor", "partition"):
-                if ground is None:
-                    raise ParseError(origin, lineno, "'set N' must come first")
                 body_started = True
                 name, part = _named_partition(origin, lineno, line, ground, named)
                 if keyword == "factor":
                     factor_decls.append((name, part, lineno))
             elif keyword == "map":
-                if ground is None:
-                    raise ParseError(origin, lineno, "'set N' must come first")
                 body_started = True
                 if len(tokens) != 4 or tokens[2] != "->":
                     raise ParseError(origin, lineno, "'map' expects 'map FROM -> TO'")
@@ -219,38 +234,19 @@ def load_database_file(path: str | Path) -> OrthogonalityDatabase:
 
 def parse_database_text(text: str, origin: str = "<string>") -> OrthogonalityDatabase:
     omega: GroundSet | None = None
-    n: int | None = None
     named: dict[str, Partition] = {}
     orthogonal_triples: set[tuple[str, str, str]] = set()
     dependent_triples: set[tuple[str, str, str]] = set()
 
-    lines = list(_meaningful_lines(text))
-    for lineno, line in lines:
-        tokens = line.split()
-        if tokens[0] == "omega":
-            if n is not None:
-                raise ParseError(origin, lineno, "duplicate 'omega' line")
-            if len(tokens) != 2 or not tokens[1].isdigit():
-                raise ParseError(origin, lineno, "'omega' expects one count", tokens[-1])
-            n = int(tokens[1])
-            omega = GroundSet(n)
-        elif tokens[0] == "labels":
-            if n is None:
-                raise ParseError(origin, lineno, "'labels' must follow 'omega'")
-            try:
-                omega = GroundSet(n, tuple(tokens[1:]))
-            except ValidationError as exc:
-                raise ParseError(origin, lineno, str(exc)) from None
-    if omega is None:
-        raise ParseError(origin, 1, "missing 'omega N' line")
-
-    for lineno, line in lines:
+    for lineno, line in _meaningful_lines(text):
         tokens = line.split()
         keyword = tokens[0]
         try:
             if keyword in ("omega", "labels"):
-                continue
-            if keyword == "partition":
+                omega = _header_line(origin, lineno, tokens, "omega", omega, bool(named))
+            elif omega is None:
+                raise ParseError(origin, lineno, "'omega N' must come first")
+            elif keyword == "partition":
                 name, part = _named_partition(origin, lineno, line, omega, named)
                 if not part.is_full:
                     raise ParseError(
@@ -277,6 +273,8 @@ def parse_database_text(text: str, origin: str = "<string>") -> OrthogonalityDat
         except ValidationError as exc:
             raise ParseError(origin, lineno, str(exc)) from None
 
+    if omega is None:
+        raise ParseError(origin, 1, "missing 'omega N' line")
     return OrthogonalityDatabase(
         omega=omega,
         partitions=named,

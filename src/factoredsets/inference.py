@@ -15,8 +15,9 @@ block counts is a ground-set relabeling of the mixed-radix reference grid
 with those counts, so the search walks one reference factorization per
 multiset and enumerates labelings up to the grid's automorphisms (block
 relabelings within a factor composed with swaps of equal-size factors).
-Each isomorphism orbit of models is visited exactly once, and every verdict
-checked is invariant under relabeling.
+One candidate loop in ``search_models`` keeps the lexicographically least
+labeling of each orbit, so each isomorphism orbit of models is visited
+exactly once; every verdict checked is invariant under relabeling.
 
 The search filter and ``models_database`` share one pass over the
 assertions: each name is pulled back once per model and each triple goes
@@ -188,6 +189,10 @@ class SearchBounds:
     def __post_init__(self) -> None:
         if self.max_size < 1:
             raise ValidationError("max_size must be at least 1")
+        if self.max_dim is not None and self.max_dim < 0:
+            raise ValidationError("max_dim must be at least 0")
+        if self.time_budget is not None and not self.time_budget >= 0:
+            raise ValidationError("time_budget must be a number of seconds >= 0")
 
     def describe(self, truncation: Truncation | None) -> str:
         """The bounds a search covered completely, and where its budget ran out."""
@@ -216,75 +221,27 @@ class Truncation:
 def _grid_automorphisms(n: int, ks: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Ground permutations preserving the reference grid factorization.
 
-    Generated as all combinations of per-factor block relabelings with
-    permutations of equal-block-count factor positions.
+    Generated as all combinations of permutations of equal-block-count
+    factor positions with per-factor block relabelings; the identity is
+    first.
     """
     d = len(ks)
     strides = mixed_radix_strides(ks)
-
-    runs: list[list[int]] = []
-    for j in range(d):
-        if runs and ks[runs[-1][0]] == ks[j]:
-            runs[-1].append(j)
-        else:
-            runs.append([j])
-
-    digits = [
-        tuple((s // strides[j]) % ks[j] for j in range(d)) for s in range(n)
-    ]
+    digits = grid_factored_set(n, ks).coords
     perms = []
-    position_choices = [itertools.permutations(run) for run in runs]
-    for placed_runs in itertools.product(*position_choices):
-        sigma = [0] * d
-        for run, placed in zip(runs, placed_runs):
-            for j, target in zip(run, placed):
-                sigma[j] = target
+    for sigma in itertools.permutations(range(d)):
+        if any(ks[sigma[j]] != ks[j] for j in range(d)):
+            continue
         for rhos in itertools.product(
             *(itertools.permutations(range(k)) for k in ks)
         ):
-            perm = []
-            for s in range(n):
-                code = 0
-                ds = digits[s]
-                for j in range(d):
-                    code += rhos[j][ds[j]] * strides[sigma[j]]
-                perm.append(code)
-            perms.append(tuple(perm))
+            perms.append(
+                tuple(
+                    sum(rhos[j][ds[j]] * strides[sigma[j]] for j in range(d))
+                    for ds in digits
+                )
+            )
     return tuple(perms)
-
-
-def _iter_canonical_labelings(
-    n: int,
-    ks: tuple[int, ...],
-    omega_n: int,
-    surjective_only: bool,
-    deadline: float | None,
-) -> Iterator[tuple[int, ...] | None]:
-    """Labelings of the reference grid, one per automorphism orbit, lex order.
-
-    The deadline is read before every candidate, rejected ones included;
-    once it has passed, a final ``None`` ends the stream.
-    """
-    if ks == (n,):
-        # Single discrete factor: every ground permutation is an automorphism,
-        # so orbits are multisets of labels.
-        for f in itertools.combinations_with_replacement(range(omega_n), n):
-            if deadline is not None and time.monotonic() > deadline:
-                yield None
-                return
-            if surjective_only and len(set(f)) != omega_n:
-                continue
-            yield f
-        return
-    auts = [p for p in _grid_automorphisms(n, ks) if p != tuple(range(n))]
-    for f in itertools.product(range(omega_n), repeat=n):
-        if deadline is not None and time.monotonic() > deadline:
-            yield None
-            return
-        if surjective_only and len(set(f)) != omega_n:
-            continue
-        if all(f <= tuple(f[p[s]] for s in range(n)) for p in auts):
-            yield f
 
 
 def search_models(
@@ -296,6 +253,12 @@ def search_models(
     the divisor enumeration, labelings are lexicographic.  A trailing
     ``Truncation`` item signals an exhausted time budget and names the size
     it stopped in.
+
+    Every candidate labeling gets one deadline read, then the surjectivity
+    filter, then the canonicity test: the labeling must be lexicographically
+    no larger than its image under every non-identity grid automorphism.
+    A single discrete factor has every ground permutation as automorphism,
+    so its orbits are the multisets of labels and need no test.
     """
     deadline = (
         None if bounds.time_budget is None else time.monotonic() + bounds.time_budget
@@ -307,15 +270,22 @@ def search_models(
             if bounds.max_dim is not None and len(ks) > bounds.max_dim:
                 continue
             fs = grid_factored_set(n, ks)
-            for f in _iter_canonical_labelings(
-                n, ks, omega_n, bounds.surjective_only, deadline
-            ):
-                if f is None:
+            if ks == (n,):
+                candidates = itertools.combinations_with_replacement(range(omega_n), n)
+                auts = ()
+            else:
+                candidates = itertools.product(range(omega_n), repeat=n)
+                auts = _grid_automorphisms(n, ks)[1:]
+            for f in candidates:
+                if deadline is not None and time.monotonic() > deadline:
                     yield Truncation(n)
                     return
-                model = Model(fs, f, db.omega)
-                if _satisfies(model, triples):
-                    yield model
+                if bounds.surjective_only and len(set(f)) != omega_n:
+                    continue
+                if all(f <= tuple(f[s] for s in p) for p in auts):
+                    model = Model(fs, f, db.omega)
+                    if _satisfies(model, triples):
+                        yield model
 
 
 @dataclass(frozen=True)

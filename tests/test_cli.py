@@ -300,11 +300,66 @@ class TestReports:
         assert code == 0
         assert out == "1\n"
 
+    @pytest.mark.parametrize(
+        "command,flags,message",
+        [
+            ("infer", ["--max-dim", "-1"], "max_dim must be at least 0"),
+            ("infer", ["--time-budget", "-1"], "time_budget must be a number of seconds >= 0"),
+            ("infer", ["--time-budget", "nan"], "time_budget must be a number of seconds >= 0"),
+            ("consistent", ["--time-budget", "nan"], "time_budget must be a number of seconds >= 0"),
+        ],
+    )
+    def test_bad_search_bounds_exit_2(self, capsys, command, flags, message):
+        before = ["--before", "X", "Y"] if command == "infer" else []
+        code, out, err = run(
+            capsys, command, "--db", DB1, *before, "--max-size", "4", *flags
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_negative_enum_fact_limit_exits_2(self, capsys):
         code, out, err = run(capsys, "enum-fact", "4", "--limit", "-1")
         assert code == 2
         assert out == ""
         assert err == "error: --limit must be at least 0\n"
+
+
+class TestEnumFactGuard:
+    def test_size_12_is_refused_before_any_enumeration(self, capsys, monkeypatch):
+        def never(n):
+            raise AssertionError("the enumeration started")
+
+        monkeypatch.setattr(cli, "enumerate_factorizations", never)
+        for argv in (["enum-fact", "12"], ["enum-fact", "12", "--limit", "1000001"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert err == (
+                "error: enum-fact 12 would list more than 1000000 factorizations; "
+                "list the first N with --limit N (N <= 1000000)\n"
+            )
+
+    def test_huge_size_is_refused_at_once(self, capsys):
+        started = time.perf_counter()
+        code, _, err = run(capsys, "enum-fact", "1000000")
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        assert "would list more than 1000000" in err
+
+    def test_limit_caps_the_listing(self, capsys):
+        code, out, _ = run(capsys, "enum-fact", "12", "--limit", "5")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 6 and lines[-1] == "5 factorization(s)"
+
+    def test_largest_sizes_below_the_limit_run(self, capsys):
+        code, out, _ = run(capsys, "enum-fact", "10", "--limit", "2")
+        assert code == 0
+        assert out.splitlines()[-1] == "2 factorization(s)"
+        code, out, _ = run(capsys, "--format", "structured", "enum-fact", "11")
+        assert code == 0
+        assert len(json.loads(out)["results"]["factorizations"]) == 1
 
 
 class TestMapLineErrors:
@@ -433,6 +488,36 @@ class TestFtVerifySample:
             "error: an exhaustive sweep of sizes 2..6 has 510445288 partition "
             "triples (limit 1000000); cap the triples per factorization with "
             "--sample N\n"
+        )
+
+    @pytest.mark.parametrize(
+        "max_size,sample,triples",
+        [
+            # Even one triple per factorization is 13660154 triples up to size 12.
+            ("12", "1", 13660154),
+            # Sizes 2 and 3 have 8 and 125 triples, fewer than the sample; every
+            # factorization of sizes 4..9 counts 200: 133 + 200 * 6789 triples.
+            ("9", "200", 1357933),
+        ],
+    )
+    def test_sampled_sweep_past_the_limit_is_refused_before_any_work(
+        self, capsys, monkeypatch, max_size, sample, triples
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(cli, "enumerate_factorizations", never)
+        monkeypatch.setattr(cli, "iter_partitions", never)
+        started = time.perf_counter()
+        code, out, err = run(
+            capsys, "ft-verify", "--max-size", max_size, "--sample", sample
+        )
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: a sweep of sizes 2..{max_size} with --sample {sample} has "
+            f"{triples} partition triples (limit 1000000); lower --max-size\n"
         )
 
     def test_sampled_size_6_runs(self, capsys):

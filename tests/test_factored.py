@@ -14,7 +14,7 @@ from factoredsets import (
     factor_size_multisets,
     trivial_factorization,
 )
-from factoredsets.factored import mixed_radix_strides
+from factoredsets.factored import _iter_grids, mixed_radix_strides
 from conftest import random_factored_set
 
 
@@ -262,3 +262,96 @@ class TestCounting:
     def test_one_element_set_has_the_empty_multiset(self):
         assert factor_size_multisets(1) == [()]
         assert [fs.factors for fs in enumerate_factorizations(1)] == [()]
+
+
+def _old_iter_grids(n, ks):
+    """The grid walk as first written, with its cap and reachability pruning."""
+    d = len(ks)
+    caps = [n // k for k in ks]
+    strides = mixed_radix_strides(ks)
+    rows = [(0,) * d]
+    used = {0}
+    maxlab = [0] * d
+    counts = [[0] * k for k in ks]
+    for j in range(d):
+        counts[j][0] = 1
+
+    def rec(r, tie):
+        if r == n:
+            yield tuple(rows)
+            return
+        left_after = n - r - 1
+        ranges = [range(min(maxlab[j] + 1, ks[j] - 1) + 1) for j in range(d)]
+        for vec in itertools.product(*ranges):
+            if any(tie[i] and vec[i] > vec[i + 1] for i in range(d - 1)):
+                continue
+            if any(counts[j][vec[j]] >= caps[j] for j in range(d)):
+                continue
+            code = sum(vec[j] * strides[j] for j in range(d))
+            if code in used:
+                continue
+            newmax = [max(maxlab[j], vec[j]) for j in range(d)]
+            if any(ks[j] - 1 - newmax[j] > left_after for j in range(d)):
+                continue
+            oldmax = maxlab[:]
+            for j in range(d):
+                counts[j][vec[j]] += 1
+                maxlab[j] = newmax[j]
+            used.add(code)
+            rows.append(vec)
+            yield from rec(r + 1, tuple(tie[i] and vec[i] == vec[i + 1] for i in range(d - 1)))
+            rows.pop()
+            used.discard(code)
+            for j in range(d):
+                counts[j][vec[j]] -= 1
+            maxlab[:] = oldmax
+
+    yield from rec(1, tuple(ks[i] == ks[i + 1] for i in range(d - 1)))
+
+
+class TestGridOracle:
+    """The grid walk yields what the walk with its redundant pruning yielded."""
+
+    def test_enumeration_matches_the_old_walk(self):
+        for n in range(1, 11):
+            ground = GroundSet(n)
+            full = tuple(range(n))
+            expected = [
+                tuple(
+                    sorted(
+                        (Partition(ground, full, c) for c in zip(*rows)),
+                        key=lambda p: p.key,
+                    )
+                )
+                for ks in factor_size_multisets(n)
+                for rows in _old_iter_grids(n, ks)
+            ]
+            assert [fs.factors for fs in enumerate_factorizations(n)] == expected
+
+    @pytest.mark.slow
+    def test_size_twelve_grids_match_the_old_walk(self):
+        for ks in factor_size_multisets(12):
+            for new, old in itertools.zip_longest(
+                _iter_grids(12, ks), _old_iter_grids(12, ks)
+            ):
+                assert new == old
+
+
+class TestFactorSizeMultisets:
+    def test_matches_the_loop_over_every_divisor(self):
+        def every_divisor(n):
+            out = []
+
+            def rec(remaining, minimum, acc):
+                if remaining == 1:
+                    out.append(acc)
+                    return
+                for k in range(minimum, remaining + 1):
+                    if remaining % k == 0:
+                        rec(remaining // k, k, acc + (k,))
+
+            rec(n, 2, ())
+            return out
+
+        for n in range(-2, 3000):
+            assert factor_size_multisets(n) == every_divisor(n)

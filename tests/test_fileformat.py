@@ -146,6 +146,36 @@ class TestDatabaseFiles:
         with pytest.raises(ParseError, match="expects 'A B | C'"):
             parse_database_text("omega 2\northogonal _ _ _\n")
 
+    def test_second_labels_line_rejected(self):
+        with pytest.raises(ParseError, match="'labels' may appear once") as exc:
+            parse_database_text("omega 2\nlabels a b\nlabels c d\n", "two.db")
+        assert str(exc.value).startswith("two.db:3: ")
+
+    def test_labels_must_precede_partitions(self):
+        with pytest.raises(ParseError, match="before any partitions") as exc:
+            parse_database_text(
+                "omega 2\npartition A { 0 | 1 }\nlabels a b\n", "late.db"
+            )
+        assert str(exc.value).startswith("late.db:3: ")
+
+    @pytest.mark.parametrize(
+        "text,lineno",
+        [
+            ("partition A { 0 | 1 }\nomega 2\n", 1),
+            ("# header\northogonal _ _ | _\nomega 2\n", 2),
+            ("labels a b\nomega 2\n", 1),
+        ],
+    )
+    def test_omega_must_come_first(self, text, lineno):
+        with pytest.raises(ParseError, match="omega") as exc:
+            parse_database_text(text, "order.db")
+        assert str(exc.value).startswith(f"order.db:{lineno}: ")
+        assert exc.value.lineno == lineno
+
+    def test_missing_omega_line(self):
+        with pytest.raises(ParseError, match="missing 'omega N' line"):
+            parse_database_text("# only a comment\n")
+
 
 class TestDistributionFiles:
     def test_parse(self, ex1):

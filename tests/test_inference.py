@@ -193,6 +193,24 @@ class TestModelCheckOracle:
             assert models_database(model, db).ok
 
 
+class TestSearchBounds:
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"max_dim": -1}, "max_dim must be at least 0"),
+            ({"time_budget": -0.5}, "time_budget must be a number of seconds >= 0"),
+            ({"time_budget": math.nan}, "time_budget must be a number of seconds >= 0"),
+        ],
+    )
+    def test_rejected(self, kwargs, message):
+        with pytest.raises(ValidationError, match=message):
+            SearchBounds(max_size=3, **kwargs)
+
+    def test_zero_dim_and_zero_budget_are_valid(self):
+        bounds = SearchBounds(max_size=3, max_dim=0, time_budget=0.0)
+        assert bounds.describe(None) == "size <= 3, dim <= 0"
+
+
 class TestSearch:
     def test_yielded_models_all_pass(self, ex1):
         found = 0
@@ -526,3 +544,162 @@ class TestCompleteness:
             tuple(named[n] for n in names) for names in orthogonal | dependent
         }
         assert is_complete(db) == all(t in asserted for t in space)
+
+
+# -- differential oracle: the candidate loop against the labeling stream it replaced
+
+
+def _old_grid_automorphisms(n, ks):
+    """Grid automorphisms as first written: runs of equal block counts, digit formula."""
+    d = len(ks)
+    strides = [math.prod(ks[j + 1:]) for j in range(d)]
+    runs = []
+    for j in range(d):
+        if runs and ks[runs[-1][0]] == ks[j]:
+            runs[-1].append(j)
+        else:
+            runs.append([j])
+    digits = [tuple((s // strides[j]) % ks[j] for j in range(d)) for s in range(n)]
+    perms = []
+    for placed_runs in itertools.product(*(itertools.permutations(r) for r in runs)):
+        sigma = [0] * d
+        for run, placed in zip(runs, placed_runs):
+            for j, target in zip(run, placed):
+                sigma[j] = target
+        for rhos in itertools.product(*(itertools.permutations(range(k)) for k in ks)):
+            perms.append(
+                tuple(
+                    sum(rhos[j][digits[s][j]] * strides[sigma[j]] for j in range(d))
+                    for s in range(n)
+                )
+            )
+    return tuple(perms)
+
+
+def _old_canonical_labelings(n, ks, omega_n, surjective_only, deadline):
+    """The separate labeling stream, ending with ``None`` once the deadline passed."""
+    if ks == (n,):
+        for f in itertools.combinations_with_replacement(range(omega_n), n):
+            if deadline is not None and inference.time.monotonic() > deadline:
+                yield None
+                return
+            if surjective_only and len(set(f)) != omega_n:
+                continue
+            yield f
+        return
+    auts = [p for p in _old_grid_automorphisms(n, ks) if p != tuple(range(n))]
+    for f in itertools.product(range(omega_n), repeat=n):
+        if deadline is not None and inference.time.monotonic() > deadline:
+            yield None
+            return
+        if surjective_only and len(set(f)) != omega_n:
+            continue
+        if all(f <= tuple(f[p[s]] for s in range(n)) for p in auts):
+            yield f
+
+
+def _old_search_models(db, bounds):
+    deadline = (
+        None
+        if bounds.time_budget is None
+        else inference.time.monotonic() + bounds.time_budget
+    )
+    triples = db.resolved_triples()
+    for n in range(1, bounds.max_size + 1):
+        for ks in inference.factor_size_multisets(n):
+            if bounds.max_dim is not None and len(ks) > bounds.max_dim:
+                continue
+            fs = grid_factored_set(n, ks)
+            for f in _old_canonical_labelings(
+                n, ks, db.omega.n, bounds.surjective_only, deadline
+            ):
+                if f is None:
+                    yield Truncation(n)
+                    return
+                model = Model(fs, f, db.omega)
+                if _satisfies(model, triples):
+                    yield model
+
+
+def _planted_db(rng):
+    """A database asserting true verdicts of a random 2x2 or 2x3 grid model."""
+    omega = GroundSet(rng.randint(3, 5))
+    n, ks = rng.choice([(4, (2, 2)), (6, (2, 3))])
+    labeling = tuple(rng.randrange(omega.n) for _ in range(n))
+    model = Model(grid_factored_set(n, ks), labeling, omega)
+    named = {
+        name: Partition.from_block_of(
+            omega, {w: rng.randrange(2) for w in range(omega.n)}
+        )
+        for name in ("A", "B", "C")
+    }
+    names = ("A", "B", "C", "_")
+    unasserted = OrthogonalityDatabase(omega, named, frozenset(), frozenset())
+    orthogonal, dependent = set(), set()
+    for _ in range(rng.randint(2, 8)):
+        triple = tuple(rng.choice(names) for _ in range(3))
+        x, y, z = (pullback(model, unasserted.resolve(t)) for t in triple)
+        holds = cond_orthogonal(model.factored, x, y, z)
+        (orthogonal if holds else dependent).add(triple)
+    db = OrthogonalityDatabase(omega, named, frozenset(orthogonal), frozenset(dependent))
+    return db, n
+
+
+SEARCH_ORACLE_DBS = [("ex1", ORACLE_DBS["ex1"], 7), ("ex2", ORACLE_DBS["ex2"], 5)] + [
+    (f"planted{seed}", *_planted_db(random.Random(seed))) for seed in range(16)
+]
+
+
+class TestSearchOracle:
+    """``search_models`` yields what the old labeling stream plus filter yielded."""
+
+    @pytest.mark.parametrize(
+        "name,db,max_size", SEARCH_ORACLE_DBS, ids=[c[0] for c in SEARCH_ORACLE_DBS]
+    )
+    @pytest.mark.parametrize("max_dim", [None, 1, 2])
+    @pytest.mark.parametrize("surjective_only", [False, True])
+    def test_same_models_in_the_same_order(
+        self, name, db, max_size, max_dim, surjective_only
+    ):
+        bounds = SearchBounds(
+            max_size=max_size, max_dim=max_dim, surjective_only=surjective_only
+        )
+        assert list(search_models(db, bounds)) == list(_old_search_models(db, bounds))
+
+    def test_planted_databases_have_models(self):
+        # The planted model's orbit has a representative of the planted size.
+        for _, db, max_size in SEARCH_ORACLE_DBS[2:]:
+            assert any(
+                item.factored.size == max_size
+                for item in search_models(db, SearchBounds(max_size=max_size))
+            )
+
+    @pytest.mark.parametrize("reads", [1, 2, 3, 40, 700, 4000])
+    @pytest.mark.parametrize("example", ["ex1", "ex2"])
+    def test_same_truncation_after_the_same_clock_reads(
+        self, monkeypatch, example, reads
+    ):
+        # The clock reads 0 for its first ``reads`` reads and infinity after,
+        # so both searches must stop at the same candidate.
+        db = ORACLE_DBS[example]
+        bounds = SearchBounds(max_size=6, time_budget=1.0)
+        streams = []
+        for search in (search_models, _old_search_models):
+            count = [0]
+
+            def clock():
+                count[0] += 1
+                return 0.0 if count[0] <= reads else math.inf
+
+            monkeypatch.setattr(inference.time, "monotonic", clock)
+            streams.append(list(search(db, bounds)))
+        assert streams[0] == streams[1]
+        assert isinstance(streams[0][-1], Truncation)
+
+    def test_grid_automorphisms_match_the_old_construction(self):
+        for n in range(2, 17):
+            for ks in inference.factor_size_multisets(n):
+                if ks != (n,):
+                    assert inference._grid_automorphisms(n, ks) == (
+                        _old_grid_automorphisms(n, ks)
+                    )
