@@ -89,6 +89,7 @@ from .structure import (
     history,
     history_factors,
     orthogonal,
+    splice_components,
 )
 
 __version__ = "0.1.0"

@@ -44,6 +44,7 @@ from .partitions import (
     bell_number,
     format_partition,
     iter_partitions,
+    partition_of_rank,
 )
 from .polynomial import (
     characteristic_polynomial,
@@ -229,19 +230,22 @@ def _cmd_prob(args) -> tuple[int, dict, list[str]]:
 _TRIPLE_LIMIT = 10**6
 
 
-def _sampled_triples(parts: list, k: int, rng: random.Random) -> list[tuple]:
-    """What ``rng.sample(list(product(parts, repeat=3)), k)`` selects.
+def _sampled_triples(n: int, k: int, rng: random.Random) -> list[tuple]:
+    """The ``k`` partition triples of an ``n``-set that ``rng.sample`` picks.
 
+    The population is ``list(product(iter_partitions(GroundSet(n)), repeat=3))``.
     ``random.sample`` draws indices from the population's length alone, so
-    sampling the index range and decoding product order picks the same
-    triples, and leaves ``rng`` in the same state, without the product list.
+    sampling the index range and decoding product order, then each
+    partition's rank, picks the same triples and leaves ``rng`` in the same
+    state, without listing a triple or a partition.
     """
-    size = len(parts)
+    ground = GroundSet(n)
+    size = bell_number(n)
     triples = []
     for i in rng.sample(range(size**3), k):
         xy, c = divmod(i, size)
         a, b = divmod(xy, size)
-        triples.append((parts[a], parts[b], parts[c]))
+        triples.append(tuple(partition_of_rank(ground, r) for r in (a, b, c)))
     return triples
 
 
@@ -274,10 +278,12 @@ def _cmd_ft_verify(args) -> tuple[int, dict, list[str]]:
     mismatches = 0
     missed_witnesses = 0
     for n in range(2, args.max_size + 1):
-        parts = list(iter_partitions(GroundSet(n)))  # shared by every factorization
+        sampled = args.sample is not None and bell_number(n) ** 3 > args.sample
+        # Listed only when every triple is checked; shared by every factorization.
+        parts = [] if sampled else list(iter_partitions(GroundSet(n)))
         for fs in enumerate_factorizations(n):
-            if args.sample is not None and len(parts) ** 3 > args.sample:
-                space = _sampled_triples(parts, args.sample, rng)
+            if sampled:
+                space = _sampled_triples(n, args.sample, rng)
             else:
                 space = itertools.product(parts, repeat=3)
             for x, y, z in space:

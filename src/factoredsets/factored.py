@@ -72,7 +72,7 @@ class FactoredSet:
         "_mask_bits",
         "_hash",
         "_history_cache",
-        "_irr_cache",
+        "_component_cache",
     )
 
     def __init__(self, ground: GroundSet, factors: Iterable[Partition]):
@@ -116,7 +116,7 @@ class FactoredSet:
         self._mask_bits: dict[int, tuple[int, ...]] = {}
         self._hash: int | None = None
         self._history_cache: dict[Partition, int] = {}
-        self._irr_cache: dict[frozenset[int], tuple[int, ...]] = {}
+        self._component_cache: dict[frozenset[int], tuple[int, ...]] = {}
 
     # -- basics -------------------------------------------------------------
 
@@ -252,36 +252,40 @@ def _iter_grids(n: int, ks: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], 
     """
     d = len(ks)
     strides = mixed_radix_strides(ks)
-    rows: list[tuple[int, ...]] = [(0,) * d]
-    used = {0}
 
-    def rec(
-        r: int, tied: list[int], maxlab: tuple[int, ...]
-    ) -> Iterator[tuple[tuple[int, ...], ...]]:
+    def frame(tied: list[int], maxlab: tuple[int, ...]):
         # ``tied``: the columns ``i`` still equal to column ``i + 1`` so far.
-        if r == n:
-            yield tuple(rows)
-            return
         ranges = [range(min(m + 1, k - 1) + 1) for m, k in zip(maxlab, ks)]
-        for vec in itertools.product(*ranges):
+        return tied, maxlab, itertools.product(*ranges)
+
+    # One frame per row being chosen, on an explicit stack rather than the
+    # call stack, so ``n`` is not bounded by the recursion limit.  Label
+    # maxima start at -1, so the first row can only be all zeros.
+    rows: list[tuple[int, ...]] = []
+    used: set[int] = set()
+    stack = [frame([i for i in range(d - 1) if ks[i] == ks[i + 1]], (-1,) * d)]
+    while stack:
+        tied, maxlab, candidates = stack[-1]
+        if len(rows) == len(stack):  # retract this frame's previous row
+            used.discard(sum(map(mul, rows.pop(), strides)))
+        for vec in candidates:
             for i in tied:
                 if vec[i] > vec[i + 1]:
                     break
             else:
                 code = sum(map(mul, vec, strides))
-                if code in used:
-                    continue
-                used.add(code)
-                rows.append(vec)
-                yield from rec(
-                    r + 1,
-                    [i for i in tied if vec[i] == vec[i + 1]],
-                    tuple(map(max, maxlab, vec)),
-                )
-                rows.pop()
-                used.discard(code)
-
-    yield from rec(1, [i for i in range(d - 1) if ks[i] == ks[i + 1]], (0,) * d)
+                if code not in used:
+                    break
+        else:
+            stack.pop()
+            continue
+        used.add(code)
+        rows.append(vec)
+        if len(rows) == n:
+            yield tuple(rows)
+        else:
+            tied = [i for i in tied if vec[i] == vec[i + 1]]
+            stack.append(frame(tied, tuple(map(max, maxlab, vec))))
 
 
 def grid_factored_set(n: int, ks: Sequence[int], labels=None) -> FactoredSet:

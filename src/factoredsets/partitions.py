@@ -309,6 +309,35 @@ def iter_partitions(
     yield from rec(1, 1)
 
 
+def partition_of_rank(ground: GroundSet, rank: int) -> Partition:
+    """The partition at position ``rank`` of ``iter_partitions(ground)``.
+
+    Unranks the restricted-growth string (Knuth, TAOCP 7.2.1.5) without
+    listing its predecessors: with ``m`` blocks opened and ``r`` positions
+    after the current one, each open block has ``T(r, m)`` completions and a
+    new block ``T(r, m + 1)``, where ``T(0, m) = 1`` and
+    ``T(r, m) = m T(r - 1, m) + T(r - 1, m + 1)``.
+    """
+    n = ground.n
+    if not 0 <= rank < bell_number(n):
+        raise ValidationError(f"rank {rank} out of range for {n} elements")
+    table = [[1] * (n + 2)]
+    for _ in range(1, n):
+        prev = table[-1]
+        table.append([m * prev[m] + prev[m + 1] for m in range(n + 1)] + [0])
+    ids = [0] * n
+    opened = 1
+    for i in range(1, n):
+        each = table[n - 1 - i][opened]
+        block, rest = divmod(rank, each)
+        if block < opened:
+            ids[i], rank = block, rest
+        else:
+            ids[i], rank = opened, rank - opened * each
+            opened += 1
+    return Partition(ground, tuple(range(n)), tuple(ids))
+
+
 def iter_coarsenings(part: Partition) -> Iterator[Partition]:
     """All partitions coarser than ``part`` (by merging its blocks)."""
     k = part.block_count

@@ -10,7 +10,8 @@ is a polynomial identity, and identities are not a matter of tolerance.
 The irreducible factorization of a characteristic polynomial is computed
 combinatorially rather than by generic polynomial factoring: the factor
 subsets under which the event is closed under splicing form a family closed
-under intersection, union, and complement, so its minimal nonempty members
+under intersection, union, and complement, so its minimal nonempty members,
+the splice components that ``structure`` computes every history from,
 partition the factor set and index the irreducible factors.
 """
 
@@ -21,13 +22,13 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .factored import FactoredSet
-from .structure import generates
 from .partitions import (
     Partition,
     ValidationError,
     block_triple_identity,
     require_full,
 )
+from .structure import splice_components
 
 VarId = tuple[int, int]
 Monomial = tuple[VarId, ...]
@@ -150,33 +151,6 @@ def characteristic_polynomial(fs: FactoredSet, elements: Iterable[int]) -> SetPo
     return restricted_polynomial(fs, fs.full_mask, elements)
 
 
-def irreducible_masks(fs: FactoredSet, elements: Iterable[int]) -> tuple[int, ...]:
-    """Minimal nonempty splice-stable factor subsets; they partition the factors."""
-    event = frozenset(elements)
-    if not event:
-        raise ValidationError("the event must be nonempty")
-    cached = fs._irr_cache.get(event)
-    if cached is not None:
-        return cached
-    # A factor subset keeps the event closed under splicing exactly when it
-    # generates the one-block subpartition on the event.
-    block = Partition.from_blocks(fs.ground, [event])
-    stable = [mask for mask in range(1 << fs.dim) if generates(fs, mask, block)]
-    comps: list[int] = []
-    seen: set[int] = set()
-    for j in range(fs.dim):
-        cj = fs.full_mask
-        for mask in stable:
-            if mask >> j & 1:
-                cj &= mask
-        if cj not in seen:
-            seen.add(cj)
-            comps.append(cj)
-    result = tuple(comps)
-    fs._irr_cache[event] = result
-    return result
-
-
 @dataclass(frozen=True)
 class IrrDecomposition:
     """Partition of the factor set with the matching polynomial factors.
@@ -197,8 +171,10 @@ class IrrDecomposition:
 
 def irreducible_components(fs: FactoredSet, elements: Iterable[int]) -> IrrDecomposition:
     """Factor the characteristic polynomial of a nonempty event into irreducibles."""
-    comps = irreducible_masks(fs, elements)
     event = frozenset(elements)
+    if not event:
+        raise ValidationError("the event must be nonempty")
+    comps = splice_components(fs, Partition.from_blocks(fs.ground, [event]))
     return IrrDecomposition(
         comps, tuple(restricted_polynomial(fs, c, event) for c in comps)
     )

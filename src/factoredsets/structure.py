@@ -9,10 +9,13 @@ splice.
 
 History, the smallest generating factor subset, drives everything else:
 orthogonality is disjointness of histories and temporal order is containment.
-For full partitions the generating family is closed under supersets, so each
-factor can be tested independently; for proper subpartitions that closure
-fails (the family is only a lattice), so the minimum is found by intersecting
-all generating subsets.
+Every history comes from one rule: it is the union of the splice components
+of the partition's domain whose complement does not generate the partition.
+The factor subsets along which the domain is closed under splicing form a
+Boolean algebra (union by splice identity 5, complement by identity 4) whose
+atoms are the components; generating sets lie in it, are closed under
+supersets in it, and include the history.  Every subset keeps the whole set
+and the empty set closed, so there the components are the single factors.
 
 Conditional orthogonality is one z-block loop, ``cond_orthogonal_unchecked``;
 ``cond_orthogonal`` validates its arguments and calls it, and model checking
@@ -28,17 +31,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
+from operator import and_
 from typing import Iterable
 
 from .factored import FactoredSet
 from .partitions import Partition, ValidationError, require_full
-
-
-def _check_subset(fs: FactoredSet, elements: Iterable[int]) -> tuple[int, ...]:
-    sub = tuple(sorted(set(elements)))
-    if sub and not (0 <= sub[0] and sub[-1] < fs.size):
-        raise ValidationError("conditioning set contains out-of-range elements")
-    return sub
 
 
 def generates(fs: FactoredSet, mask: int, part: Partition) -> bool:
@@ -55,24 +53,36 @@ def generates(fs: FactoredSet, mask: int, part: Partition) -> bool:
     return True
 
 
+def splice_components(fs: FactoredSet, part: Partition) -> tuple[int, ...]:
+    """Atoms of the factor subsets along which the domain is closed under splicing.
+
+    They partition the factors, each listed once in the order of its lowest
+    factor, and are cached on ``fs`` per domain.
+    """
+    if part.is_full or not part.domain:
+        return tuple(1 << j for j in range(fs.dim))
+    comps = fs._component_cache.get(part.domain_set)
+    if comps is None:
+        # A factor subset keeps the domain closed under splicing exactly when
+        # it generates the one-block partition of the domain.
+        block = Partition(part.ground, part.domain, (0,) * len(part.domain))
+        closed = [mask for mask in range(1 << fs.dim) if generates(fs, mask, block)]
+        atoms = (reduce(and_, [m for m in closed if m >> j & 1]) for j in range(fs.dim))
+        comps = fs._component_cache[part.domain_set] = tuple(dict.fromkeys(atoms))
+    return comps
+
+
 def history(fs: FactoredSet, part: Partition) -> int:
     """Smallest factor subset generating the (sub)partition, as a bitmask."""
     cache = fs._history_cache
     h = cache.get(part)
-    if h is not None:
-        return h
-    full = fs.full_mask
-    if part.is_full:
+    if h is None:
+        full = fs.full_mask
         h = 0
-        for j in range(fs.dim):
-            if not generates(fs, full & ~(1 << j), part):
-                h |= 1 << j
-    else:
-        h = full
-        for mask in range(1 << fs.dim):
-            if (h & mask) != h and generates(fs, mask, part):
-                h &= mask
-    cache[part] = h
+        for comp in splice_components(fs, part):
+            if not generates(fs, full & ~comp, part):
+                h |= comp
+        cache[part] = h
     return h
 
 
@@ -128,7 +138,7 @@ def cond_orthogonal_given_subset(
 ) -> bool:
     """Orthogonality of the two restrictions to an event."""
     require_full(fs.ground, x, y)
-    sub = _check_subset(fs, elements)
+    sub = set(elements)
     return orthogonal(fs, x.restrict(sub), y.restrict(sub))
 
 
@@ -152,7 +162,7 @@ def cond_before(
 ) -> bool:
     """History containment after restricting both partitions to an event."""
     require_full(fs.ground, x, y)
-    sub = _check_subset(fs, elements)
+    sub = set(elements)
     hx = history(fs, x.restrict(sub))
     hy = history(fs, y.restrict(sub))
     return hx & hy == hx

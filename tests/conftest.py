@@ -19,6 +19,7 @@ from factoredsets import (
     GroundSet,
     Partition,
     common_refinement,
+    cond_orthogonal,
     data_path,
     factor_size_multisets,
     grid_factored_set,
@@ -111,6 +112,55 @@ def mixed_random_partition(rng: random.Random, fs: FactoredSet) -> Partition:
     if rng.random() < 0.5:
         return random_generated_partition(rng, fs)
     return random_partition(rng, fs.ground)
+
+
+def assert_splice_identities(
+    fs: FactoredSet, c: int, d: int, s: int, t: int, r: int
+) -> None:
+    """The 11 splice identities for factor subsets ``c``, ``d`` and elements ``s, t, r``."""
+    full = fs.full_mask
+    pair = fs.chimera_pair
+    sc = pair(c, s, t)
+    for j in range(fs.dim):
+        factor = fs.factors[j]
+        if c >> j & 1:
+            assert factor.same_block(sc, s)  # 1
+        else:
+            assert factor.same_block(sc, t)  # 2
+    assert pair(c, s, s) == s  # 3
+    assert pair(full & ~c, s, t) == pair(c, t, s)  # 4
+    assert pair(c | d, s, t) == pair(c, s, pair(d, s, t))  # 5
+    assert pair(c & d, s, t) == pair(c, pair(d, s, t), t)  # 6
+    assert pair(c, pair(c, s, t), r) == pair(c, s, pair(c, t, r)) == pair(c, s, r)  # 7
+    assert pair(c, s, pair(d, t, r)) == pair(d, pair(c, s, t), pair(c, s, r))  # 8
+    assert pair(c, pair(d, s, t), r) == pair(d, pair(c, s, r), pair(c, t, r))  # 9
+    assert pair(full, s, t) == s  # 10
+    assert pair(0, s, t) == t  # 11
+
+
+def assert_semigraphoid_axioms(
+    fs: FactoredSet, x: Partition, y: Partition, z: Partition, w: Partition
+) -> tuple[bool, ...]:
+    """The five compositional-semigraphoid axioms of conditional orthogonality.
+
+    Returns whether the premise of symmetry, decomposition, weak union,
+    contraction and composition held, in that order.
+    """
+    yw = common_refinement([y, w])
+    xy = cond_orthogonal(fs, x, y, z)
+    xw = cond_orthogonal(fs, x, w, z)
+    xyw = cond_orthogonal(fs, x, yw, z)
+    if xy:
+        assert cond_orthogonal(fs, y, x, z)  # symmetry
+    if xyw:
+        assert xy and xw  # decomposition
+        assert cond_orthogonal(fs, x, y, common_refinement([z, w]))  # weak union
+    contraction = xy and cond_orthogonal(fs, x, w, common_refinement([z, y]))
+    if contraction:
+        assert xyw  # contraction
+    if xy and xw:
+        assert xyw  # composition
+    return xy, xyw, xyw, contraction, xy and xw
 
 
 class Ex1:

@@ -38,6 +38,8 @@ from factoredsets import (
 )
 from factoredsets.cli import main as cli_main
 from conftest import (
+    assert_semigraphoid_axioms,
+    assert_splice_identities,
     brute_history,
     mixed_random_partition,
     random_factored_set,
@@ -134,35 +136,11 @@ def test_criterion_03_chimera_identities():
     with criterion(3, f"11 splice identities on {samples} random samples, sizes up to 12"):
         for _ in range(samples):
             fs = random_factored_set(rng, min_n=1, max_n=12)
-            n, full = fs.size, fs.full_mask
+            n = fs.size
             c = rng.randrange(1 << fs.dim)
             d = rng.randrange(1 << fs.dim)
             s, t, r = (rng.randrange(n) for _ in range(3))
-            pair = fs.chimera_pair
-            sc = pair(c, s, t)
-            for j in range(fs.dim):
-                factor = fs.factors[j]
-                if c >> j & 1:
-                    assert factor.same_block(sc, s)  # 1
-                else:
-                    assert factor.same_block(sc, t)  # 2
-            assert pair(c, s, s) == s  # 3
-            assert pair(full & ~c, s, t) == pair(c, t, s)  # 4
-            assert pair(c | d, s, t) == pair(c, s, pair(d, s, t))  # 5
-            assert pair(c & d, s, t) == pair(c, pair(d, s, t), t)  # 6
-            assert (
-                pair(c, pair(c, s, t), r)
-                == pair(c, s, pair(c, t, r))
-                == pair(c, s, r)
-            )  # 7
-            assert pair(c, s, pair(d, t, r)) == pair(
-                d, pair(c, s, t), pair(c, s, r)
-            )  # 8
-            assert pair(c, pair(d, s, t), r) == pair(
-                d, pair(c, s, r), pair(c, t, r)
-            )  # 9
-            assert pair(full, s, t) == s  # 10
-            assert pair(0, s, t) == t  # 11
+            assert_splice_identities(fs, c, d, s, t, r)
 
 
 def test_criterion_04_history_laws():
@@ -236,26 +214,8 @@ def test_criterion_06_compositional_semigraphoid():
             y = mixed_random_partition(rng, fs)
             z = mixed_random_partition(rng, fs)
             w = mixed_random_partition(rng, fs)
-            yw = common_refinement([y, w])
-            if cond_orthogonal(fs, x, y, z):
-                fired[0] += 1
-                assert cond_orthogonal(fs, y, x, z)  # symmetry
-            if cond_orthogonal(fs, x, yw, z):
-                fired[1] += 1
-                assert cond_orthogonal(fs, x, y, z)  # decomposition
-                assert cond_orthogonal(fs, x, w, z)
-                fired[2] += 1
-                assert cond_orthogonal(
-                    fs, x, y, common_refinement([z, w])
-                )  # weak union
-            if cond_orthogonal(fs, x, y, z) and cond_orthogonal(
-                fs, x, w, common_refinement([z, y])
-            ):
-                fired[3] += 1
-                assert cond_orthogonal(fs, x, yw, z)  # contraction
-            if cond_orthogonal(fs, x, y, z) and cond_orthogonal(fs, x, w, z):
-                fired[4] += 1
-                assert cond_orthogonal(fs, x, yw, z)  # composition
+            for i, held in enumerate(assert_semigraphoid_axioms(fs, x, y, z, w)):
+                fired[i] += held
         assert all(count >= 50 for count in fired)
     sys.__stdout__.write(
         f"  (criterion 6 detail: premise counts {fired} out of 1000 draws)\n"

@@ -361,6 +361,16 @@ class TestEnumFactGuard:
         assert code == 0
         assert len(json.loads(out)["results"]["factorizations"]) == 1
 
+    @pytest.mark.parametrize("n,dim", [(997, 1), (2000, 7)])
+    def test_sizes_past_the_recursion_limit_list(self, capsys, n, dim):
+        # The grid walk fills one row per element without recursing.
+        argv = ["--format", "structured", "enum-fact", str(n), "--limit", "1"]
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        assert err == ""
+        [factors] = json.loads(out)["results"]["factorizations"]
+        assert len(factors) == dim
+
 
 class TestMapLineErrors:
     """A bad ``map`` line in a model file is reported as ``file:line: message``."""
@@ -419,11 +429,31 @@ class TestFtVerify:
         assert err == f"error: {message}\n"
 
 
-def _materialising_sweep(argv, max_size, sample, seed, trials):
-    """ft-verify's sampled sweep as it was: sample the full list of triples.
+def _sample_the_triples(parts, sample, rng):
+    """Sample the full list of triples."""
+    space = list(itertools.product(parts, repeat=3))
+    return rng.sample(space, sample) if len(space) > sample else space
 
-    Returns the structured output ``main`` prints for ``argv`` and the
-    (triple, seed) pairs the sweep checked.
+
+def _decode_listed_partitions(parts, sample, rng):
+    """Sample triple indices and decode them into the listed partitions."""
+    size = len(parts)
+    if size**3 <= sample:
+        return itertools.product(parts, repeat=3)
+    triples = []
+    for i in rng.sample(range(size**3), sample):
+        xy, c = divmod(i, size)
+        a, b = divmod(xy, size)
+        triples.append((parts[a], parts[b], parts[c]))
+    return triples
+
+
+def _materialising_sweep(argv, max_size, sample, seed, trials, pick=_sample_the_triples):
+    """ft-verify's sampled sweep as it was, over a list of every partition.
+
+    ``pick`` chooses one factorization's triples from that list.  Returns
+    the structured output ``main`` prints for ``argv`` and the (triple,
+    seed) pairs the sweep checked.
     """
     rng = random.Random(seed)
     checked = []
@@ -431,10 +461,7 @@ def _materialising_sweep(argv, max_size, sample, seed, trials):
     for n in range(2, max_size + 1):
         for fs in enumerate_factorizations(n):
             parts = list(iter_partitions(fs.ground))
-            space = list(itertools.product(parts, repeat=3))
-            if len(space) > sample:
-                space = rng.sample(space, sample)
-            for x, y, z in space:
+            for x, y, z in pick(parts, sample, rng):
                 s = rng.randrange(1 << 30)
                 report = fundamental_theorem_check(fs, x, y, z, trials=trials, seed=s)
                 checked.append((fs, x, y, z, s))
@@ -471,6 +498,34 @@ class TestFtVerifySample:
             return fundamental_theorem_check(fs, x, y, z, trials=trials, seed=seed)
 
         monkeypatch.setattr(cli, "fundamental_theorem_check", recording)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == expected_out
+        assert checked == expected_checked
+
+    @pytest.mark.parametrize("max_size", [6, 7])
+    @pytest.mark.parametrize("seed", [3, 11, 2024])
+    def test_unranking_matches_decoding_the_listed_partitions(
+        self, capsys, monkeypatch, seed, max_size
+    ):
+        argv = [
+            "--format", "structured", "ft-verify", "--max-size", str(max_size),
+            "--sample", "4", "--trials", "2", "--seed", str(seed),
+        ]
+        expected_out, expected_checked = _materialising_sweep(
+            argv, max_size, 4, seed, 2, pick=_decode_listed_partitions
+        )
+        checked = []
+
+        def recording(fs, x, y, z, trials, seed):
+            checked.append((fs, x, y, z, seed))
+            return fundamental_theorem_check(fs, x, y, z, trials=trials, seed=seed)
+
+        def never(*args, **kwargs):
+            raise AssertionError("a sampled size listed its partitions")
+
+        monkeypatch.setattr(cli, "fundamental_theorem_check", recording)
+        monkeypatch.setattr(cli, "iter_partitions", never)
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert out == expected_out

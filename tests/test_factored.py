@@ -1,8 +1,10 @@
 import itertools
 import math
 import random
+from operator import mul
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from factoredsets import (
     FactoredSet,
@@ -15,7 +17,7 @@ from factoredsets import (
     trivial_factorization,
 )
 from factoredsets.factored import _iter_grids, mixed_radix_strides
-from conftest import random_factored_set
+from conftest import assert_splice_identities, random_factored_set
 
 
 def blocks(fs: FactoredSet) -> frozenset[frozenset[frozenset[int]]]:
@@ -133,6 +135,14 @@ class TestChimera:
                     )
                 ]
                 assert matches == [s]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.data())
+    def test_splice_identities_property(self, seed, data):
+        fs = random_factored_set(random.Random(seed), min_n=1, max_n=8)
+        c, d = (data.draw(st.integers(0, fs.full_mask)) for _ in range(2))
+        s, t, r = (data.draw(st.integers(0, fs.size - 1)) for _ in range(3))
+        assert_splice_identities(fs, c, d, s, t, r)
 
     def test_pair_extremes(self):
         rng = random.Random(17)
@@ -309,8 +319,49 @@ def _old_iter_grids(n, ks):
     yield from rec(1, tuple(ks[i] == ks[i + 1] for i in range(d - 1)))
 
 
+def _recursive_iter_grids(n, ks):
+    """The grid walk with one recursive call per row, before it kept a stack."""
+    d = len(ks)
+    strides = mixed_radix_strides(ks)
+    rows = [(0,) * d]
+    used = {0}
+
+    def rec(r, tied, maxlab):
+        if r == n:
+            yield tuple(rows)
+            return
+        ranges = [range(min(m + 1, k - 1) + 1) for m, k in zip(maxlab, ks)]
+        for vec in itertools.product(*ranges):
+            for i in tied:
+                if vec[i] > vec[i + 1]:
+                    break
+            else:
+                code = sum(map(mul, vec, strides))
+                if code in used:
+                    continue
+                used.add(code)
+                rows.append(vec)
+                yield from rec(
+                    r + 1,
+                    [i for i in tied if vec[i] == vec[i + 1]],
+                    tuple(map(max, maxlab, vec)),
+                )
+                rows.pop()
+                used.discard(code)
+
+    yield from rec(1, [i for i in range(d - 1) if ks[i] == ks[i + 1]], (0,) * d)
+
+
 class TestGridOracle:
-    """The grid walk yields what the walk with its redundant pruning yielded."""
+    """The grid walk yields what its recursive and its over-pruned versions yielded."""
+
+    def test_stack_walk_matches_the_recursive_walk(self):
+        for n in range(1, 11):
+            for ks in factor_size_multisets(n):
+                for new, old in itertools.zip_longest(
+                    _iter_grids(n, ks), _recursive_iter_grids(n, ks)
+                ):
+                    assert new == old
 
     def test_enumeration_matches_the_old_walk(self):
         for n in range(1, 11):

@@ -14,6 +14,7 @@ from factoredsets import (
     iter_partitions,
     parse_partition,
 )
+from factoredsets.partitions import partition_of_rank
 
 
 @st.composite
@@ -213,6 +214,19 @@ class TestEnumeration:
         p = Partition.from_blocks(g, [[0, 1], [2, 3], [4, 5]])
         for c in iter_coarsenings(p):
             assert p.refines(c)
+
+
+class TestPartitionOfRank:
+    def test_matches_the_enumeration_order(self):
+        for n in range(9):
+            g = GroundSet(n)
+            ranked = [partition_of_rank(g, r) for r in range(bell_number(n))]
+            assert ranked == list(iter_partitions(g))
+
+    @pytest.mark.parametrize("n,rank", [(0, 1), (3, -1), (3, 5), (4, 15)])
+    def test_rank_out_of_range(self, n, rank):
+        with pytest.raises(ValidationError, match="out of range"):
+            partition_of_rank(GroundSet(n), rank)
 
 
 class TestTextSyntax:

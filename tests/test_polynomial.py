@@ -136,6 +136,12 @@ class TestIrreducibleComponents:
         decomp = irreducible_components(ex1.fs, {0, 1, 2})
         assert decomp.components == (3,)
 
+    def test_event_may_be_a_one_shot_iterator(self, ex1):
+        event = {0, 1}
+        decomp = irreducible_components(ex1.fs, iter(event))
+        assert decomp == irreducible_components(ex1.fs, event)
+        assert decomp.product() == characteristic_polynomial(ex1.fs, event)
+
     def test_empty_event_rejected(self, ex1):
         with pytest.raises(ValidationError):
             irreducible_components(ex1.fs, ())

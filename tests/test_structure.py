@@ -1,6 +1,8 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from factoredsets import (
     FactoredSet,
@@ -15,15 +17,20 @@ from factoredsets import (
     cond_orthogonal_given_subset,
     enumerate_factorizations,
     generates,
+    grid_factored_set,
     history,
     history_factors,
+    irreducible_components,
     iter_partitions,
     orthogonal,
+    splice_components,
 )
 from conftest import (
+    assert_semigraphoid_axioms,
     brute_history,
     mixed_random_partition,
     random_factored_set,
+    random_generated_partition,
     random_partition,
     random_subset,
 )
@@ -31,6 +38,35 @@ from conftest import (
 
 def join_of_mask(fs: FactoredSet, mask: int) -> Partition:
     return common_refinement(fs.factors_of_mask(mask), ground=fs.ground)
+
+
+def old_irreducible_masks(fs: FactoredSet, event) -> tuple[int, ...]:
+    """The event decomposition as first written: every splice-closed subset."""
+    block = Partition.from_blocks(fs.ground, [event])
+    stable = [mask for mask in range(1 << fs.dim) if generates(fs, mask, block)]
+    comps: list[int] = []
+    for j in range(fs.dim):
+        cj = fs.full_mask
+        for mask in stable:
+            if mask >> j & 1:
+                cj &= mask
+        if cj not in comps:
+            comps.append(cj)
+    return tuple(comps)
+
+
+def random_rectangle(rng: random.Random, fs: FactoredSet) -> frozenset[int]:
+    """The elements whose block in each factor lies in a random nonempty choice."""
+    chosen = [
+        set(rng.sample(range(p.block_count), rng.randint(1, p.block_count)))
+        for p in fs.factors
+    ]
+    return frozenset(
+        s for s in range(fs.size) if all(c in ch for c, ch in zip(fs.coords[s], chosen))
+    )
+
+
+QUERY_GRIDS = ((2, 2, 3), (2, 2, 2, 2), (2, 3, 4))
 
 
 class TestGenerates:
@@ -204,6 +240,44 @@ class TestHistory:
             assert hx == expected
 
 
+class TestSpliceComponentRule:
+    """Every history is the union of domain components whose complement fails."""
+
+    @staticmethod
+    def check(fs: FactoredSet, x: Partition) -> None:
+        assert history(fs, x) == brute_history(fs, x)
+        if x.domain:
+            comps = irreducible_components(fs, x.domain).components
+            assert comps == old_irreducible_masks(fs, x.domain)
+            assert splice_components(fs, x) == comps
+
+    def test_every_subpartition_to_size_five(self):
+        for n in range(6):
+            for fs in enumerate_factorizations(n):
+                for bits in range(1 << n):
+                    dom = [e for e in range(n) if bits >> e & 1]
+                    for x in iter_partitions(fs.ground, dom):
+                        self.check(fs, x)
+
+    def test_seeded_domains_to_size_eight_and_query_grids(self):
+        rng = random.Random(53)
+        sets = [random_factored_set(rng, min_n=1, max_n=8) for _ in range(150)]
+        sets += [grid_factored_set(math.prod(ks), ks) for ks in QUERY_GRIDS] * 20
+        for i, fs in enumerate(sets):
+            # Rectangle, random, empty and singleton domains in turn, and
+            # blocks of generated partitions, which are unions of rectangles.
+            dom = (
+                random_rectangle(rng, fs),
+                random_subset(rng, fs.size),
+                frozenset(),
+                frozenset({rng.randrange(fs.size)}),
+                rng.choice(random_generated_partition(rng, fs).block_sets),
+            )[i % 5]
+            for _ in range(3):
+                self.check(fs, random_partition(rng, fs.ground, dom))
+                self.check(fs, mixed_random_partition(rng, fs).restrict(dom))
+
+
 class TestOrthogonality:
     def test_example_pairs(self, ex1):
         assert orthogonal(ex1.fs, ex1.X, ex1.V)
@@ -341,6 +415,12 @@ class TestConditionalBefore:
     def test_reflexive(self, ex1):
         assert cond_before(ex1.fs, ex1.X, ex1.X, {0, 1, 2})
 
+    @pytest.mark.parametrize("condition", [cond_before, cond_orthogonal_given_subset])
+    @pytest.mark.parametrize("elements", [{4}, {0, 9}, {-1}, {-1, 0, 1, 2, 3}])
+    def test_elements_outside_the_set_are_rejected(self, ex1, condition, elements):
+        with pytest.raises(ValidationError, match="outside the partition domain"):
+            condition(ex1.fs, ex1.X, ex1.V, elements)
+
     def test_conditioned_on_first_bit_block(self, ex1):
         # Restricting to the first block of X leaves V and Y with the same
         # restricted histories (checked by subset enumeration in brute form).
@@ -387,6 +467,16 @@ class TestConditionedHistoryLemmas:
 
 
 class TestSemigraphoid:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_axioms_property(self, seed):
+        # Conditional orthogonality restricts to every z-block, so each draw
+        # also sends subpartition histories through the component rule.
+        rng = random.Random(seed)
+        fs = random_factored_set(rng, min_n=1, max_n=8)
+        x, y, z, w = (mixed_random_partition(rng, fs) for _ in range(4))
+        assert_semigraphoid_axioms(fs, x, y, z, w)
+
     def test_axioms_on_random_structured_inputs(self):
         rng = random.Random(20)
         fired = [0] * 4
