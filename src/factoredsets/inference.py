@@ -19,9 +19,16 @@ One candidate loop in ``search_models`` keeps the lexicographically least
 labeling of each orbit, so each isomorphism orbit of models is visited
 exactly once; every verdict checked is invariant under relabeling.
 
-The search filter and ``models_database`` share one pass over the
-assertions: each name is pulled back once per model and each triple goes
-through ``structure``'s conditional-orthogonality loop.
+Model checking runs on integer label tuples.  A checker compiled against
+one reference grid keeps, per name, the row of block ids over the
+observations, so a labeling pulls the name back with one tuple lookup per
+element and builds no partition.  A triple holds when the histories of its
+first two names, restricted to each block of its third, are disjoint block
+by block; the checker memoizes those histories per pair of pulled-back
+label tuples and asks ``structure.history`` only on a miss.  The memo lives
+as long as its checker: ``search_models`` compiles one per grid and shares
+it across that grid's labelings, and ``models_database`` compiles a
+one-shot checker per call.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterator, Mapping, Sequence
 
 from .factored import (
@@ -47,7 +55,7 @@ from .partitions import (
     require_full,
     resolve_name,
 )
-from .structure import cond_orthogonal_unchecked, history
+from .structure import history
 
 # (expected orthogonal, names, resolved partitions) of one assertion.
 ResolvedTriple = tuple[bool, tuple[str, str, str], tuple[Partition, Partition, Partition]]
@@ -121,26 +129,64 @@ def pullback(model: Model, part: Partition) -> Partition:
     return Partition.from_block_of(model.factored.ground, owner)
 
 
-def _verdicts(
-    model: Model, triples: Sequence[ResolvedTriple]
-) -> Iterator[tuple[bool, tuple[str, str, str], bool]]:
-    """``(expected, names, actual)`` per assertion, pulling each name back once.
+Labels = tuple[int, ...]
 
-    Pullbacks are full partitions of the model's elements, so the
-    conditional-orthogonality loop runs without re-checking them.
+
+class _GridCheck:
+    """The assertions compiled against one factored set, checked per labeling.
+
+    A name's row holds the block id of every observation, so a labeling
+    pulls the name back to the label tuple ``row[f[s]]`` per element.
+    ``memo`` maps label tuples ``(gx, gz)`` to the histories of ``x``
+    restricted to each block of ``z``, blocks in first-occurrence order of
+    ``gz``, so two names under one conditioning name pair up block by block.
     """
-    fs = model.factored
-    pulled: dict[str, Partition] = {}
-    for expected, names, parts in triples:
-        for name, part in zip(names, parts):
-            if name not in pulled:
-                pulled[name] = pullback(model, part)
-        x, y, z = (pulled[n] for n in names)
-        yield expected, names, cond_orthogonal_unchecked(fs, x, y, z)
+
+    def __init__(self, fs: FactoredSet, triples: Sequence[ResolvedTriple]):
+        self.fs = fs
+        self.triples = [(expected, names) for expected, names, _ in triples]
+        # Resolved partitions are full: ``block_ids[w]`` is the block of ``w``.
+        self.rows = {
+            name: part.block_ids.__getitem__
+            for _, names, parts in triples
+            for name, part in zip(names, parts)
+        }
+        self.memo: dict[tuple[Labels, Labels], tuple[int, ...]] = {}
+
+    def _histories(self, gx: Labels, gz: Labels) -> tuple[int, ...]:
+        hs = self.memo.get((gx, gz))
+        if hs is None:
+            blocks: dict[int, list[int]] = {}
+            for s, b in enumerate(gz):
+                blocks.setdefault(b, []).append(s)
+            fs = self.fs
+            hs = self.memo[gx, gz] = tuple(
+                history(fs, Partition.from_block_of(fs.ground, {s: gx[s] for s in b}))
+                for b in blocks.values()
+            )
+        return hs
+
+    def verdicts(
+        self, labeling: Labels
+    ) -> Iterator[tuple[bool, tuple[str, str, str], bool]]:
+        """``(expected, names, actual)`` per assertion, pulling each name back once."""
+        pulled: dict[str, Labels] = {}
+        for expected, names in self.triples:
+            for name in names:
+                if name not in pulled:
+                    pulled[name] = tuple(map(self.rows[name], labeling))
+            gx, gy, gz = (pulled[n] for n in names)
+            hx = self._histories(gx, gz)
+            hy = self._histories(gy, gz)
+            yield expected, names, not any(a & b for a, b in zip(hx, hy))
+
+    def satisfies(self, model: Model) -> bool:
+        """Whether a labeling of this checker's factored set meets every assertion."""
+        return all(e == a for e, _, a in self.verdicts(model.labeling))
 
 
 def _satisfies(model: Model, triples: Sequence[ResolvedTriple]) -> bool:
-    return all(expected == actual for expected, _, actual in _verdicts(model, triples))
+    return _GridCheck(model.factored, triples).satisfies(model)
 
 
 @dataclass(frozen=True)
@@ -172,7 +218,9 @@ def models_database(model: Model, db: OrthogonalityDatabase) -> ModelCheckReport
             expected=expected,
             actual=actual,
         )
-        for expected, names, actual in _verdicts(model, db.resolved_triples())
+        for expected, names, actual in _GridCheck(
+            model.factored, db.resolved_triples()
+        ).verdicts(model.labeling)
     )
     return ModelCheckReport(all(e.ok for e in entries), entries)
 
@@ -270,21 +318,22 @@ def search_models(
             if bounds.max_dim is not None and len(ks) > bounds.max_dim:
                 continue
             fs = grid_factored_set(n, ks)
+            check = _GridCheck(fs, triples)
             if ks == (n,):
                 candidates = itertools.combinations_with_replacement(range(omega_n), n)
-                auts = ()
+                images = ()
             else:
                 candidates = itertools.product(range(omega_n), repeat=n)
-                auts = _grid_automorphisms(n, ks)[1:]
+                images = [itemgetter(*p) for p in _grid_automorphisms(n, ks)[1:]]
             for f in candidates:
                 if deadline is not None and time.monotonic() > deadline:
                     yield Truncation(n)
                     return
                 if bounds.surjective_only and len(set(f)) != omega_n:
                     continue
-                if all(f <= tuple(f[s] for s in p) for p in auts):
+                if all(f <= image(f) for image in images):
                     model = Model(fs, f, db.omega)
-                    if _satisfies(model, triples):
+                    if check.satisfies(model):
                         yield model
 
 

@@ -208,10 +208,9 @@ class Partition:
 
     def restrict(self, elements: Iterable[int]) -> "Partition":
         """Partition of a subset: intersect blocks, drop empty intersections."""
-        sub = sorted(set(elements))
         block_of = self.block_of
         try:
-            owner = {e: block_of[e] for e in sub}
+            owner = {e: block_of[e] for e in elements}
         except KeyError as exc:
             raise ValidationError(
                 f"element {exc.args[0]!r} is outside the partition domain"

@@ -17,10 +17,8 @@ atoms are the components; generating sets lie in it, are closed under
 supersets in it, and include the history.  Every subset keeps the whole set
 and the empty set closed, so there the components are the single factors.
 
-Conditional orthogonality is one z-block loop, ``cond_orthogonal_unchecked``;
-``cond_orthogonal`` validates its arguments and calls it, and model checking
-in ``inference`` calls it directly on pullbacks, which are full partitions by
-construction.
+Conditional orthogonality is one z-block loop in ``cond_orthogonal``; model
+checking in ``inference`` runs the same rule on pulled-back label tuples.
 
 Orthogonality and order between subpartitions with different domains are
 computed as the same raw history comparisons; whether that carries meaning is
@@ -77,6 +75,10 @@ def history(fs: FactoredSet, part: Partition) -> int:
     cache = fs._history_cache
     h = cache.get(part)
     if h is None:
+        # A one-element set has no splice component, so ``generates`` never
+        # runs there to check the ground.
+        if part.ground != fs.ground:
+            raise ValidationError("partition belongs to a different ground set")
         full = fs.full_mask
         h = 0
         for comp in splice_components(fs, part):
@@ -145,13 +147,6 @@ def cond_orthogonal_given_subset(
 def cond_orthogonal(fs: FactoredSet, x: Partition, y: Partition, z: Partition) -> bool:
     """Orthogonal given every block of the conditioning partition."""
     require_full(fs.ground, x, y, z)
-    return cond_orthogonal_unchecked(fs, x, y, z)
-
-
-def cond_orthogonal_unchecked(
-    fs: FactoredSet, x: Partition, y: Partition, z: Partition
-) -> bool:
-    """``cond_orthogonal`` for callers whose partitions are full by construction."""
     return all(
         orthogonal(fs, x.restrict(zb), y.restrict(zb)) for zb in z.blocks
     )

@@ -194,23 +194,36 @@ def ex2() -> Ex2:
 
 @pytest.fixture
 def expire_budget_in_size(monkeypatch):
-    """Run the search's time budget out at its first labeling of a given size.
+    """Run the search's time budget out at its first checked model of a given size.
 
-    ``inference.time.monotonic`` reads 0 until the search checks a model of
-    that size and infinity afterwards, so the next deadline check truncates
-    in that size, whatever the wall time.
+    ``inference.time.monotonic`` reads 0 until the per-model check
+    ``inference._GridCheck.satisfies`` sees a model of that size and
+    infinity afterwards, so the next deadline check truncates in that size,
+    whatever the wall time.  Should the check stop going through that hook,
+    the search fails as it enters a larger size instead of running on, and
+    teardown fails if the spy never fired.
     """
+    clocks = []
 
     def arm(size: int) -> None:
         now = [0.0]
-        satisfies = inference._satisfies
+        satisfies = inference._GridCheck.satisfies
+        grid = inference.grid_factored_set
 
-        def spy(model, triples):
+        def spy(check, model):
             if model.factored.size >= size:
                 now[0] = math.inf
-            return satisfies(model, triples)
+            return satisfies(check, model)
+
+        def entering(n, ks):
+            if n > size and now[0] != math.inf:
+                pytest.fail(f"search entered size {n} before checking size {size}")
+            return grid(n, ks)
 
         monkeypatch.setattr(inference.time, "monotonic", lambda: now[0])
-        monkeypatch.setattr(inference, "_satisfies", spy)
+        monkeypatch.setattr(inference._GridCheck, "satisfies", spy)
+        monkeypatch.setattr(inference, "grid_factored_set", entering)
+        clocks.append(now)
 
-    return arm
+    yield arm
+    assert clocks and all(now[0] == math.inf for now in clocks), "the spy never fired"

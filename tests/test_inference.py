@@ -25,6 +25,7 @@ from factoredsets import (
     iter_partitions,
     load_database_file,
     models_database,
+    orthogonal,
     pullback,
     search_models,
     trivial_factorization,
@@ -703,3 +704,62 @@ class TestSearchOracle:
                     assert inference._grid_automorphisms(n, ks) == (
                         _old_grid_automorphisms(n, ks)
                     )
+
+
+# -- differential oracle: the compiled grid checker against the per-model pass
+
+
+def _old_verdicts(model, triples):
+    """The per-model pass the grid checker replaced: pullbacks, z-block loop."""
+    fs = model.factored
+    pulled = {}
+    for expected, names, parts in triples:
+        for name, part in zip(names, parts):
+            if name not in pulled:
+                pulled[name] = pullback(model, part)
+        x, y, z = (pulled[n] for n in names)
+        yield expected, names, all(
+            orthogonal(fs, x.restrict(zb), y.restrict(zb)) for zb in z.blocks
+        )
+
+
+CHECKER_DBS = {name: db for name, db, _ in SEARCH_ORACLE_DBS}
+CHECKER_GRIDS = [
+    (1, ()), (3, (3,)), (4, (2, 2)), (6, (2, 3)), (8, (2, 2, 2)), (9, (3, 3))
+]
+
+
+@st.composite
+def labelings_of_one_grid(draw):
+    name = draw(st.sampled_from(sorted(CHECKER_DBS)))
+    n, ks = draw(st.sampled_from(CHECKER_GRIDS))
+    label = st.integers(0, CHECKER_DBS[name].omega.n - 1)
+    labelings = draw(st.lists(st.tuples(*[label] * n), min_size=1, max_size=12))
+    return name, n, ks, labelings
+
+
+class TestGridCheckOracle:
+    """One checker per grid, its memo shared by every labeling, against the old pass."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(labelings_of_one_grid())
+    # ex2 pairs X with V under ``_`` and with Z under Y, so one pulled-back X
+    # meets two conditioning label tuples.
+    @example(("ex2", 8, (2, 2, 2), [(0, 0, 2, 3, 6, 7, 4, 4), tuple(range(8))]))
+    def test_every_labeling_matches_the_old_pass(self, case):
+        name, n, ks, labelings = case
+        db = CHECKER_DBS[name]
+        fs = grid_factored_set(n, ks)
+        triples = db.resolved_triples()
+        old = {}
+        for f in labelings:
+            model = Model(fs, f, db.omega)
+            old[f] = list(_old_verdicts(model, triples))
+            for (_, _, actual), (_, _, parts) in zip(old[f], triples):
+                x, y, z = (pullback(model, p) for p in parts)
+                assert actual == _brute_cond_orthogonal(fs, x, y, z)
+        check = inference._GridCheck(fs, triples)
+        for f in labelings + labelings[::-1]:
+            assert list(check.verdicts(f)) == old[f]
+            satisfied = all(e == a for e, _, a in old[f])
+            assert check.satisfies(Model(fs, f, db.omega)) == satisfied

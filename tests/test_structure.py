@@ -24,6 +24,7 @@ from factoredsets import (
     iter_partitions,
     orthogonal,
     splice_components,
+    trivial_factorization,
 )
 from conftest import (
     assert_semigraphoid_axioms,
@@ -225,6 +226,15 @@ class TestHistory:
             x = random_partition(rng, fs.ground, dom)
             assert history(fs, x) == brute_history(fs, x)
 
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_partition_of_another_ground_set_is_rejected(self, n):
+        # n == 1 is dimension 0: no splice component, so no generation test.
+        fs = trivial_factorization(GroundSet(n))
+        other = GroundSet(5)
+        for part in (Partition.discrete(other), Partition.empty(other)):
+            with pytest.raises(ValidationError, match="different ground set"):
+                history(fs, part)
+
     def test_history_equals_factors_before(self):
         rng = random.Random(10)
         for _ in range(40):
@@ -420,6 +430,20 @@ class TestConditionalBefore:
     def test_elements_outside_the_set_are_rejected(self, ex1, condition, elements):
         with pytest.raises(ValidationError, match="outside the partition domain"):
             condition(ex1.fs, ex1.X, ex1.V, elements)
+
+    @pytest.mark.parametrize(
+        "condition",
+        [
+            lambda ex1, event: ex1.X.restrict(event),
+            lambda ex1, event: cond_before(ex1.fs, ex1.X, ex1.X, event),
+            lambda ex1, e: cond_orthogonal_given_subset(ex1.fs, ex1.X, ex1.V, e),
+        ],
+        ids=["restrict", "cond_before", "cond_orthogonal_given_subset"],
+    )
+    @pytest.mark.parametrize("event", [[1, "a"], ["a", 0, 2], [0, None]])
+    def test_mixed_type_event_is_rejected(self, ex1, condition, event):
+        with pytest.raises(ValidationError, match="outside the partition domain"):
+            condition(ex1, event)
 
     def test_conditioned_on_first_bit_block(self, ex1):
         # Restricting to the first block of X leaves V and Y with the same
