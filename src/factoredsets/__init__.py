@@ -82,6 +82,7 @@ from .structure import (
     TemporalRelation,
     TemporalVerdict,
     before,
+    block_histories,
     cond_before,
     cond_orthogonal,
     cond_orthogonal_given_subset,

@@ -58,8 +58,8 @@ class FactoredSet:
     injective.  Injectivity plus the cardinality product makes it a
     bijection, which is exactly the factorization property.
 
-    Instances are immutable after construction and safe to share; the two
-    internal caches are keyed by their query values and idempotent.
+    Instances are immutable after construction and safe to share; the
+    caches are idempotent, and the history cache's keys name no ground set.
     """
 
     __slots__ = (
@@ -115,8 +115,8 @@ class FactoredSet:
         self._inverse = inverse
         self._mask_bits: dict[int, tuple[int, ...]] = {}
         self._hash: int | None = None
-        self._history_cache: dict[Partition, int] = {}
-        self._component_cache: dict[frozenset[int], tuple[int, ...]] = {}
+        self._history_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+        self._component_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     # -- basics -------------------------------------------------------------
 
@@ -288,14 +288,14 @@ def _iter_grids(n: int, ks: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], 
             stack.append(frame(tied, tuple(map(max, maxlab, vec))))
 
 
-def grid_factored_set(n: int, ks: Sequence[int], labels=None) -> FactoredSet:
+def grid_factored_set(n: int, ks: Sequence[int]) -> FactoredSet:
     """The mixed-radix reference factorization with block counts ``ks``.
 
     Element ``s`` has coordinate ``(s // stride_j) % ks[j]`` in factor ``j``.
     Every factorization with the same block-count multiset is a ground-set
     relabeling of this one.
     """
-    ground = GroundSet(n, labels)
+    ground = GroundSet(n)
     strides = mixed_radix_strides(ks)
     full = tuple(range(n))
     factors = [

@@ -193,8 +193,8 @@ def resolve_model(fsf: FactoredSetFile, omega: GroundSet) -> Model:
 
     Explicit ``map`` lines win; otherwise elements are matched by shared
     labels, or by index when the sizes agree and either side lacks labels.
-    Errors in the map cite ``file:line``; a map that leaves an element out
-    cites its first line.
+    Errors in the map cite ``file:line``, an element left out the first map
+    line, and a binding without map lines the file.
     """
     fs = fsf.fs
     if fsf.map_pairs is not None:
@@ -214,16 +214,16 @@ def resolve_model(fsf: FactoredSetFile, omega: GroundSet) -> Model:
                 f"{fs.ground.label(missing[0])!r}"
             )
         labeling = tuple(targets[s] for s in range(fs.size))
-    elif fs.ground.labels is not None and omega.labels is not None:
-        labeling = tuple(
-            omega.index_of(fs.ground.label(s)) for s in range(fs.size)
-        )
-    elif fs.size == omega.n:
-        labeling = tuple(range(fs.size))
     else:
-        raise ValidationError(
-            "no map lines, and sizes differ so identity labeling is impossible"
-        )
+        try:
+            if fs.ground.labels is not None and omega.labels is not None:
+                labeling = tuple(map(omega.index_of, fs.ground.labels))
+            elif fs.size == omega.n:
+                labeling = tuple(range(fs.size))
+            else:
+                raise ValidationError("sizes differ so identity labeling is impossible")
+        except ValidationError as exc:
+            raise ValidationError(f"{fsf.origin}: no map lines, and {exc}") from None
     return Model(fs, labeling, omega)
 
 

@@ -24,11 +24,10 @@ one reference grid keeps, per name, the row of block ids over the
 observations, so a labeling pulls the name back with one tuple lookup per
 element and builds no partition.  A triple holds when the histories of its
 first two names, restricted to each block of its third, are disjoint block
-by block; the checker memoizes those histories per pair of pulled-back
-label tuples and asks ``structure.history`` only on a miss.  The memo lives
-as long as its checker: ``search_models`` compiles one per grid and shares
-it across that grid's labelings, and ``models_database`` compiles a
-one-shot checker per call.
+by block.  Per labeling, the checker groups each pulled-back conditioning
+name into blocks once and reads the histories through
+``structure.block_histories`` from the grid's history cache, which
+``search_models`` shares across the labelings of one grid.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
+from operator import and_, itemgetter
 from typing import Iterator, Mapping, Sequence
 
 from .factored import (
@@ -55,7 +54,7 @@ from .partitions import (
     require_full,
     resolve_name,
 )
-from .structure import history
+from .structure import Labels, block_histories, history
 
 # (expected orthogonal, names, resolved partitions) of one assertion.
 ResolvedTriple = tuple[bool, tuple[str, str, str], tuple[Partition, Partition, Partition]]
@@ -129,17 +128,11 @@ def pullback(model: Model, part: Partition) -> Partition:
     return Partition.from_block_of(model.factored.ground, owner)
 
 
-Labels = tuple[int, ...]
-
-
 class _GridCheck:
     """The assertions compiled against one factored set, checked per labeling.
 
     A name's row holds the block id of every observation, so a labeling
     pulls the name back to the label tuple ``row[f[s]]`` per element.
-    ``memo`` maps label tuples ``(gx, gz)`` to the histories of ``x``
-    restricted to each block of ``z``, blocks in first-occurrence order of
-    ``gz``, so two names under one conditioning name pair up block by block.
     """
 
     def __init__(self, fs: FactoredSet, triples: Sequence[ResolvedTriple]):
@@ -151,34 +144,26 @@ class _GridCheck:
             for _, names, parts in triples
             for name, part in zip(names, parts)
         }
-        self.memo: dict[tuple[Labels, Labels], tuple[int, ...]] = {}
-
-    def _histories(self, gx: Labels, gz: Labels) -> tuple[int, ...]:
-        hs = self.memo.get((gx, gz))
-        if hs is None:
-            blocks: dict[int, list[int]] = {}
-            for s, b in enumerate(gz):
-                blocks.setdefault(b, []).append(s)
-            fs = self.fs
-            hs = self.memo[gx, gz] = tuple(
-                history(fs, Partition.from_block_of(fs.ground, {s: gx[s] for s in b}))
-                for b in blocks.values()
-            )
-        return hs
 
     def verdicts(
         self, labeling: Labels
     ) -> Iterator[tuple[bool, tuple[str, str, str], bool]]:
         """``(expected, names, actual)`` per assertion, pulling each name back once."""
         pulled: dict[str, Labels] = {}
+        blocks_of: dict[str, list[tuple[int, ...]]] = {}
         for expected, names in self.triples:
             for name in names:
                 if name not in pulled:
                     pulled[name] = tuple(map(self.rows[name], labeling))
-            gx, gy, gz = (pulled[n] for n in names)
-            hx = self._histories(gx, gz)
-            hy = self._histories(gy, gz)
-            yield expected, names, not any(a & b for a, b in zip(hx, hy))
+            x, y, z = names
+            if (blocks := blocks_of.get(z)) is None:
+                grouped: dict[int, list[int]] = {}
+                for s, b in enumerate(pulled[z]):
+                    grouped.setdefault(b, []).append(s)
+                blocks = blocks_of[z] = [tuple(b) for b in grouped.values()]
+            hx = block_histories(self.fs, pulled[x], blocks)
+            hy = block_histories(self.fs, pulled[y], blocks)
+            yield expected, names, not any(map(and_, hx, hy))
 
     def satisfies(self, model: Model) -> bool:
         """Whether a labeling of this checker's factored set meets every assertion."""

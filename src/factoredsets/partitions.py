@@ -367,21 +367,13 @@ def bell_number(n: int) -> int:
 RESERVED_NAMES = ("_", "!")
 
 
-def parse_partition(
-    text: str, ground: GroundSet, *, domain: Iterable[int] | None = None
-) -> Partition:
+def parse_partition(text: str, ground: GroundSet) -> Partition:
     """Parse the block syntax against a ground set's labels or indices."""
     stripped = text.strip()
     if stripped == "_":
-        if domain is None:
-            return Partition.indiscrete(ground)
-        dom = tuple(sorted(set(domain)))
-        return Partition(ground, dom, (0,) * len(dom))
+        return Partition.indiscrete(ground)
     if stripped == "!":
-        if domain is None:
-            return Partition.discrete(ground)
-        dom = tuple(sorted(set(domain)))
-        return Partition(ground, dom, tuple(range(len(dom))))
+        return Partition.discrete(ground)
     if not (stripped.startswith("{") and stripped.endswith("}")):
         raise ValidationError(f"expected '{{ ... }}', '_' or '!', got {text!r}")
     inner = stripped[1:-1]

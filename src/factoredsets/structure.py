@@ -17,8 +17,8 @@ atoms are the components; generating sets lie in it, are closed under
 supersets in it, and include the history.  Every subset keeps the whole set
 and the empty set closed, so there the components are the single factors.
 
-Conditional orthogonality is one z-block loop in ``cond_orthogonal``; model
-checking in ``inference`` runs the same rule on pulled-back label tuples.
+Histories are cached on the factored set by labeled domain, and both
+``cond_orthogonal`` and the model checker condition through ``block_histories``.
 
 Orthogonality and order between subpartitions with different domains are
 computed as the same raw history comparisons; whether that carries meaning is
@@ -31,21 +31,25 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from operator import and_
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .factored import FactoredSet
 from .partitions import Partition, ValidationError, require_full
+
+Labels = tuple[int, ...]
 
 
 def generates(fs: FactoredSet, mask: int, part: Partition) -> bool:
     """Whether the factors in ``mask`` pin down the block of every domain element."""
     if part.ground != fs.ground:
         raise ValidationError("partition belongs to a different ground set")
-    block_of = part.block_of
+    return _generates(fs, mask, part.block_of)
+
+
+def _generates(fs: FactoredSet, mask: int, block_of: dict[int, int]) -> bool:
     pair = fs.chimera_pair
-    for s in part.domain:
-        bs = block_of[s]
-        for t in part.domain:
+    for s, bs in block_of.items():
+        for t in block_of:
             if block_of.get(pair(mask, s, t)) != bs:
                 return False
     return True
@@ -57,35 +61,53 @@ def splice_components(fs: FactoredSet, part: Partition) -> tuple[int, ...]:
     They partition the factors, each listed once in the order of its lowest
     factor, and are cached on ``fs`` per domain.
     """
-    if part.is_full or not part.domain:
+    if part.ground != fs.ground:
+        raise ValidationError("partition belongs to a different ground set")
+    return _components(fs, part.domain)
+
+
+def _components(fs: FactoredSet, domain: tuple[int, ...]) -> tuple[int, ...]:
+    if len(domain) == fs.size or not domain:
         return tuple(1 << j for j in range(fs.dim))
-    comps = fs._component_cache.get(part.domain_set)
+    comps = fs._component_cache.get(domain)
     if comps is None:
         # A factor subset keeps the domain closed under splicing exactly when
         # it generates the one-block partition of the domain.
-        block = Partition(part.ground, part.domain, (0,) * len(part.domain))
-        closed = [mask for mask in range(1 << fs.dim) if generates(fs, mask, block)]
+        one = dict.fromkeys(domain, 0)
+        closed = [m for m in range(1 << fs.dim) if _generates(fs, m, one)]
         atoms = (reduce(and_, [m for m in closed if m >> j & 1]) for j in range(fs.dim))
-        comps = fs._component_cache[part.domain_set] = tuple(dict.fromkeys(atoms))
+        comps = fs._component_cache[domain] = tuple(dict.fromkeys(atoms))
     return comps
+
+
+def _labeled_history(fs: FactoredSet, domain: tuple[int, ...], labels: Labels) -> int:
+    """History of the ascending ``domain`` split into blocks of equal label."""
+    key = (domain, labels)
+    h = fs._history_cache.get(key)
+    if h is None:
+        block_of = dict(zip(domain, labels))
+        h = 0
+        for comp in _components(fs, domain):
+            if not _generates(fs, fs.full_mask & ~comp, block_of):
+                h |= comp
+        fs._history_cache[key] = h
+    return h
 
 
 def history(fs: FactoredSet, part: Partition) -> int:
     """Smallest factor subset generating the (sub)partition, as a bitmask."""
-    cache = fs._history_cache
-    h = cache.get(part)
-    if h is None:
-        # A one-element set has no splice component, so ``generates`` never
-        # runs there to check the ground.
-        if part.ground != fs.ground:
-            raise ValidationError("partition belongs to a different ground set")
-        full = fs.full_mask
-        h = 0
-        for comp in splice_components(fs, part):
-            if not generates(fs, full & ~comp, part):
-                h |= comp
-        cache[part] = h
-    return h
+    if part.ground != fs.ground:  # checked first: cache keys name no ground set
+        raise ValidationError("partition belongs to a different ground set")
+    return _labeled_history(fs, part.domain, part.block_ids)
+
+
+def block_histories(
+    fs: FactoredSet, labels: Labels, blocks: Iterable[tuple[int, ...]]
+) -> Iterator[int]:
+    """Lazily, per ascending block, the history of ``s -> labels[s]`` on that block."""
+    for b in blocks:
+        sub = labels if len(b) == len(labels) else tuple(map(labels.__getitem__, b))
+        yield _labeled_history(fs, b, sub)
 
 
 def history_factors(fs: FactoredSet, part: Partition) -> tuple[Partition, ...]:
@@ -147,9 +169,9 @@ def cond_orthogonal_given_subset(
 def cond_orthogonal(fs: FactoredSet, x: Partition, y: Partition, z: Partition) -> bool:
     """Orthogonal given every block of the conditioning partition."""
     require_full(fs.ground, x, y, z)
-    return all(
-        orthogonal(fs, x.restrict(zb), y.restrict(zb)) for zb in z.blocks
-    )
+    hx = block_histories(fs, x.block_ids, z.blocks)
+    hy = block_histories(fs, y.block_ids, z.blocks)
+    return not any(map(and_, hx, hy))
 
 
 def cond_before(

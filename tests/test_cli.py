@@ -295,6 +295,28 @@ class TestReports:
         assert out == ""
         assert err == "error: the count for n = 1000000 is too long to print\n"
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="the interpreter has no int-to-string digit limit",
+    )
+    def test_count_fact_without_the_limit_getter(self, capsys, monkeypatch):
+        # Without the getter nothing is refused early: the count is computed,
+        # and the limit, still in force, fails its conversion to text.
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        counted = []
+        count = cli.count_factorizations
+        monkeypatch.setattr(
+            cli, "count_factorizations", lambda n: counted.append(n) or count(n)
+        )
+        code, out, _ = run(capsys, "count-fact", "12")
+        assert code == 0
+        assert out.splitlines()[0] == "13638241"
+        code, out, err = run(capsys, "count-fact", "2048")
+        assert code == 2
+        assert out == ""
+        assert err == "error: the count for n = 2048 is too long to print\n"
+        assert counted == [12, 2048]
+
     def test_prime_size_has_one_factorization(self, capsys):
         code, out, _ = run(capsys, "count-fact", "1009")
         assert code == 0
@@ -402,6 +424,27 @@ class TestMapLineErrors:
         self.check(
             capsys, tmp_path, ["00 -> 00", "10 -> 10", "11 -> 11"],
             "map does not cover element '01'", 5,
+        )
+
+
+class TestModelBindingErrors:
+    """A model file without ``map`` lines that cannot be bound is named first."""
+
+    def test_labels_missing_from_the_observations(self, capsys):
+        code, out, err = run(capsys, "check-model", "--model", EX1, "--db", DB2)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {EX1}: no map lines, and unknown element '00'\n"
+
+    def test_sizes_differ(self, capsys, tmp_path):
+        model = tmp_path / "model.ffs"
+        model.write_text("set 2\nfactor A { 0 | 1 }\n")
+        code, out, err = run(capsys, "check-model", "--model", str(model), "--db", DB2)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: {model}: no map lines, and sizes differ so identity "
+            "labeling is impossible\n"
         )
 
 

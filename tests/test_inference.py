@@ -739,7 +739,7 @@ def labelings_of_one_grid(draw):
 
 
 class TestGridCheckOracle:
-    """One checker per grid, its memo shared by every labeling, against the old pass."""
+    """One checker per grid, sharing its grid's history cache, against the old pass."""
 
     @settings(max_examples=120, deadline=None)
     @given(labelings_of_one_grid())

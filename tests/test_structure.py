@@ -11,6 +11,7 @@ from factoredsets import (
     TemporalRelation,
     ValidationError,
     before,
+    block_histories,
     common_refinement,
     cond_before,
     cond_orthogonal,
@@ -234,6 +235,14 @@ class TestHistory:
         for part in (Partition.discrete(other), Partition.empty(other)):
             with pytest.raises(ValidationError, match="different ground set"):
                 history(fs, part)
+        # The cache key names no ground set, so the check must not rest on a
+        # miss: a cached (domain, block ids) on another ground is rejected.
+        own = Partition.discrete(fs.ground)
+        history(fs, own)
+        assert (own.domain, own.block_ids) in fs._history_cache
+        twin = Partition(GroundSet(n + 2), own.domain, own.block_ids)
+        with pytest.raises(ValidationError, match="different ground set"):
+            history(fs, twin)
 
     def test_history_equals_factors_before(self):
         rng = random.Random(10)
@@ -248,6 +257,32 @@ class TestHistory:
                 if before(fs, factor, x).is_before:
                     expected |= 1 << j
             assert hx == expected
+
+
+class TestBlockHistories:
+    """Histories of a raw labeling per block against restricted partitions."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_permuted_labels_match_brute_force(self, seed, partition_route_first):
+        rng = random.Random(seed)
+        fs = random_factored_set(rng, min_n=1, max_n=8)
+        x = mixed_random_partition(rng, fs)
+        # Distinct labels drawn per block of x, so they are seldom in
+        # restricted-growth form.
+        names = rng.sample(range(3 * fs.size), x.block_count)
+        labels = tuple(names[b] for b in x.block_ids)
+        blocks = list(mixed_random_partition(rng, fs).blocks)
+        blocks.append(tuple(sorted(random_subset(rng, fs.size))))
+        routes = [
+            lambda: [history(fs, x.restrict(b)) for b in blocks],
+            lambda: list(block_histories(fs, labels, blocks)),
+        ]
+        if not partition_route_first:
+            routes.reverse()
+        expected = [brute_history(fs, x.restrict(b)) for b in blocks]
+        for route in routes + routes:  # the second round reads the cache
+            assert route() == expected
 
 
 class TestSpliceComponentRule:
