@@ -21,6 +21,7 @@ import random
 import sys
 import time
 from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -583,13 +584,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first ``main`` call, not at import, then reused: parsing
+# returns a fresh namespace each time and no default is mutable.
+_parser = lru_cache(maxsize=None)(build_parser)
+
 _INPUT_ARGS = ("file", "dist", "db", "model")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
         code, results, lines = args.handler(args)

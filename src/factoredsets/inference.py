@@ -17,7 +17,11 @@ multiset and enumerates labelings up to the grid's automorphisms (block
 relabelings within a factor composed with swaps of equal-size factors).
 One candidate loop in ``search_models`` keeps the lexicographically least
 labeling of each orbit, so each isomorphism orbit of models is visited
-exactly once; every verdict checked is invariant under relabeling.
+exactly once; every verdict checked is invariant under relabeling.  On a
+multi-factor grid the candidates come from a depth-first walk in
+lexicographic order that skips every prefix larger than its image under
+an automorphism mapping the prefix's positions onto themselves (orderly
+generation, after Read and McKay): no least labeling starts with it.
 
 Model checking runs on integer label tuples.  A checker compiled against
 one reference grid keeps, per name, the row of block ids over the
@@ -133,11 +137,15 @@ class _GridCheck:
 
     A name's row holds the block id of every observation, so a labeling
     pulls the name back to the label tuple ``row[f[s]]`` per element.
+    Reports keep the assertions' order; ``satisfies`` checks the triples
+    conditioned on ``_`` first, which read one history per name rather
+    than one per block.
     """
 
     def __init__(self, fs: FactoredSet, triples: Sequence[ResolvedTriple]):
         self.fs = fs
         self.triples = [(expected, names) for expected, names, _ in triples]
+        self.unconditional_first = sorted(self.triples, key=lambda t: t[1][2] != "_")
         # Resolved partitions are full: ``block_ids[w]`` is the block of ``w``.
         self.rows = {
             name: part.block_ids.__getitem__
@@ -149,9 +157,14 @@ class _GridCheck:
         self, labeling: Labels
     ) -> Iterator[tuple[bool, tuple[str, str, str], bool]]:
         """``(expected, names, actual)`` per assertion, pulling each name back once."""
+        return self._verdicts(labeling, self.triples)
+
+    def _verdicts(
+        self, labeling: Labels, triples: list[tuple[bool, tuple[str, str, str]]]
+    ) -> Iterator[tuple[bool, tuple[str, str, str], bool]]:
         pulled: dict[str, Labels] = {}
         blocks_of: dict[str, list[tuple[int, ...]]] = {}
-        for expected, names in self.triples:
+        for expected, names in triples:
             for name in names:
                 if name not in pulled:
                     pulled[name] = tuple(map(self.rows[name], labeling))
@@ -167,7 +180,8 @@ class _GridCheck:
 
     def satisfies(self, model: Model) -> bool:
         """Whether a labeling of this checker's factored set meets every assertion."""
-        return all(e == a for e, _, a in self.verdicts(model.labeling))
+        verdicts = self._verdicts(model.labeling, self.unconditional_first)
+        return all(e == a for e, _, a in verdicts)
 
 
 def _satisfies(model: Model, triples: Sequence[ResolvedTriple]) -> bool:
@@ -277,6 +291,49 @@ def _grid_automorphisms(n: int, ks: tuple[int, ...]) -> tuple[tuple[int, ...], .
     return tuple(perms)
 
 
+@lru_cache(maxsize=None)
+def _prefix_images(n: int, ks: tuple[int, ...]) -> tuple[tuple[itemgetter, ...], ...]:
+    """Per prefix length ``i``, the automorphisms mapping ``[0, i)`` onto itself.
+
+    Entry ``i`` holds, as itemgetters, their distinct restrictions to
+    ``[0, i)`` other than the identity; entry ``n`` is every non-identity
+    automorphism, the full canonicity test.
+    """
+    auts = _grid_automorphisms(n, ks)[1:]
+    tables = []
+    for i in range(n + 1):
+        restrictions = dict.fromkeys(p[:i] for p in auts if max(p[:i], default=-1) < i)
+        restrictions.pop(tuple(range(i)), None)
+        tables.append(tuple(itemgetter(*r) for r in restrictions))
+    return tuple(tables)
+
+
+def _grid_labelings(
+    omega_n: int, images: tuple[tuple[itemgetter, ...], ...]
+) -> Iterator[tuple[int, ...]]:
+    """Labelings whose proper prefixes pass their prefix tests, lexicographically.
+
+    Labels are tried in ascending order at each position; a prefix larger
+    than its image under an automorphism fixing the prefix's positions is
+    larger than that image on every extension, so no canonical labeling
+    starts with it and its subtree is skipped.  Leaves are not tested here.
+    """
+    n = len(images) - 1
+    f = [-1] * n
+    i = 0
+    while i >= 0:
+        f[i] += 1
+        if f[i] == omega_n:
+            f[i] = -1
+            i -= 1
+            continue
+        prefix = tuple(f[: i + 1])
+        if i + 1 == n:
+            yield prefix
+        elif all(prefix <= image(prefix) for image in images[i + 1]):
+            i += 1
+
+
 def search_models(
     db: OrthogonalityDatabase, bounds: SearchBounds
 ) -> Iterator[Model | Truncation]:
@@ -287,11 +344,13 @@ def search_models(
     ``Truncation`` item signals an exhausted time budget and names the size
     it stopped in.
 
-    Every candidate labeling gets one deadline read, then the surjectivity
-    filter, then the canonicity test: the labeling must be lexicographically
-    no larger than its image under every non-identity grid automorphism.
-    A single discrete factor has every ground permutation as automorphism,
-    so its orbits are the multisets of labels and need no test.
+    Every labeling the walk reaches gets one deadline read, then the
+    surjectivity filter, then the canonicity test: the labeling must be
+    lexicographically no larger than its image under every non-identity
+    grid automorphism.  The walk skips prefixes that no such labeling
+    extends.  A single discrete factor has every ground permutation as
+    automorphism, so its orbits are the multisets of labels and need no
+    test.
     """
     deadline = (
         None if bounds.time_budget is None else time.monotonic() + bounds.time_budget
@@ -308,8 +367,9 @@ def search_models(
                 candidates = itertools.combinations_with_replacement(range(omega_n), n)
                 images = ()
             else:
-                candidates = itertools.product(range(omega_n), repeat=n)
-                images = [itemgetter(*p) for p in _grid_automorphisms(n, ks)[1:]]
+                tables = _prefix_images(n, ks)
+                candidates = _grid_labelings(omega_n, tables)
+                images = tables[n]
             for f in candidates:
                 if deadline is not None and time.monotonic() > deadline:
                     yield Truncation(n)

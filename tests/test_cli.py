@@ -1,6 +1,8 @@
 import itertools
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 
@@ -96,6 +98,24 @@ class TestInferenceCommands:
         assert code == 0
         assert out.count("satisfied") == 6
 
+    def test_check_model_reports_in_sorted_order(self, capsys):
+        # Orthogonal assertions sorted, then dependent ones sorted, whatever
+        # order the search's own check takes them in.
+        for model, db in ((EX1, DB1), (MODEL2, DB2)):
+            code, out, _ = run(
+                capsys, "--format", "structured", "check-model", "--model", model,
+                "--db", db,
+            )
+            assert code == 0
+            entries = json.loads(out)["results"]["entries"]
+            kinds = [e["kind"] for e in entries]
+            triples = [tuple(e["triple"]) for e in entries]
+            split = kinds.count("orthogonal")
+            assert kinds == ["orthogonal"] * split + ["dependent"] * (len(kinds) - split)
+            assert triples[:split] == sorted(triples[:split])
+            assert triples[split:] == sorted(triples[split:])
+        assert [t[2] for t in triples] == ["Y", "_", "Y", "_", "_", "Y"]
+
     def test_infer_holds_with_qualifier(self, capsys):
         code, out, _ = run(
             capsys, "infer", "--db", DB1, "--before", "X", "Y", "--max-size", "6"
@@ -121,6 +141,66 @@ class TestInferenceCommands:
         code, out, _ = run(capsys, "consistent", "--db", DB1, "--max-size", "4")
         assert code == 0
         assert "consistent (witness model of size 2 found)" in out
+
+
+# Each call flips options or defaults the one before it set, so a value
+# kept from one parse would change an exit code or the printed output.
+REUSE_SEQUENCE = [
+    ("--format", "structured", "infer", "--db", DB1, "--before", "X", "Y",
+     "--max-size", "4", "--non-strict", "--surjective", "--max-dim", "2"),
+    ("infer", "--db", DB1, "--before", "Y", "X", "--max-size", "4"),
+    ("consistent", "--db", DB2, "--max-size", "3"),
+    ("--format", "structured", "consistent", "--db", DB1, "--max-size", "3",
+     "--max-dim", "1"),
+    ("check-model", "--model", MODEL2, "--db", DB2),
+    ("--format", "structured", "check-model", "--model", EX1, "--db", DB1),
+    ("ft-verify", "--max-size", "3", "--sample", "2", "--seed", "5", "--trials", "2"),
+    ("--format", "structured", "ft-verify", "--max-size", "3", "--sample", "1"),
+    ("poly", EX1, "--event", "00 01", "--factor"),
+    ("poly", EX1, "--event", "00 01"),
+    ("infer", "--db", DB1, "--max-size", "2"),
+    ("--format", "structured", "infer", "--db", DB1, "--before", "X", "Y",
+     "--max-size", "4"),
+]
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process and keeps nothing between calls."""
+
+    @staticmethod
+    def outcomes(capsys):
+        out = []
+        for argv in REUSE_SEQUENCE:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # argparse's own errors
+                code = exc.code
+            captured = capsys.readouterr()
+            error = captured.err if code == 2 else None
+            out.append((code, captured.out, error))
+        return out
+
+    def test_same_outcomes_as_fresh_parsers(self, capsys, monkeypatch):
+        reused = self.outcomes(capsys)
+        assert cli._parser() is cli._parser()
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = self.outcomes(capsys)
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0]
+        assert "required: --before" in reused[10][2]
+
+    def test_built_on_the_first_call_not_at_import(self):
+        probe = (
+            "from factoredsets import cli; "
+            "print(cli._parser.cache_info().currsize); "
+            "cli.main(['count-fact', '4']); "
+            "print(cli._parser.cache_info().currsize)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert result.stdout.split() == ["0", "4", "1"]
 
 
 class TestTruncatedVerdicts:

@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+from functools import lru_cache
+from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -27,6 +29,7 @@ from factoredsets import (
     models_database,
     orthogonal,
     pullback,
+    resolve_model,
     search_models,
     trivial_factorization,
 )
@@ -133,6 +136,43 @@ class TestModelsDatabase:
         report = models_database(ex2.model, ex2.db)
         assert report.ok
         assert len(report.entries) == 6
+
+
+class TestAssertionOrder:
+    """Reports keep the sorted assertion order; ``satisfies`` checks ``_`` first."""
+
+    def test_report_order_and_check_order(self, ex1, ex2, monkeypatch):
+        ex1_model = resolve_model(ex1.file, ex1.db.omega)
+        for db, model in ((ex1.db, ex1_model), (ex2.db, ex2.model)):
+            triples = db.resolved_triples()
+            report = models_database(model, db)
+            assert report.ok
+            assert [e.names for e in report.entries] == [
+                names for _, names, _ in triples
+            ]
+            assert [e.expected for e in report.entries] == [e for e, _, _ in triples]
+
+        # ex2's conditioning names are ``_`` and Y, which its model pulls
+        # back to one and two blocks, so a spy on the histories the checker
+        # reads tells them apart.
+        model = ex2.model
+        assert len(pullback(model, ex2.db.resolve("Y")).blocks) == 2
+        conditioned = []
+        block_histories = inference.block_histories
+
+        def spy(fs, labels, blocks):
+            conditioned.append("_" if len(blocks) == 1 else "Y")
+            return block_histories(fs, labels, blocks)
+
+        monkeypatch.setattr(inference, "block_histories", spy)
+        zs = [names[2] for _, names, _ in ex2.db.resolved_triples()]
+        assert zs == ["Y", "_", "Y", "_", "_", "Y"]
+        check = inference._GridCheck(model.factored, ex2.db.resolved_triples())
+        list(check.verdicts(model.labeling))
+        assert conditioned[::2] == zs
+        conditioned.clear()
+        assert check.satisfies(model)
+        assert conditioned[::2] == ["_", "_", "_", "Y", "Y", "Y"]
 
 
 # Grid shapes and observation spaces for the model-check oracle.
@@ -680,22 +720,49 @@ class TestSearchOracle:
     def test_same_truncation_after_the_same_clock_reads(
         self, monkeypatch, example, reads
     ):
-        # The clock reads 0 for its first ``reads`` reads and infinity after,
-        # so both searches must stop at the same candidate.
+        # The clock reads 0 for its first ``reads`` reads and infinity after.
+        # A search that reads it fewer times must give the untimed stream
+        # whole; any other must end in a truncation naming the size it was
+        # in, after a prefix of that stream, read the expired clock once
+        # and check no model after that read.
         db = ORACLE_DBS[example]
-        bounds = SearchBounds(max_size=6, time_budget=1.0)
-        streams = []
-        for search in (search_models, _old_search_models):
-            count = [0]
+        untimed = list(search_models(db, SearchBounds(max_size=6)))
+        count = [0]
+        events = []
+        entered = []
+        satisfies = inference._GridCheck.satisfies
+        grid = inference.grid_factored_set
 
-            def clock():
-                count[0] += 1
-                return 0.0 if count[0] <= reads else math.inf
+        def clock():
+            count[0] += 1
+            if count[0] <= reads:
+                return 0.0
+            events.append("expired read")
+            return math.inf
 
-            monkeypatch.setattr(inference.time, "monotonic", clock)
-            streams.append(list(search(db, bounds)))
-        assert streams[0] == streams[1]
-        assert isinstance(streams[0][-1], Truncation)
+        def spy(check, model):
+            events.append("check")
+            return satisfies(check, model)
+
+        def entering(n, ks):
+            entered.append(n)
+            return grid(n, ks)
+
+        monkeypatch.setattr(inference.time, "monotonic", clock)
+        monkeypatch.setattr(inference._GridCheck, "satisfies", spy)
+        monkeypatch.setattr(inference, "grid_factored_set", entering)
+        items = list(search_models(db, SearchBounds(max_size=6, time_budget=1.0)))
+        if "expired read" not in events:
+            assert items == untimed
+            # Only ex1 finishes its walk within 4000 reads.
+            assert (example, reads) == ("ex1", 4000)
+            return
+        *models, last = items
+        assert last == Truncation(entered[-1])
+        assert models == untimed[: len(models)]
+        assert all(m.factored.size <= last.size for m in models)
+        assert events.count("expired read") == 1
+        assert "check" not in events[events.index("expired read"):]
 
     def test_grid_automorphisms_match_the_old_construction(self):
         for n in range(2, 17):
@@ -704,6 +771,47 @@ class TestSearchOracle:
                     assert inference._grid_automorphisms(n, ks) == (
                         _old_grid_automorphisms(n, ks)
                     )
+
+
+@lru_cache(maxsize=None)
+def _product_canonical_labelings(n, ks, omega_n):
+    """Every labeling in product order, kept when no automorphism image is smaller."""
+    images = [
+        itemgetter(*p) for p in _old_grid_automorphisms(n, ks) if p != tuple(range(n))
+    ]
+    return [
+        f
+        for f in itertools.product(range(omega_n), repeat=n)
+        if all(f <= image(f) for image in images)
+    ]
+
+
+class TestCanonicalWalkOracle:
+    """The pruned walk keeps what the product walk plus the canonicity filter kept."""
+
+    @pytest.mark.parametrize("omega_n,max_size", [(2, 10), (3, 10), (4, 10), (8, 4)])
+    @pytest.mark.parametrize("surjective_only", [False, True])
+    def test_same_labelings_in_the_same_order(self, omega_n, max_size, surjective_only):
+        # With no assertions every labeling the walk keeps is a model.
+        db = OrthogonalityDatabase(GroundSet(omega_n), {}, frozenset(), frozenset())
+        bounds = SearchBounds(max_size=max_size, surjective_only=surjective_only)
+        walked = {}
+        for model in search_models(db, bounds):
+            walked.setdefault(model.factored, []).append(model.labeling)
+        grids = [
+            (n, ks)
+            for n in range(1, max_size + 1)
+            for ks in inference.factor_size_multisets(n)
+            if ks != (n,)
+        ]
+        assert len(grids) == (7 if max_size == 10 else 2)
+        for n, ks in grids:
+            expected = [
+                f
+                for f in _product_canonical_labelings(n, ks, omega_n)
+                if not surjective_only or len(set(f)) == omega_n
+            ]
+            assert walked.get(grid_factored_set(n, ks), []) == expected, (n, ks)
 
 
 # -- differential oracle: the compiled grid checker against the per-model pass
