@@ -173,7 +173,7 @@ class FactoredSet:
             raise ValidationError("assignment must name one element per factor")
         code = 0
         for j, s in enumerate(assignment):
-            code += self._contribs[s][j]
+            code += self._contribs[self.ground.check_index(s)][j]
         return self._inverse[code]
 
     def chimera_pair(self, mask: int, s: int, t: int) -> int:

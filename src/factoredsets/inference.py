@@ -15,13 +15,13 @@ block counts is a ground-set relabeling of the mixed-radix reference grid
 with those counts, so the search walks one reference factorization per
 multiset and enumerates labelings up to the grid's automorphisms (block
 relabelings within a factor composed with swaps of equal-size factors).
-One candidate loop in ``search_models`` keeps the lexicographically least
-labeling of each orbit, so each isomorphism orbit of models is visited
-exactly once; every verdict checked is invariant under relabeling.  On a
-multi-factor grid the candidates come from a depth-first walk in
-lexicographic order that skips every prefix larger than its image under
-an automorphism mapping the prefix's positions onto themselves (orderly
-generation, after Read and McKay): no least labeling starts with it.
+The search keeps the lexicographically least labeling of each orbit, so
+each isomorphism orbit of models is visited exactly once; every verdict
+checked is invariant under relabeling.  On a multi-factor grid a
+depth-first walk in lexicographic order decides this alone: it skips
+every prefix larger than its image under an automorphism mapping the
+prefix's positions onto themselves (orderly generation, after Read and
+McKay), and a full labeling passes that test under every automorphism.
 
 Model checking runs on integer label tuples.  A checker compiled against
 one reference grid keeps, per name, the row of block ids over the
@@ -178,14 +178,10 @@ class _GridCheck:
             hy = block_histories(self.fs, pulled[y], blocks)
             yield expected, names, not any(map(and_, hx, hy))
 
-    def satisfies(self, model: Model) -> bool:
+    def satisfies(self, labeling: Labels) -> bool:
         """Whether a labeling of this checker's factored set meets every assertion."""
-        verdicts = self._verdicts(model.labeling, self.unconditional_first)
+        verdicts = self._verdicts(labeling, self.unconditional_first)
         return all(e == a for e, _, a in verdicts)
-
-
-def _satisfies(model: Model, triples: Sequence[ResolvedTriple]) -> bool:
-    return _GridCheck(model.factored, triples).satisfies(model)
 
 
 @dataclass(frozen=True)
@@ -311,12 +307,13 @@ def _prefix_images(n: int, ks: tuple[int, ...]) -> tuple[tuple[itemgetter, ...],
 def _grid_labelings(
     omega_n: int, images: tuple[tuple[itemgetter, ...], ...]
 ) -> Iterator[tuple[int, ...]]:
-    """Labelings whose proper prefixes pass their prefix tests, lexicographically.
+    """The canonical labelings, lexicographically.
 
     Labels are tried in ascending order at each position; a prefix larger
     than its image under an automorphism fixing the prefix's positions is
     larger than that image on every extension, so no canonical labeling
-    starts with it and its subtree is skipped.  Leaves are not tested here.
+    starts with it and its subtree is skipped.  At full length every
+    automorphism fixes the positions, so the same test decides canonicity.
     """
     n = len(images) - 1
     f = [-1] * n
@@ -328,10 +325,11 @@ def _grid_labelings(
             i -= 1
             continue
         prefix = tuple(f[: i + 1])
-        if i + 1 == n:
-            yield prefix
-        elif all(prefix <= image(prefix) for image in images[i + 1]):
-            i += 1
+        if all(prefix <= image(prefix) for image in images[i + 1]):
+            if i + 1 == n:
+                yield prefix
+            else:
+                i += 1
 
 
 def search_models(
@@ -344,13 +342,13 @@ def search_models(
     ``Truncation`` item signals an exhausted time budget and names the size
     it stopped in.
 
-    Every labeling the walk reaches gets one deadline read, then the
-    surjectivity filter, then the canonicity test: the labeling must be
-    lexicographically no larger than its image under every non-identity
-    grid automorphism.  The walk skips prefixes that no such labeling
-    extends.  A single discrete factor has every ground permutation as
-    automorphism, so its orbits are the multisets of labels and need no
-    test.
+    Every canonical labeling gets one deadline read, then the surjectivity
+    filter, then the database check on its label tuple; only a labeling
+    that passes becomes a ``Model``.  On a multi-factor grid the walk
+    yields exactly the labelings no larger than their image under every
+    non-identity grid automorphism.  A single discrete factor has every
+    ground permutation as automorphism, so its orbits are the multisets
+    of labels and need no test.
     """
     deadline = (
         None if bounds.time_budget is None else time.monotonic() + bounds.time_budget
@@ -365,21 +363,16 @@ def search_models(
             check = _GridCheck(fs, triples)
             if ks == (n,):
                 candidates = itertools.combinations_with_replacement(range(omega_n), n)
-                images = ()
             else:
-                tables = _prefix_images(n, ks)
-                candidates = _grid_labelings(omega_n, tables)
-                images = tables[n]
+                candidates = _grid_labelings(omega_n, _prefix_images(n, ks))
             for f in candidates:
                 if deadline is not None and time.monotonic() > deadline:
                     yield Truncation(n)
                     return
                 if bounds.surjective_only and len(set(f)) != omega_n:
                     continue
-                if all(f <= image(f) for image in images):
-                    model = Model(fs, f, db.omega)
-                    if check.satisfies(model):
-                        yield model
+                if check.satisfies(f):
+                    yield Model(fs, f, db.omega)
 
 
 @dataclass(frozen=True)

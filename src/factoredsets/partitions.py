@@ -65,6 +65,10 @@ class GroundSet:
             i = int(token)
         except ValueError:
             raise ValidationError(f"unknown element {token!r}") from None
+        return self.check_index(i)
+
+    def check_index(self, i: int) -> int:
+        """``i`` itself if it indexes an element; negative indices do not wrap."""
         if not 0 <= i < self.n:
             raise ValidationError(f"element index {i} out of range 0..{self.n - 1}")
         return i

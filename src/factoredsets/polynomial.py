@@ -142,6 +142,7 @@ def restricted_polynomial(
     """
     idxs = fs.mask_indices(mask)
     coords = fs.coords
+    elements = map(fs.ground.check_index, elements)
     monos = {tuple((j, coords[s][j]) for j in idxs) for s in elements}
     return SetPolynomial({m: _ONE for m in monos})
 

@@ -106,7 +106,7 @@ class FactoredDistribution:
 
     def point_mass(self, s: int) -> Fraction:
         mass = Fraction(1)
-        for j, b in enumerate(self.fs.coords[s]):
+        for j, b in enumerate(self.fs.coords[self.fs.ground.check_index(s)]):
             mass *= self.weights[j][b]
         return mass
 

@@ -194,10 +194,10 @@ def ex2() -> Ex2:
 
 @pytest.fixture
 def expire_budget_in_size(monkeypatch):
-    """Run the search's time budget out at its first checked model of a given size.
+    """Run the search's time budget out at its first checked labeling of a given size.
 
-    ``inference.time.monotonic`` reads 0 until the per-model check
-    ``inference._GridCheck.satisfies`` sees a model of that size and
+    ``inference.time.monotonic`` reads 0 until the per-labeling check
+    ``inference._GridCheck.satisfies`` sees a labeling of that size and
     infinity afterwards, so the next deadline check truncates in that size,
     whatever the wall time.  Should the check stop going through that hook,
     the search fails as it enters a larger size instead of running on, and
@@ -210,10 +210,10 @@ def expire_budget_in_size(monkeypatch):
         satisfies = inference._GridCheck.satisfies
         grid = inference.grid_factored_set
 
-        def spy(check, model):
-            if model.factored.size >= size:
+        def spy(check, labeling):
+            if len(labeling) >= size:
                 now[0] = math.inf
-            return satisfies(check, model)
+            return satisfies(check, labeling)
 
         def entering(n, ks):
             if n > size and now[0] != math.inf:

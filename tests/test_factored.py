@@ -120,6 +120,15 @@ class TestChimera:
         fs = trivial_factorization(GroundSet(1))
         assert fs.chimera([]) == 0
 
+    @pytest.mark.parametrize("bad", [-1, -4, 4, 99])
+    def test_element_indices_out_of_range(self, ex1, bad):
+        # Python indexing would wrap -1 around to element 3.
+        message = f"^element index {bad} out of range 0..3$"
+        with pytest.raises(ValidationError, match=message):
+            ex1.fs.chimera([bad, 0])
+        with pytest.raises(ValidationError, match=message):
+            ex1.fs.chimera({ex1.X: 0, ex1.V: bad})
+
     def test_unique_element_agreeing_factorwise(self):
         # The splice is the only element matching the assignment on every factor.
         rng = random.Random(13)

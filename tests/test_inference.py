@@ -34,7 +34,6 @@ from factoredsets import (
     trivial_factorization,
 )
 from factoredsets import inference
-from factoredsets.inference import _satisfies
 from conftest import brute_history
 
 
@@ -171,7 +170,7 @@ class TestAssertionOrder:
         list(check.verdicts(model.labeling))
         assert conditioned[::2] == zs
         conditioned.clear()
-        assert check.satisfies(model)
+        assert check.satisfies(model.labeling)
         assert conditioned[::2] == ["_", "_", "_", "Y", "Y", "Y"]
 
 
@@ -222,7 +221,7 @@ class TestModelCheckOracle:
             assert entry.actual == cond_orthogonal(fs, x, y, z)
             assert entry.actual == _brute_cond_orthogonal(fs, x, y, z)
         assert report.ok == all(e.ok for e in report.entries)
-        assert _satisfies(model, triples) == report.ok
+        assert inference._GridCheck(fs, triples).satisfies(labeling) == report.ok
 
     def test_examples_include_a_satisfying_model_of_each_db(self):
         for name, n, labeling in (
@@ -361,6 +360,25 @@ class TestSearch:
         )
         assert items == [Truncation(size)]
         assert len(reads_after_expiry) == 1
+
+    @pytest.mark.parametrize("example,max_size", [("ex1", 6), ("ex2", 5)])
+    def test_builds_a_model_only_for_each_yielded_labeling(
+        self, request, monkeypatch, example, max_size
+    ):
+        # ex2 has no model up to size 5, so its search builds none at all.
+        db = request.getfixturevalue(example).db
+        built = []
+        post_init = Model.__post_init__
+
+        def spy(model):
+            post_init(model)
+            built.append(model.labeling)
+
+        monkeypatch.setattr(Model, "__post_init__", spy)
+        items = list(search_models(db, SearchBounds(max_size=max_size)))
+        assert not any(isinstance(item, Truncation) for item in items)
+        assert built == [m.labeling for m in items]
+        assert len(items) == {"ex1": 65, "ex2": 0}[example]
 
     def test_relabeling_preserves_all_verdicts(self, ex1):
         # Push a found model through a random ground permutation and compare
@@ -658,7 +676,7 @@ def _old_search_models(db, bounds):
                     yield Truncation(n)
                     return
                 model = Model(fs, f, db.omega)
-                if _satisfies(model, triples):
+                if inference._GridCheck(fs, triples).satisfies(model.labeling):
                     yield model
 
 
@@ -721,12 +739,22 @@ class TestSearchOracle:
         self, monkeypatch, example, reads
     ):
         # The clock reads 0 for its first ``reads`` reads and infinity after.
-        # A search that reads it fewer times must give the untimed stream
-        # whole; any other must end in a truncation naming the size it was
-        # in, after a prefix of that stream, read the expired clock once
-        # and check no model after that read.
+        # A search that reads it no more times than a run on a clock that
+        # always reads 0 must give the untimed stream whole; any other must
+        # end in a truncation naming the size it was in, after a prefix of
+        # that stream, read the expired clock once and check no labeling
+        # after that read.
         db = ORACLE_DBS[example]
         untimed = list(search_models(db, SearchBounds(max_size=6)))
+        stopped = [0]
+
+        def stopped_clock():
+            stopped[0] += 1
+            return 0.0
+
+        monkeypatch.setattr(inference.time, "monotonic", stopped_clock)
+        bounds = SearchBounds(max_size=6, time_budget=1.0)
+        assert list(search_models(db, bounds)) == untimed
         count = [0]
         events = []
         entered = []
@@ -740,9 +768,9 @@ class TestSearchOracle:
             events.append("expired read")
             return math.inf
 
-        def spy(check, model):
+        def spy(check, labeling):
             events.append("check")
-            return satisfies(check, model)
+            return satisfies(check, labeling)
 
         def entering(n, ks):
             entered.append(n)
@@ -751,12 +779,12 @@ class TestSearchOracle:
         monkeypatch.setattr(inference.time, "monotonic", clock)
         monkeypatch.setattr(inference._GridCheck, "satisfies", spy)
         monkeypatch.setattr(inference, "grid_factored_set", entering)
-        items = list(search_models(db, SearchBounds(max_size=6, time_budget=1.0)))
+        items = list(search_models(db, bounds))
         if "expired read" not in events:
             assert items == untimed
-            # Only ex1 finishes its walk within 4000 reads.
-            assert (example, reads) == ("ex1", 4000)
+            assert reads >= stopped[0]
             return
+        assert reads < stopped[0]
         *models, last = items
         assert last == Truncation(entered[-1])
         assert models == untimed[: len(models)]
@@ -870,4 +898,4 @@ class TestGridCheckOracle:
         for f in labelings + labelings[::-1]:
             assert list(check.verdicts(f)) == old[f]
             satisfied = all(e == a for e, _, a in old[f])
-            assert check.satisfies(Model(fs, f, db.omega)) == satisfied
+            assert check.satisfies(f) == satisfied

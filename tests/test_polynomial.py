@@ -45,6 +45,18 @@ class TestConstruction:
     def test_empty_mask_gives_the_constant_one(self, ex1):
         assert restricted_polynomial(ex1.fs, 0, {1, 2}) == SetPolynomial.one()
 
+    @pytest.mark.parametrize("bad", [-1, -4, 4, 99])
+    def test_element_indices_out_of_range(self, ex1, bad):
+        # Python indexing would give -1 the polynomial of element 3.
+        fs = ex1.fs
+        message = f"^element index {bad} out of range 0..3$"
+        with pytest.raises(ValidationError, match=message):
+            characteristic_polynomial(fs, [bad])
+        with pytest.raises(ValidationError, match=message):
+            restricted_polynomial(fs, 1, [0, bad])
+        with pytest.raises(ValidationError, match=message):
+            restricted_polynomial(fs, 0, [bad])
+
     def test_monomials_are_multilinear(self):
         rng = random.Random(23)
         for _ in range(50):

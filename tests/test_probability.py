@@ -69,6 +69,16 @@ class TestProb:
         cell = ex1.X.block_sets[0] & ex1.V.block_sets[0]
         assert prob(ex1.fs, dist, cell) == Fraction(1, 4)
 
+    @pytest.mark.parametrize("bad", [-1, -4, 4, 99])
+    def test_element_indices_out_of_range(self, ex1, bad):
+        # Python indexing would count element 3 twice in [-1, 3], giving 1/2.
+        dist = FactoredDistribution.uniform(ex1.fs)
+        message = f"^element index {bad} out of range 0..3$"
+        with pytest.raises(ValidationError, match=message):
+            dist.point_mass(bad)
+        with pytest.raises(ValidationError, match=message):
+            prob(ex1.fs, dist, [bad, 3])
+
     def test_additive_and_matches_polynomial_evaluation(self):
         rng = random.Random(47)
         for _ in range(60):
