@@ -476,10 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="factoredsets",
         description="Factored-set queries, verification sweeps, and bounded temporal inference.",
     )
-    parser.add_argument(
-        "--format", choices=("text", "structured"), default="text",
-        help="output format; 'structured' is deterministic JSON",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count-fact", help="count the factorizations of an n-element set")
@@ -581,6 +577,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(handler=_cmd_dump)
 
+    # One --format, before or after the subcommand.  A subcommand's copy sets
+    # nothing unless given, so it never overwrites a leading --format.
+    for p in (parser, *sub.choices.values()):
+        p.add_argument(
+            "--format", choices=("text", "structured"),
+            default="text" if p is parser else argparse.SUPPRESS,
+            help="output format; 'structured' is deterministic JSON",
+        )
     return parser
 
 

@@ -189,9 +189,10 @@ class FactoredSet:
         self, mask: int, left: Iterable[int], right: Iterable[int]
     ) -> frozenset[int]:
         """Set lift: all splices of an element of ``left`` with one of ``right``."""
-        right = list(right)
+        check = self.ground.check_index
+        right = list(map(check, right))
         return frozenset(
-            self.chimera_pair(mask, s, t) for s in left for t in right
+            self.chimera_pair(mask, s, t) for s in map(check, left) for t in right
         )
 
 

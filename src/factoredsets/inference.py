@@ -18,10 +18,10 @@ relabelings within a factor composed with swaps of equal-size factors).
 The search keeps the lexicographically least labeling of each orbit, so
 each isomorphism orbit of models is visited exactly once; every verdict
 checked is invariant under relabeling.  On a multi-factor grid a
-depth-first walk in lexicographic order decides this alone: it skips
-every prefix larger than its image under an automorphism mapping the
-prefix's positions onto themselves (orderly generation, after Read and
-McKay), and a full labeling passes that test under every automorphism.
+depth-first walk in lexicographic order decides this alone (orderly
+generation, after Read and McKay): per depth it carries the automorphisms
+still tied with the prefix, skips a subtree once an image is smaller, and
+drops an automorphism once its image is larger.
 
 Model checking runs on integer label tuples.  A checker compiled against
 one reference grid keeps, per name, the row of block ids over the
@@ -40,7 +40,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import and_, itemgetter
+from operator import and_
 from typing import Iterator, Mapping, Sequence
 
 from .factored import (
@@ -287,36 +287,20 @@ def _grid_automorphisms(n: int, ks: tuple[int, ...]) -> tuple[tuple[int, ...], .
     return tuple(perms)
 
 
-@lru_cache(maxsize=None)
-def _prefix_images(n: int, ks: tuple[int, ...]) -> tuple[tuple[itemgetter, ...], ...]:
-    """Per prefix length ``i``, the automorphisms mapping ``[0, i)`` onto itself.
-
-    Entry ``i`` holds, as itemgetters, their distinct restrictions to
-    ``[0, i)`` other than the identity; entry ``n`` is every non-identity
-    automorphism, the full canonicity test.
-    """
-    auts = _grid_automorphisms(n, ks)[1:]
-    tables = []
-    for i in range(n + 1):
-        restrictions = dict.fromkeys(p[:i] for p in auts if max(p[:i], default=-1) < i)
-        restrictions.pop(tuple(range(i)), None)
-        tables.append(tuple(itemgetter(*r) for r in restrictions))
-    return tuple(tables)
-
-
 def _grid_labelings(
-    omega_n: int, images: tuple[tuple[itemgetter, ...], ...]
+    n: int, omega_n: int, auts: tuple[tuple[int, ...], ...]
 ) -> Iterator[tuple[int, ...]]:
-    """The canonical labelings, lexicographically.
+    """The labelings no larger than their image under any of ``auts``, in order.
 
-    Labels are tried in ascending order at each position; a prefix larger
-    than its image under an automorphism fixing the prefix's positions is
-    larger than that image on every extension, so no canonical labeling
-    starts with it and its subtree is skipped.  At full length every
-    automorphism fixes the positions, so the same test decides canonicity.
+    Labels are tried in ascending order at each position.  Each automorphism
+    ``p`` tied with the prefix ``f`` compares ``f[j]`` with ``f[p[j]]`` for
+    ``j`` ascending while both are placed, resuming where its comparison
+    stopped: a greater ``f[j]`` skips the subtree, a smaller one drops ``p``
+    for the subtree, and equal pairs keep ``p`` tied.  At full length every
+    position is placed, so a labeling that survives is canonical.
     """
-    n = len(images) - 1
     f = [-1] * n
+    tied = [[(p, 0) for p in auts]] + [[]] * n
     i = 0
     while i >= 0:
         f[i] += 1
@@ -324,11 +308,19 @@ def _grid_labelings(
             f[i] = -1
             i -= 1
             continue
-        prefix = tuple(f[: i + 1])
-        if all(prefix <= image(prefix) for image in images[i + 1]):
+        still = []
+        for p, j in tied[i]:
+            while j <= i and p[j] <= i and f[j] == f[p[j]]:
+                j += 1
+            if j > i or p[j] > i:
+                still.append((p, j))
+            elif f[j] > f[p[j]]:
+                break
+        else:
             if i + 1 == n:
-                yield prefix
+                yield tuple(f)
             else:
+                tied[i + 1] = still
                 i += 1
 
 
@@ -364,7 +356,7 @@ def search_models(
             if ks == (n,):
                 candidates = itertools.combinations_with_replacement(range(omega_n), n)
             else:
-                candidates = _grid_labelings(omega_n, _prefix_images(n, ks))
+                candidates = _grid_labelings(n, omega_n, _grid_automorphisms(n, ks)[1:])
             for f in candidates:
                 if deadline is not None and time.monotonic() > deadline:
                     yield Truncation(n)

@@ -370,6 +370,16 @@ def test_criterion_11_three_bit_example(ex2):
             )
             assert payload["results"]["verdict"] in ("holds-up-to-bound", "vacuous")
             assert "size <= 5" in payload["results"]["bound"]
+
+        # The smallest models have 8 elements: the search reaches them all.
+        code, payload = _run_cli_json(
+            ["infer", "--db", str(ex2_db_path()), "--before", "X", "Y",
+             "--max-size", "8"]
+        )
+        assert code == 0
+        assert payload["results"]["verdict"] == "holds-up-to-bound"
+        assert payload["results"]["models_checked"] == 5
+        assert "size <= 8" in payload["results"]["bound"]
         elapsed = time.perf_counter() - started
         assert elapsed <= 600.0
 

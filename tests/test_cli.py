@@ -203,6 +203,25 @@ class TestParserReuse:
         assert result.stdout.split() == ["0", "4", "1"]
 
 
+class TestFormatPosition:
+    """``--format`` is accepted before or after the subcommand."""
+
+    INFER = ("infer", "--db", DB1, "--before", "X", "Y", "--max-size", "4")
+
+    def test_trailing_format_gives_the_leading_results(self, capsys):
+        code, out, _ = run(capsys, "--format", "structured", *self.INFER)
+        trailing_code, trailing_out, _ = run(capsys, *self.INFER, "--format", "structured")
+        assert code == trailing_code == 0
+        leading, trailing = json.loads(out), json.loads(trailing_out)
+        assert trailing["results"] == leading["results"]
+        assert trailing["command"] == [*self.INFER, "--format", "structured"]
+
+    def test_subcommand_help_names_the_option(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["infer", "--help"])
+        assert "--format {text,structured}" in capsys.readouterr().out
+
+
 class TestTruncatedVerdicts:
     """A truncated search names the largest size it searched completely."""
 

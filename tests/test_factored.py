@@ -129,6 +129,17 @@ class TestChimera:
         with pytest.raises(ValidationError, match=message):
             ex1.fs.chimera({ex1.X: 0, ex1.V: bad})
 
+    @pytest.mark.parametrize("bad", [-1, -4, 4, 99])
+    def test_set_lift_indices_out_of_range(self, ex1, bad):
+        # Python indexing would wrap -1 around to element 3.
+        message = f"^element index {bad} out of range 0..3$"
+        with pytest.raises(ValidationError, match=message):
+            ex1.fs.chimera_set(1, [bad], [0])
+        with pytest.raises(ValidationError, match=message):
+            ex1.fs.chimera_set(1, [0, 1], [2, bad])
+        with pytest.raises(ValidationError, match=message):
+            ex1.fs.chimera_set(1, [bad], [])
+
     def test_unique_element_agreeing_factorwise(self):
         # The splice is the only element matching the assignment on every factor.
         rng = random.Random(13)

@@ -842,6 +842,60 @@ class TestCanonicalWalkOracle:
             assert walked.get(grid_factored_set(n, ks), []) == expected, (n, ks)
 
 
+def _restriction_tables(n, ks):
+    """Per prefix length ``i``, the automorphisms mapping ``[0, i)`` onto itself.
+
+    Entry ``i`` holds, as itemgetters, their distinct restrictions to
+    ``[0, i)`` other than the identity; entry ``n`` is every non-identity
+    automorphism.
+    """
+    auts = inference._grid_automorphisms(n, ks)[1:]
+    tables = []
+    for i in range(n + 1):
+        restrictions = dict.fromkeys(p[:i] for p in auts if max(p[:i], default=-1) < i)
+        restrictions.pop(tuple(range(i)), None)
+        tables.append(tuple(itemgetter(*r) for r in restrictions))
+    return tuple(tables)
+
+
+def _restriction_table_walk(omega_n, images):
+    """The walk the tied-automorphism walk replaced: each prefix against its table."""
+    n = len(images) - 1
+    f = [-1] * n
+    i = 0
+    while i >= 0:
+        f[i] += 1
+        if f[i] == omega_n:
+            f[i] = -1
+            i -= 1
+            continue
+        prefix = tuple(f[: i + 1])
+        if all(prefix <= image(prefix) for image in images[i + 1]):
+            if i + 1 == n:
+                yield prefix
+            else:
+                i += 1
+
+
+class TestRestrictionTableWalkOracle:
+    """The tied-automorphism walk yields what the restriction-table walk yielded."""
+
+    def test_same_labelings_in_the_same_order(self):
+        grids = [
+            (n, ks)
+            for n in range(1, 13)
+            for ks in inference.factor_size_multisets(n)
+            if ks != (n,)
+        ]
+        assert {(12, (2, 2, 3)), (12, (2, 6)), (12, (3, 4))} <= set(grids)
+        for n, ks in grids:
+            auts = inference._grid_automorphisms(n, ks)[1:]
+            walked = list(inference._grid_labelings(n, 3, auts))
+            assert walked == list(
+                _restriction_table_walk(3, _restriction_tables(n, ks))
+            ), (n, ks)
+
+
 # -- differential oracle: the compiled grid checker against the per-model pass
 
 
