@@ -16,13 +16,13 @@ rather than a guess.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .factored import FactoredSet
 from .partitions import (
     Partition,
-    ValidationError,
     bell_number,
     common_refinement,
     iter_coarsenings,
@@ -38,13 +38,10 @@ from .structure import (
 
 def event_partition(fs: FactoredSet, elements: Iterable[int]) -> Partition:
     """Two-block partition event / non-event; degenerate events collapse to one block."""
-    event = frozenset(elements)
-    n = fs.size
-    if any(not 0 <= e < n for e in event):
-        raise ValidationError("event contains out-of-range elements")
-    if not event or len(event) == n:
+    event = frozenset(map(fs.ground.check_index, elements))
+    if not event or len(event) == fs.size:
         return Partition.indiscrete(fs.ground)
-    rest = frozenset(range(n)) - event
+    rest = frozenset(range(fs.size)) - event
     return Partition.from_blocks(fs.ground, [sorted(event), sorted(rest)])
 
 
@@ -78,11 +75,14 @@ def observes_partition(
 ) -> ObservesVerdict:
     """Split the agent into per-block subagents, each observing its block.
 
-    Searches tuples of coarsenings of the agent in lexicographic order; the
-    witness returned is the first tuple whose common refinement restores the
-    agent and whose members each pass the conditioned-orthogonality test for
-    their block.  ``inconclusive`` means the budget ran out before the
-    candidate space was covered.
+    Each block keeps the coarsenings of the agent that pass the
+    conditioned-orthogonality test for it, and one ``itertools.product`` scan
+    walks the tuples of those lists in lexicographic order.  The witness is
+    the first tuple whose common refinement restores the agent, and
+    ``tuples_tried`` counts the tuples scanned, the witness included.  The
+    scan tries at most ``budget`` tuples, and a scan that tried ``budget``
+    tuples without a witness is ``inconclusive``, even if the last of them
+    ended the product.
     """
     require_full(fs.ground, agent, x, world)
     if not orthogonal(fs, agent, x):
@@ -106,29 +106,12 @@ def observes_partition(
             return ObservesVerdict("no")
 
     tried = 0
-    chosen: list[Partition] = []
-
-    def rec(i: int, joined: Partition | None) -> Iterator[tuple[Partition, ...]]:
-        nonlocal tried
-        if joined == agent:
-            # Further members only refine the join, and coarsenings of the
-            # agent cannot push it past the agent: lex-first completion wins.
-            tried += 1
-            yield tuple(chosen) + tuple(options[0] for options in valid[i:])
-            return
-        if i == len(valid):
-            tried += 1
-            return
-        for cand in valid[i]:
-            if tried >= budget:
-                return
-            chosen.append(cand)
-            nxt = cand if joined is None else common_refinement([joined, cand])
-            yield from rec(i + 1, nxt)
-            chosen.pop()
-
-    for witness in rec(0, None):
-        return ObservesVerdict("yes", witness=witness, tuples_tried=tried)
+    for witness in itertools.product(*valid):
+        if tried >= budget:
+            break
+        tried += 1
+        if common_refinement(witness) == agent:
+            return ObservesVerdict("yes", witness=witness, tuples_tried=tried)
     if tried >= budget:
         return ObservesVerdict("inconclusive", tuples_tried=tried)
     return ObservesVerdict("no", tuples_tried=tried)

@@ -13,15 +13,14 @@ question is not decided here, so an unqualified "holds" is never printed.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
-import itertools
 import json
 import math
 import random
 import sys
 import time
 from collections import Counter
-from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -34,9 +33,14 @@ from .factored import (
 from .fileformat import (
     FactoredSetFile,
     ParseError,
+    format_database_file,
+    format_factored_set_file,
     load_database_file,
     load_distribution_file,
     load_factored_set_file,
+    parse_database_text,
+    parse_factored_set_text,
+    read_text,
     resolve_model,
 )
 from .partitions import (
@@ -231,25 +235,6 @@ def _cmd_prob(args) -> tuple[int, dict, list[str]]:
 _TRIPLE_LIMIT = 10**6
 
 
-def _sampled_triples(n: int, k: int, rng: random.Random) -> list[tuple]:
-    """The ``k`` partition triples of an ``n``-set that ``rng.sample`` picks.
-
-    The population is ``list(product(iter_partitions(GroundSet(n)), repeat=3))``.
-    ``random.sample`` draws indices from the population's length alone, so
-    sampling the index range and decoding product order, then each
-    partition's rank, picks the same triples and leaves ``rng`` in the same
-    state, without listing a triple or a partition.
-    """
-    ground = GroundSet(n)
-    size = bell_number(n)
-    triples = []
-    for i in rng.sample(range(size**3), k):
-        xy, c = divmod(i, size)
-        a, b = divmod(xy, size)
-        triples.append(tuple(partition_of_rank(ground, r) for r in (a, b, c)))
-    return triples
-
-
 def _cmd_ft_verify(args) -> tuple[int, dict, list[str]]:
     # A sweep that checks no triple must not report agreement.
     if args.max_size < 2:
@@ -279,15 +264,29 @@ def _cmd_ft_verify(args) -> tuple[int, dict, list[str]]:
     mismatches = 0
     missed_witnesses = 0
     for n in range(2, args.max_size + 1):
-        sampled = args.sample is not None and bell_number(n) ** 3 > args.sample
-        # Listed only when every triple is checked; shared by every factorization.
-        parts = [] if sampled else list(iter_partitions(GroundSet(n)))
+        ground = GroundSet(n)
+        size = bell_number(n)
+        sampled = args.sample is not None and size**3 > args.sample
+        # A sampled size unranks the partitions it draws; an exhaustive size
+        # lists them once, for every factorization.
+        if sampled:
+            rank = functools.partial(partition_of_rank, ground)
+        else:
+            rank = list(iter_partitions(ground)).__getitem__
         for fs in enumerate_factorizations(n):
+            # Index i is the triple at position i of
+            # product(iter_partitions(ground), repeat=3).  ``random.sample``
+            # draws from the population's length alone, so sampling the
+            # index range picks the same triples as sampling that listed
+            # product, and leaves ``rng`` in the same state.
             if sampled:
-                space = _sampled_triples(n, args.sample, rng)
+                indices = rng.sample(range(size**3), args.sample)
             else:
-                space = itertools.product(parts, repeat=3)
-            for x, y, z in space:
+                indices = range(size**3)
+            for i in indices:
+                xy, c = divmod(i, size)
+                a, b = divmod(xy, size)
+                x, y, z = rank(a), rank(b), rank(c)
                 report = fundamental_theorem_check(
                     fs, x, y, z, trials=args.trials,
                     seed=rng.randrange(1 << 30),
@@ -432,21 +431,19 @@ def _cmd_observes(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_dump(args) -> tuple[int, dict, list[str]]:
-    from .fileformat import format_database_file, format_factored_set_file
-
-    head = Path(args.file).read_text(encoding="utf-8")
+    text = read_text(args.file)
     keyword = next(
         (
             line.split()[0]
-            for line in head.splitlines()
+            for line in text.splitlines()
             if line.split("#", 1)[0].strip()
         ),
         "",
     )
     if keyword == "omega":
-        text = format_database_file(load_database_file(args.file))
+        text = format_database_file(parse_database_text(text, args.file))
     else:
-        text = format_factored_set_file(load_factored_set_file(args.file))
+        text = format_factored_set_file(parse_factored_set_text(text, args.file))
     return 0, {"canonical": text}, [text.rstrip("\n")]
 
 
@@ -590,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Built on the first ``main`` call, not at import, then reused: parsing
 # returns a fresh namespace each time and no default is mutable.
-_parser = lru_cache(maxsize=None)(build_parser)
+_parser = functools.lru_cache(maxsize=None)(build_parser)
 
 _INPUT_ARGS = ("file", "dist", "db", "model")
 
@@ -606,6 +603,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)
+        return 2
+    except IsADirectoryError as exc:
+        print(f"error: cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - started
 

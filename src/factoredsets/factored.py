@@ -70,7 +70,6 @@ class FactoredSet:
         "_contribs",
         "_inverse",
         "_mask_bits",
-        "_hash",
         "_history_cache",
         "_component_cache",
     )
@@ -114,7 +113,6 @@ class FactoredSet:
         self._contribs = tuple(contribs)
         self._inverse = inverse
         self._mask_bits: dict[int, tuple[int, ...]] = {}
-        self._hash: int | None = None
         self._history_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
         self._component_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
 
@@ -149,10 +147,7 @@ class FactoredSet:
         )
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = self._hash = hash((self.ground, self.factors))
-        return h
+        return hash((self.ground, self.factors))
 
     def __repr__(self) -> str:
         facs = ", ".join(format_partition(p) for p in self.factors)

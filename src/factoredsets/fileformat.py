@@ -46,6 +46,18 @@ class ParseError(ValueError):
         self.token = token
 
 
+def read_text(path: str | Path) -> str:
+    """A file's UTF-8 text; a byte sequence that is not UTF-8 is a ParseError."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(
+            str(path), lineno, f"not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from None
+
+
 def _meaningful_lines(text: str) -> Iterator[tuple[int, str]]:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -85,7 +97,7 @@ def _header_line(
     if tokens[0] == count_keyword:
         if ground is not None:
             raise ParseError(origin, lineno, f"duplicate '{count_keyword}' line")
-        if len(tokens) != 2 or not tokens[1].isdigit():
+        if len(tokens) != 2 or not tokens[1].isdecimal():
             raise ParseError(
                 origin, lineno, f"'{count_keyword}' expects one count", tokens[-1]
             )
@@ -115,8 +127,7 @@ class FactoredSetFile:
 
 
 def load_factored_set_file(path: str | Path) -> FactoredSetFile:
-    path = Path(path)
-    return parse_factored_set_text(path.read_text(encoding="utf-8"), str(path))
+    return parse_factored_set_text(read_text(path), str(path))
 
 
 def parse_factored_set_text(text: str, origin: str = "<string>") -> FactoredSetFile:
@@ -228,8 +239,7 @@ def resolve_model(fsf: FactoredSetFile, omega: GroundSet) -> Model:
 
 
 def load_database_file(path: str | Path) -> OrthogonalityDatabase:
-    path = Path(path)
-    return parse_database_text(path.read_text(encoding="utf-8"), str(path))
+    return parse_database_text(read_text(path), str(path))
 
 
 def parse_database_text(text: str, origin: str = "<string>") -> OrthogonalityDatabase:
@@ -284,8 +294,7 @@ def parse_database_text(text: str, origin: str = "<string>") -> OrthogonalityDat
 
 
 def load_distribution_file(path: str | Path, fsf: FactoredSetFile) -> FactoredDistribution:
-    path = Path(path)
-    return parse_distribution_text(path.read_text(encoding="utf-8"), fsf, str(path))
+    return parse_distribution_text(read_text(path), fsf, str(path))
 
 
 def parse_distribution_text(

@@ -69,9 +69,12 @@ class GroundSet:
 
     def check_index(self, i: int) -> int:
         """``i`` itself if it indexes an element; negative indices do not wrap."""
-        if not 0 <= i < self.n:
-            raise ValidationError(f"element index {i} out of range 0..{self.n - 1}")
-        return i
+        try:
+            if 0 <= i < self.n:
+                return i
+        except TypeError:  # not a number; the try costs in-range calls nothing
+            raise ValidationError(f"element index {i!r} is not an integer") from None
+        raise ValidationError(f"element index {i} out of range 0..{self.n - 1}")
 
     def elements(self) -> range:
         return range(self.n)
@@ -123,10 +126,12 @@ class Partition:
             if not block:
                 raise ValidationError(f"block #{bi} is empty")
             for e in block:
-                if not 0 <= e < ground.n:
+                try:
+                    ground.check_index(e)
+                except ValidationError:
                     raise ValidationError(
                         f"block #{bi} contains out-of-range element {e!r}"
-                    )
+                    ) from None
                 if e in owner:
                     raise ValidationError(
                         f"blocks #{owner[e]} and #{bi} overlap at element "
@@ -293,23 +298,27 @@ def common_refinement(
 def iter_partitions(
     ground: GroundSet, domain: Iterable[int] | None = None
 ) -> Iterator[Partition]:
-    """All partitions of a domain, in restricted-growth (lexicographic) order."""
+    """All partitions of a domain, in restricted-growth (lexicographic) order.
+
+    A flat loop, so any domain size works: the last id below the count of
+    blocks opened before it grows by one, and every later id resets to 0.
+    """
     dom = tuple(ground.elements()) if domain is None else tuple(sorted(set(domain)))
     k = len(dom)
-    if k == 0:
-        yield Partition(ground, (), ())
-        return
     ids = [0] * k
-
-    def rec(i: int, used: int) -> Iterator[Partition]:
-        if i == k:
-            yield Partition(ground, dom, tuple(ids))
+    opened = [1] * k  # blocks opened before each position, position 0 excepted
+    while True:
+        yield Partition(ground, dom, tuple(ids))
+        i = k - 1
+        while i > 0 and ids[i] == opened[i]:
+            i -= 1
+        if i <= 0:
             return
-        for b in range(used + 1):
-            ids[i] = b
-            yield from rec(i + 1, used + (1 if b == used else 0))
-
-    yield from rec(1, 1)
+        ids[i] += 1
+        after = opened[i] + (ids[i] == opened[i])
+        for j in range(i + 1, k):
+            ids[j] = 0
+            opened[j] = after
 
 
 def partition_of_rank(ground: GroundSet, rank: int) -> Partition:

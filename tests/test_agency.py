@@ -1,4 +1,5 @@
 import random
+from typing import Iterator
 
 import pytest
 
@@ -6,19 +7,30 @@ from factoredsets import (
     FactoredSet,
     Partition,
     ValidationError,
+    bell_number,
     common_refinement,
+    cond_orthogonal_given_subset,
     counterfactable,
     data_path,
     event_partition,
+    grid_factored_set,
     history,
     history_join,
+    iter_coarsenings,
     load_factored_set_file,
     observes_event,
     observes_partition,
     orthogonal,
     relatively_counterfactable,
 )
-from conftest import mixed_random_partition, random_factored_set, random_subset
+from factoredsets.agency import ObservesVerdict
+from factoredsets.partitions import require_full
+from conftest import (
+    mixed_random_partition,
+    random_factored_set,
+    random_generated_partition,
+    random_subset,
+)
 
 
 class TestEventPartition:
@@ -149,6 +161,134 @@ class TestObservesPartition:
                 permuted_fs, remap(ex1.V), remap(ex1.X), remap(ex1.V)
             )
             assert got.outcome == base.outcome
+
+
+def recursive_observes_partition(
+    fs: FactoredSet, agent: Partition, x: Partition, world: Partition, budget: int
+) -> ObservesVerdict:
+    """The subagent search as a recursive walk over join prefixes.
+
+    The oracle for ``observes_partition``'s product scan.  A prefix whose
+    join already equals the agent counts as one tuple and is completed with
+    the first option of every later block.
+    """
+    require_full(fs.ground, agent, x, world)
+    if not orthogonal(fs, agent, x):
+        return ObservesVerdict("no")
+    blocks = x.block_sets
+    if not blocks:
+        return ObservesVerdict("yes", witness=())
+    if bell_number(agent.block_count) > budget:
+        return ObservesVerdict("inconclusive")
+    coarsenings = sorted(iter_coarsenings(agent), key=lambda p: p.key)
+    everything = frozenset(range(fs.size))
+    valid: list[list[Partition]] = []
+    for xb in blocks:
+        rest = everything - xb
+        valid.append(
+            [c for c in coarsenings if cond_orthogonal_given_subset(fs, c, world, rest)]
+        )
+        if not valid[-1]:
+            return ObservesVerdict("no")
+
+    tried = 0
+    chosen: list[Partition] = []
+
+    def rec(i: int, joined: Partition | None) -> Iterator[tuple[Partition, ...]]:
+        nonlocal tried
+        if joined == agent:
+            tried += 1
+            yield tuple(chosen) + tuple(options[0] for options in valid[i:])
+            return
+        if i == len(valid):
+            tried += 1
+            return
+        for cand in valid[i]:
+            if tried >= budget:
+                return
+            chosen.append(cand)
+            nxt = cand if joined is None else common_refinement([joined, cand])
+            yield from rec(i + 1, nxt)
+            chosen.pop()
+
+    for witness in rec(0, None):
+        return ObservesVerdict("yes", witness=witness, tuples_tried=tried)
+    if tried >= budget:
+        return ObservesVerdict("inconclusive", tuples_tried=tried)
+    return ObservesVerdict("no", tuples_tried=tried)
+
+
+class TestRecursiveSearchOracle:
+    """The product scan gives the recursive walk's outcome, witness and count."""
+
+    BUDGETS = (0, 1, 7, 50, 20_000)
+
+    def check(self, fs, agent, x, world) -> list[ObservesVerdict]:
+        """Compare at the fixed budgets and at both sides of the full scan's count."""
+        full = observes_partition(fs, agent, x, world, budget=20_000)
+        edges = (full.tuples_tried - 1, full.tuples_tried)
+        verdicts = []
+        for budget in self.BUDGETS + tuple(b for b in edges if b >= 0):
+            got = observes_partition(fs, agent, x, world, budget=budget)
+            assert got == recursive_observes_partition(fs, agent, x, world, budget)
+            verdicts.append(got)
+        return verdicts
+
+    def test_random_sets(self):
+        rng = random.Random(4099)
+        verdicts = []
+        for _ in range(400):
+            fs = random_factored_set(rng, min_n=2, max_n=8)
+            agent = random_generated_partition(rng, fs)
+            # Half the targets are coarsenings of factors outside the agent's
+            # history, so the agent passes the orthogonality precheck.
+            if rng.random() < 0.5:
+                outside = fs.full_mask & ~history(fs, agent)
+                join = common_refinement(fs.factors_of_mask(outside), ground=fs.ground)
+                x = rng.choice(list(iter_coarsenings(join)))
+            else:
+                x = mixed_random_partition(rng, fs)
+            world = mixed_random_partition(rng, fs)
+            verdicts += self.check(fs, agent, x, world)
+        outcomes = {(v.outcome, v.tuples_tried > 1) for v in verdicts}
+        assert {("yes", False), ("yes", True), ("no", False)} <= outcomes
+        assert ("inconclusive", False) in outcomes
+
+    def test_every_generated_triple_on_the_cube(self):
+        # On the 2x2x2 grid some witnesses come after more tuples than the
+        # agent has coarsenings, so a budget between the two stops the scan
+        # itself rather than the coarsening-count precheck.
+        fs = grid_factored_set(8, (2, 2, 2))
+        generated = set()
+        for mask in range(1 << fs.dim):
+            join = common_refinement(fs.factors_of_mask(mask), ground=fs.ground)
+            if join.block_count <= 4:
+                generated.update(iter_coarsenings(join))
+        generated = sorted(generated, key=lambda p: p.key)
+        stopped = 0
+        for agent in generated:
+            for x in generated:
+                if agent.block_count < 3 or not orthogonal(fs, agent, x):
+                    continue
+                for world in generated:
+                    for v in self.check(fs, agent, x, world):
+                        stopped += v.outcome == "inconclusive" and v.tuples_tried > 0
+        assert stopped > 0
+
+    @pytest.mark.parametrize(
+        "name",
+        ["ex1.ffs", "ex2-model.ffs", "newcomb-transparent.ffs", "counterfactual-mugging.ffs"],
+    )
+    def test_bundled_files(self, name):
+        f = load_factored_set_file(data_path(name))
+        parts = [f.resolve(n) for n in sorted(f.partitions)] + [
+            Partition.indiscrete(f.fs.ground),
+            Partition.discrete(f.fs.ground),
+        ]
+        for agent in parts:
+            for x in parts:
+                for world in parts:
+                    self.check(f.fs, agent, x, world)
 
 
 class TestCounterfactable:

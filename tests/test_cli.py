@@ -493,6 +493,55 @@ class TestEnumFactGuard:
         assert len(factors) == dim
 
 
+class TestBadInputFiles:
+    """A file that cannot be parsed or read exits 2 with an error naming it."""
+
+    @pytest.mark.parametrize(
+        "name,keyword,argv",
+        [
+            ("bad.ffs", "set", ["history", "{}", "--partition", "X"]),
+            ("bad.db", "omega", ["consistent", "--db", "{}", "--max-size", "2"]),
+            ("bad.ffs", "set", ["dump", "{}"]),
+        ],
+    )
+    def test_superscript_count(self, capsys, tmp_path, name, keyword, argv):
+        # str.isdigit accepts a superscript two, which int() rejects.
+        bad = tmp_path / name
+        bad.write_text(f"{keyword} \u00b2\n", encoding="utf-8")
+        code, out, err = run(capsys, *[a.format(bad) for a in argv])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {bad}:1: '{keyword}' expects one count (at '\u00b2')\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["history", "{}", "--partition", "X"], ["dump", "{}"]],
+    )
+    def test_not_utf8(self, capsys, tmp_path, argv):
+        bad = tmp_path / "latin1.ffs"
+        bad.write_bytes("set 4\n# caf\u00e9\n".encode("latin-1"))
+        code, out, err = run(capsys, *[a.format(bad) for a in argv])
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: {bad}:2: not UTF-8 text: invalid continuation byte at byte 11\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["history", "{}", "--partition", "X"],
+            ["dump", "{}"],
+            ["prob", EX1, "{}", "--event", "00"],
+        ],
+    )
+    def test_directory(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *[a.format(tmp_path) for a in argv])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot read {tmp_path}: Is a directory\n"
+
+
 class TestMapLineErrors:
     """A bad ``map`` line in a model file is reported as ``file:line: message``."""
 

@@ -11,9 +11,14 @@ from factoredsets import (
     GroundSet,
     Partition,
     ValidationError,
+    characteristic_polynomial,
     count_factorizations,
+    data_path,
     enumerate_factorizations,
+    event_partition,
     factor_size_multisets,
+    load_distribution_file,
+    observes_event,
     trivial_factorization,
 )
 from factoredsets.factored import _iter_grids, mixed_radix_strides
@@ -139,6 +144,32 @@ class TestChimera:
             ex1.fs.chimera_set(1, [0, 1], [2, bad])
         with pytest.raises(ValidationError, match=message):
             ex1.fs.chimera_set(1, [bad], [])
+
+    @pytest.mark.parametrize("bad", ["a", None, (1,)])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda ex1, bad: ex1.fs.ground.check_index(bad),
+            lambda ex1, bad: ex1.fs.chimera([bad, 0]),
+            lambda ex1, bad: ex1.fs.chimera_set(1, [0], [bad]),
+            lambda ex1, bad: characteristic_polynomial(ex1.fs, [0, bad]),
+            lambda ex1, bad: load_distribution_file(
+                data_path("ex1-uniform.dist"), ex1.file
+            ).point_mass(bad),
+            lambda ex1, bad: event_partition(ex1.fs, [bad]),
+            lambda ex1, bad: observes_event(ex1.fs, ex1.X, [bad], ex1.Y),
+            lambda ex1, bad: Partition.from_blocks(ex1.fs.ground, [[0, bad]]),
+        ],
+        ids=[
+            "check_index", "chimera", "chimera_set", "characteristic_polynomial",
+            "point_mass", "event_partition", "observes_event", "from_blocks",
+        ],
+    )
+    def test_non_integer_indices(self, ex1, call, bad):
+        # An index that cannot be compared with 0 is rejected by name.
+        with pytest.raises(ValidationError) as caught:
+            call(ex1, bad)
+        assert repr(bad) in str(caught.value)
 
     def test_unique_element_agreeing_factorwise(self):
         # The splice is the only element matching the assignment on every factor.

@@ -1,4 +1,6 @@
+import itertools
 import random
+from typing import Iterator
 
 import pytest
 from hypothesis import given, strategies as st
@@ -197,7 +199,45 @@ class TestRestrict:
             assert lhs == rhs
 
 
+def recursive_iter_partitions(ground, domain=None) -> Iterator[Partition]:
+    """``iter_partitions`` as one recursive call per element: the flat loop's oracle."""
+    dom = tuple(ground.elements()) if domain is None else tuple(sorted(set(domain)))
+    k = len(dom)
+    if k == 0:
+        yield Partition(ground, (), ())
+        return
+    ids = [0] * k
+
+    def rec(i: int, used: int) -> Iterator[Partition]:
+        if i == k:
+            yield Partition(ground, dom, tuple(ids))
+            return
+        for b in range(used + 1):
+            ids[i] = b
+            yield from rec(i + 1, used + (1 if b == used else 0))
+
+    yield from rec(1, 1)
+
+
 class TestEnumeration:
+    @pytest.mark.parametrize("n", range(9))
+    def test_same_stream_as_the_recursive_generator(self, n):
+        g = GroundSet(n)
+        assert list(iter_partitions(g)) == list(recursive_iter_partitions(g))
+        rng = random.Random(n)
+        wide = GroundSet(n + 3)
+        for _ in range(3):
+            domain = rng.sample(range(n + 3), n)
+            assert list(iter_partitions(wide, domain)) == list(
+                recursive_iter_partitions(wide, domain)
+            )
+
+    def test_sizes_past_the_recursion_limit(self):
+        g = GroundSet(5000)
+        first, second = itertools.islice(iter_partitions(g), 2)
+        assert first == Partition.indiscrete(g)
+        assert second.block_ids == (0,) * 4999 + (1,)
+
     @pytest.mark.parametrize("n", range(7))
     def test_counts_match_bell_numbers(self, n):
         parts = list(iter_partitions(GroundSet(n)))
