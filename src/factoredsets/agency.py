@@ -94,7 +94,7 @@ def observes_partition(
         return ObservesVerdict("yes", witness=())
     if bell_number(agent.block_count) > budget:
         return ObservesVerdict("inconclusive")
-    coarsenings = sorted(iter_coarsenings(agent), key=lambda p: p.key)
+    coarsenings = list(iter_coarsenings(agent))
     everything = frozenset(range(fs.size))
     valid: list[list[Partition]] = []
     for xb in blocks:

@@ -38,6 +38,7 @@ from .fileformat import (
     load_database_file,
     load_distribution_file,
     load_factored_set_file,
+    meaningful_lines,
     parse_database_text,
     parse_factored_set_text,
     read_text,
@@ -432,14 +433,7 @@ def _cmd_observes(args) -> tuple[int, dict, list[str]]:
 
 def _cmd_dump(args) -> tuple[int, dict, list[str]]:
     text = read_text(args.file)
-    keyword = next(
-        (
-            line.split()[0]
-            for line in text.splitlines()
-            if line.split("#", 1)[0].strip()
-        ),
-        "",
-    )
+    keyword = next((line.split()[0] for _, line in meaningful_lines(text)), "")
     if keyword == "omega":
         text = format_database_file(parse_database_text(text, args.file))
     else:

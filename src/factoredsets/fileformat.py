@@ -58,7 +58,8 @@ def read_text(path: str | Path) -> str:
         ) from None
 
 
-def _meaningful_lines(text: str) -> Iterator[tuple[int, str]]:
+def meaningful_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Each line's number and text, comments and blank lines dropped."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
@@ -132,27 +133,31 @@ def load_factored_set_file(path: str | Path) -> FactoredSetFile:
 
 def parse_factored_set_text(text: str, origin: str = "<string>") -> FactoredSetFile:
     ground: GroundSet | None = None
-    body_started = False
-    factor_decls: list[tuple[str, Partition, int]] = []
+    factor_name: dict[Partition, str] = {}
     named: dict[str, Partition] = {}
     map_pairs: list[tuple[str, str]] = []
     map_lines: list[int] = []
 
-    for lineno, line in _meaningful_lines(text):
+    for lineno, line in meaningful_lines(text):
         tokens = line.split()
         keyword = tokens[0]
         try:
             if keyword in ("set", "labels"):
-                ground = _header_line(origin, lineno, tokens, "set", ground, body_started)
+                ground = _header_line(
+                    origin, lineno, tokens, "set", ground, bool(named or map_pairs)
+                )
             elif ground is None:
                 raise ParseError(origin, lineno, "'set N' must come first")
             elif keyword in ("factor", "partition"):
-                body_started = True
                 name, part = _named_partition(origin, lineno, line, ground, named)
                 if keyword == "factor":
-                    factor_decls.append((name, part, lineno))
+                    if part in factor_name:
+                        raise ParseError(
+                            origin, lineno,
+                            f"factor {name!r} duplicates factor {factor_name[part]!r}",
+                        )
+                    factor_name[part] = name
             elif keyword == "map":
-                body_started = True
                 if len(tokens) != 4 or tokens[2] != "->":
                     raise ParseError(origin, lineno, "'map' expects 'map FROM -> TO'")
                 map_pairs.append((tokens[1], tokens[3]))
@@ -164,34 +169,13 @@ def parse_factored_set_text(text: str, origin: str = "<string>") -> FactoredSetF
 
     if ground is None:
         raise ParseError(origin, 1, "missing 'set N' line")
-    return _assemble_factored_file(
-        origin, ground, factor_decls, named, map_pairs, map_lines
-    )
-
-
-def _assemble_factored_file(
-    origin: str,
-    ground: GroundSet,
-    factor_decls: list[tuple[str, Partition, int]],
-    named: dict[str, Partition],
-    map_pairs: list[tuple[str, str]],
-    map_lines: list[int],
-) -> FactoredSetFile:
-    by_part: dict[Partition, str] = {}
-    for name, part, lineno in factor_decls:
-        if part in by_part:
-            raise ParseError(
-                origin, lineno, f"factor {name!r} duplicates factor {by_part[part]!r}"
-            )
-        by_part[part] = name
     try:
-        fs = FactoredSet(ground, [p for _, p, _ in factor_decls])
+        fs = FactoredSet(ground, factor_name)
     except ValidationError as exc:
         raise ParseError(origin, 1, f"invalid factorization: {exc}") from None
-    factor_names = tuple(by_part[p] for p in fs.factors)
     return FactoredSetFile(
         fs=fs,
-        factor_names=factor_names,
+        factor_names=tuple(factor_name[p] for p in fs.factors),
         partitions=named,
         map_pairs=tuple(map_pairs) if map_pairs else None,
         map_lines=tuple(map_lines),
@@ -248,7 +232,7 @@ def parse_database_text(text: str, origin: str = "<string>") -> OrthogonalityDat
     orthogonal_triples: set[tuple[str, str, str]] = set()
     dependent_triples: set[tuple[str, str, str]] = set()
 
-    for lineno, line in _meaningful_lines(text):
+    for lineno, line in meaningful_lines(text):
         tokens = line.split()
         keyword = tokens[0]
         try:
@@ -303,7 +287,7 @@ def parse_distribution_text(
     fs = fsf.fs
     index = {name: j for j, name in enumerate(fsf.factor_names)}
     rows: dict[int, tuple[Fraction, ...]] = {}
-    for lineno, line in _meaningful_lines(text):
+    for lineno, line in meaningful_lines(text):
         tokens = line.split()
         if tokens[0] != "weights":
             raise ParseError(origin, lineno, f"unknown keyword {tokens[0]!r}", tokens[0])

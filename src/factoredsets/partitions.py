@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import index
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 
@@ -70,9 +71,9 @@ class GroundSet:
     def check_index(self, i: int) -> int:
         """``i`` itself if it indexes an element; negative indices do not wrap."""
         try:
-            if 0 <= i < self.n:
+            if 0 <= index(i) < self.n:
                 return i
-        except TypeError:  # not a number; the try costs in-range calls nothing
+        except TypeError:  # not an integer; the try costs in-range calls nothing
             raise ValidationError(f"element index {i!r} is not an integer") from None
         raise ValidationError(f"element index {i} out of range 0..{self.n - 1}")
 
@@ -100,14 +101,21 @@ class Partition:
             raise ValidationError("domain and block ids differ in length")
         prev = -1
         seen = 0
-        for e, b in zip(dom, ids):
-            if e <= prev or not 0 <= e < self.ground.n:
-                raise ValidationError("domain must be strictly increasing and in range")
-            prev = e
-            if b > seen or b < 0:
-                raise ValidationError("block ids must be in restricted-growth order")
-            if b == seen:
-                seen += 1
+        try:
+            for e, b in zip(map(index, dom), ids):
+                if e <= prev or not 0 <= e < self.ground.n:
+                    raise ValidationError(
+                        "domain must be strictly increasing and in range"
+                    )
+                prev = e
+                if b > seen or b < 0:
+                    raise ValidationError(
+                        "block ids must be in restricted-growth order"
+                    )
+                if b == seen:
+                    seen += 1
+        except TypeError:
+            raise ValidationError("domain and block ids must be integers") from None
 
     # -- constructors -----------------------------------------------------
 
@@ -351,7 +359,11 @@ def partition_of_rank(ground: GroundSet, rank: int) -> Partition:
 
 
 def iter_coarsenings(part: Partition) -> Iterator[Partition]:
-    """All partitions coarser than ``part`` (by merging its blocks)."""
+    """All partitions coarser than ``part`` (by merging its blocks), in key order.
+
+    The groupings of blocks come in restricted-growth order, and so do the
+    block ids they give the domain, so the order carries over unchanged.
+    """
     k = part.block_count
     dummy = GroundSet(k)
     for grouping in iter_partitions(dummy):

@@ -541,6 +541,26 @@ class TestBadInputFiles:
         assert out == ""
         assert err == f"error: cannot read {tmp_path}: Is a directory\n"
 
+    def test_first_error_in_file_order_is_reported(self, capsys, tmp_path):
+        bad = tmp_path / "two-errors.ffs"
+        bad.write_text(
+            "set 4\nfactor X { 0 1 | 2 3 }\nfactor Y { 0 1 | 2 3 }\n"
+            "factor V { 0 2 | 1 3 }\nbogus line\n"
+        )
+        code, out, err = run(capsys, "history", str(bad), "--partition", "X")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {bad}:3: factor 'Y' duplicates factor 'X'\n"
+
+    def test_dump_reads_the_keyword_after_comments(self, capsys, tmp_path):
+        # The comment glued to 'omega' still leaves a database header.
+        bad = tmp_path / "glued.db"
+        bad.write_text("omega# note\n")
+        code, out, err = run(capsys, "dump", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {bad}:1: 'omega' expects one count (at 'omega')\n"
+
 
 class TestMapLineErrors:
     """A bad ``map`` line in a model file is reported as ``file:line: message``."""

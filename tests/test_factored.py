@@ -12,6 +12,7 @@ from factoredsets import (
     Partition,
     ValidationError,
     characteristic_polynomial,
+    cond_orthogonal_given_subset,
     count_factorizations,
     data_path,
     enumerate_factorizations,
@@ -170,6 +171,30 @@ class TestChimera:
         with pytest.raises(ValidationError) as caught:
             call(ex1, bad)
         assert repr(bad) in str(caught.value)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda ex1: ex1.fs.ground.check_index(1.5),
+            lambda ex1: event_partition(ex1.fs, [1.5]),
+            lambda ex1: Partition.from_blocks(GroundSet(4), [[0, 1.5], [1, 2, 3]]),
+            lambda ex1: ex1.X.restrict([1.0, 2]),
+            lambda ex1: Partition.from_block_of(GroundSet(4), {0: 0, 1.5: 1}),
+            lambda ex1: ex1.fs.chimera([1.5, 0]),
+            lambda ex1: characteristic_polynomial(ex1.fs, [1.0]),
+            lambda ex1: cond_orthogonal_given_subset(ex1.fs, ex1.X, ex1.V, [1.0]),
+            lambda ex1: observes_event(ex1.fs, ex1.X, [2.0], ex1.Y),
+        ],
+        ids=[
+            "check_index", "event_partition", "from_blocks", "restrict",
+            "from_block_of", "chimera", "characteristic_polynomial",
+            "cond_orthogonal_given_subset", "observes_event",
+        ],
+    )
+    def test_numbers_that_are_not_integers(self, ex1, call):
+        # 1.5 and 1.0 compare with 0 and 4, but no element has them as index.
+        with pytest.raises(ValidationError, match="integer|block #0"):
+            call(ex1)
 
     def test_unique_element_agreeing_factorwise(self):
         # The splice is the only element matching the assignment on every factor.

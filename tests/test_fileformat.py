@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from factoredsets import (
+    FactoredSet,
     GroundSet,
     ValidationError,
     data_path,
@@ -15,7 +17,13 @@ from factoredsets import (
     parse_factored_set_text,
     resolve_model,
 )
-from factoredsets.fileformat import ParseError
+from factoredsets.fileformat import (
+    FactoredSetFile,
+    ParseError,
+    _header_line,
+    _named_partition,
+    meaningful_lines,
+)
 
 
 EX1_TEXT = """\
@@ -83,6 +91,147 @@ class TestFactoredSetFiles:
             parse_factored_set_text(
                 "set 2\nfactor A { 0 | 1 }\nlabels a b\n"
             )
+
+    def test_duplicate_factor_named_at_its_line(self):
+        with pytest.raises(ParseError) as exc:
+            parse_factored_set_text(
+                "set 4\nfactor X { 0 1 | 2 3 }\nfactor V { 0 2 | 1 3 }\n"
+                "factor Y { 2 3 | 0 1 }\n"
+            )
+        assert str(exc.value) == "<string>:4: factor 'Y' duplicates factor 'X'"
+        assert exc.value.lineno == 4
+
+    def test_first_error_in_file_order_wins(self):
+        # The duplicate factor on line 3 comes before the unknown keyword.
+        with pytest.raises(ParseError) as exc:
+            parse_factored_set_text(
+                "set 4\nfactor X { 0 1 | 2 3 }\nfactor Y { 0 1 | 2 3 }\n"
+                "factor V { 0 2 | 1 3 }\nbogus line\n"
+            )
+        assert exc.value.lineno == 3
+        assert "duplicates factor 'X'" in str(exc.value)
+
+    def test_labels_after_a_map_line_rejected(self):
+        with pytest.raises(ParseError, match="before any partitions") as exc:
+            parse_factored_set_text("set 2\nmap 0 -> 0\nlabels a b\n")
+        assert exc.value.lineno == 3
+
+
+def reference_parse_factored_set_text(
+    text: str, origin: str = "<string>"
+) -> FactoredSetFile:
+    """The factored-set parser as two passes: read every line, then assemble.
+
+    The oracle for the one-pass parser: on any text with at most one error
+    the two give equal results or the same error.
+    """
+    ground = None
+    body_started = False
+    factor_decls = []
+    named = {}
+    map_pairs = []
+    map_lines = []
+    for lineno, line in meaningful_lines(text):
+        tokens = line.split()
+        keyword = tokens[0]
+        try:
+            if keyword in ("set", "labels"):
+                ground = _header_line(origin, lineno, tokens, "set", ground, body_started)
+            elif ground is None:
+                raise ParseError(origin, lineno, "'set N' must come first")
+            elif keyword in ("factor", "partition"):
+                body_started = True
+                name, part = _named_partition(origin, lineno, line, ground, named)
+                if keyword == "factor":
+                    factor_decls.append((name, part, lineno))
+            elif keyword == "map":
+                body_started = True
+                if len(tokens) != 4 or tokens[2] != "->":
+                    raise ParseError(origin, lineno, "'map' expects 'map FROM -> TO'")
+                map_pairs.append((tokens[1], tokens[3]))
+                map_lines.append(lineno)
+            else:
+                raise ParseError(origin, lineno, f"unknown keyword {keyword!r}", keyword)
+        except ValidationError as exc:
+            raise ParseError(origin, lineno, str(exc)) from None
+    if ground is None:
+        raise ParseError(origin, 1, "missing 'set N' line")
+
+    by_part = {}
+    for name, part, lineno in factor_decls:
+        if part in by_part:
+            raise ParseError(
+                origin, lineno, f"factor {name!r} duplicates factor {by_part[part]!r}"
+            )
+        by_part[part] = name
+    try:
+        fs = FactoredSet(ground, [p for _, p, _ in factor_decls])
+    except ValidationError as exc:
+        raise ParseError(origin, 1, f"invalid factorization: {exc}") from None
+    return FactoredSetFile(
+        fs=fs,
+        factor_names=tuple(by_part[p] for p in fs.factors),
+        partitions=named,
+        map_pairs=tuple(map_pairs) if map_pairs else None,
+        map_lines=tuple(map_lines),
+        origin=origin,
+    )
+
+
+BUNDLED_FFS = (
+    "ex1.ffs", "ex2-model.ffs", "newcomb-transparent.ffs", "counterfactual-mugging.ffs"
+)
+
+
+STRAY_TOKENS = ["bogus", "{", "}", "|", "_", "!", "->", "#", "0", "3"]
+
+
+def mutate(rng: random.Random, text: str) -> str:
+    """Delete, duplicate, or replace one token of one line of ``text``."""
+    lines = text.splitlines()
+    i = rng.randrange(len(lines))
+    kind = rng.choice(("delete", "duplicate", "token"))
+    if kind == "delete":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    else:
+        tokens = lines[i].split()
+        if tokens:
+            tokens[rng.randrange(len(tokens))] = rng.choice(text.split() + STRAY_TOKENS)
+        lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def outcome(parse, text: str):
+    try:
+        return parse(text, "mutant.ffs")
+    except ParseError as exc:
+        return str(exc)
+
+
+class TestOnePassParserOracle:
+    """The one-pass parser agrees with the two-pass reference."""
+
+    @pytest.mark.parametrize("name", BUNDLED_FFS)
+    def test_bundled_files(self, name):
+        text = data_path(name).read_text()
+        got = parse_factored_set_text(text, name)
+        assert got == reference_parse_factored_set_text(text, name)
+
+    def test_seeded_single_line_mutations(self):
+        rng = random.Random(1013)
+        texts = [data_path(name).read_text() for name in BUNDLED_FFS]
+        parsed = errors = 0
+        for _ in range(800):
+            text = mutate(rng, rng.choice(texts))
+            expected = outcome(reference_parse_factored_set_text, text)
+            assert outcome(parse_factored_set_text, text) == expected, text
+            if isinstance(expected, str):
+                errors += 1
+            else:
+                parsed += 1
+        assert parsed > 100 and errors > 100
 
 
 class TestModelResolution:

@@ -255,6 +255,17 @@ class TestEnumeration:
         for c in iter_coarsenings(p):
             assert p.refines(c)
 
+    def test_coarsenings_come_in_key_order(self):
+        rng = random.Random(613)
+        parts = [p for n in range(8) for p in iter_partitions(GroundSet(n))]
+        for _ in range(300):
+            g = GroundSet(rng.randint(1, 9))
+            dom = [e for e in g.elements() if rng.random() < 0.7]
+            parts.append(Partition.from_block_of(g, {e: rng.randrange(4) for e in dom}))
+        for p in parts:
+            coarsenings = list(iter_coarsenings(p))
+            assert coarsenings == sorted(coarsenings, key=lambda c: c.key)
+
 
 class TestPartitionOfRank:
     def test_matches_the_enumeration_order(self):
