@@ -469,50 +469,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("count-fact", help="count the factorizations of an n-element set")
-    p.add_argument("n", type=int)
-    p.set_defaults(handler=_cmd_count_fact)
+    def command(name, handler, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("enum-fact", help="list the factorizations of an n-element set")
+    p = command("count-fact", _cmd_count_fact, "count the factorizations of an n-element set")
+    p.add_argument("n", type=int)
+
+    p = command("enum-fact", _cmd_enum_fact, "list the factorizations of an n-element set")
     p.add_argument("n", type=int)
     p.add_argument("--limit", type=int, default=None)
-    p.set_defaults(handler=_cmd_enum_fact)
 
-    p = sub.add_parser("history", help="smallest factor set generating a partition")
+    p = command("history", _cmd_history, "smallest factor set generating a partition")
     p.add_argument("file")
     p.add_argument("--partition", required=True)
-    p.set_defaults(handler=_cmd_history)
 
-    p = sub.add_parser("orth", help="orthogonality of two named partitions")
+    p = command("orth", _cmd_orth, "orthogonality of two named partitions")
     p.add_argument("file")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--given", help="conditioning partition name")
     p.add_argument("--event", help="conditioning event, e.g. \"00 01\"")
-    p.set_defaults(handler=_cmd_orth)
 
-    p = sub.add_parser("before", help="temporal comparison of two named partitions")
+    p = command("before", _cmd_before, "temporal comparison of two named partitions")
     p.add_argument("file")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--given-event", dest="given_event")
-    p.set_defaults(handler=_cmd_before)
 
-    p = sub.add_parser("poly", help="characteristic polynomial of an event")
+    p = command("poly", _cmd_poly, "characteristic polynomial of an event")
     p.add_argument("file")
     p.add_argument("--event", required=True)
     p.add_argument("--factor", action="store_true", help="factor into irreducibles")
-    p.set_defaults(handler=_cmd_poly)
 
-    p = sub.add_parser("prob", help="exact probability of an event under weights")
+    p = command("prob", _cmd_prob, "exact probability of an event under weights")
     p.add_argument("file")
     p.add_argument("dist")
     p.add_argument("--event", required=True)
-    p.set_defaults(handler=_cmd_prob)
 
-    p = sub.add_parser(
-        "ft-verify",
-        help="sweep orthogonality vs. polynomial identity vs. sampled independence",
+    p = command(
+        "ft-verify", _cmd_ft_verify,
+        "sweep orthogonality vs. polynomial identity vs. sampled independence",
     )
     p.add_argument("--max-size", type=int, default=4, dest="max_size")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -521,52 +519,41 @@ def build_parser() -> argparse.ArgumentParser:
         "--sample", type=int, default=None,
         help="cap on partition triples per factorization (default: exhaustive)",
     )
-    p.set_defaults(handler=_cmd_ft_verify)
 
-    p = sub.add_parser("check-model", help="check a model file against a database")
+    p = command("check-model", _cmd_check_model, "check a model file against a database")
     p.add_argument("--model", required=True)
     p.add_argument("--db", required=True)
-    p.set_defaults(handler=_cmd_check_model)
 
-    p = sub.add_parser("infer", help="temporal inference over all models within bounds")
-    p.add_argument("--db", required=True)
-    p.add_argument("--before", nargs=2, metavar=("A", "B"), required=True)
-    p.add_argument("--max-size", type=int, required=True, dest="max_size")
-    p.add_argument("--max-dim", type=int, default=None, dest="max_dim")
-    p.add_argument("--surjective", action="store_true")
-    p.add_argument("--time-budget", type=float, default=None, dest="time_budget")
-    p.add_argument(
+    infer = command("infer", _cmd_infer, "temporal inference over all models within bounds")
+    infer.add_argument("--db", required=True)
+    infer.add_argument("--before", nargs=2, metavar=("A", "B"), required=True)
+    consistent = command("consistent", _cmd_consistent, "search for any model of a database")
+    consistent.add_argument("--db", required=True)
+    for p in (infer, consistent):
+        p.add_argument("--max-size", type=int, required=True, dest="max_size")
+        p.add_argument("--max-dim", type=int, default=None, dest="max_dim")
+        p.add_argument("--surjective", action="store_true")
+        p.add_argument("--time-budget", type=float, default=None, dest="time_budget")
+    infer.add_argument(
         "--non-strict", action="store_true",
         help="test history containment instead of strict containment",
     )
-    p.set_defaults(handler=_cmd_infer)
 
-    p = sub.add_parser("consistent", help="search for any model of a database")
-    p.add_argument("--db", required=True)
-    p.add_argument("--max-size", type=int, required=True, dest="max_size")
-    p.add_argument("--max-dim", type=int, default=None, dest="max_dim")
-    p.add_argument("--surjective", action="store_true")
-    p.add_argument("--time-budget", type=float, default=None, dest="time_budget")
-    p.set_defaults(handler=_cmd_consistent)
-
-    p = sub.add_parser("observes", help="observation predicates for an agent partition")
+    p = command("observes", _cmd_observes, "observation predicates for an agent partition")
     p.add_argument("file")
     p.add_argument("--agent", required=True)
     p.add_argument("--event")
     p.add_argument("--partition")
     p.add_argument("--world", required=True)
     p.add_argument("--budget", type=int, default=1_000_000)
-    p.set_defaults(handler=_cmd_observes)
 
-    p = sub.add_parser("counterfactable", help="counterfactability of a partition")
+    p = command("counterfactable", _cmd_counterfactable, "counterfactability of a partition")
     p.add_argument("file")
     p.add_argument("partition")
     p.add_argument("--relative-to", dest="relative_to")
-    p.set_defaults(handler=_cmd_counterfactable)
 
-    p = sub.add_parser("dump", help="re-emit a file in canonical form")
+    p = command("dump", _cmd_dump, "re-emit a file in canonical form")
     p.add_argument("file")
-    p.set_defaults(handler=_cmd_dump)
 
     # One --format, before or after the subcommand.  A subcommand's copy sets
     # nothing unless given, so it never overwrites a leading --format.

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .partitions import (
@@ -131,8 +131,16 @@ class FactoredSet:
         return (1 << len(self.factors)) - 1
 
     def mask_indices(self, mask: int) -> tuple[int, ...]:
+        """Factor indices of ``mask``, ascending; checked on a cache miss only."""
         got = self._mask_bits.get(mask)
         if got is None:
+            try:
+                if not 0 <= index(mask) <= self.full_mask:
+                    raise ValidationError(
+                        f"factor mask {mask} out of range 0..{self.full_mask}"
+                    )
+            except TypeError:
+                raise ValidationError(f"factor mask {mask!r} is not an integer") from None
             got = self._mask_bits[mask] = tuple(iter_bits(mask))
         return got
 

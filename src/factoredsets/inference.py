@@ -40,7 +40,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import and_
+from operator import and_, index
 from typing import Iterator, Mapping, Sequence
 
 from .factored import (
@@ -119,17 +119,18 @@ class Model:
         object.__setattr__(self, "labeling", tuple(self.labeling))
         if len(self.labeling) != self.factored.size:
             raise ValidationError("labeling must cover every element")
-        if any(not 0 <= w < self.omega.n for w in self.labeling):
-            raise ValidationError("labeling target out of range")
+        try:
+            if any(not 0 <= index(w) < self.omega.n for w in self.labeling):
+                raise ValidationError("labeling target out of range")
+        except TypeError:
+            raise ValidationError("labeling targets must be integers") from None
 
 
 def pullback(model: Model, part: Partition) -> Partition:
     """Preimage partition on the model's elements; empty preimages vanish."""
     require_full(model.omega, part)
-    block_of = part.block_of
-    labeling = model.labeling
-    owner = {s: block_of[labeling[s]] for s in range(model.factored.size)}
-    return Partition.from_block_of(model.factored.ground, owner)
+    pulled = map(part.block_ids.__getitem__, model.labeling)  # as in ``_GridCheck``
+    return Partition.from_block_of(model.factored.ground, dict(enumerate(pulled)))
 
 
 class _GridCheck:

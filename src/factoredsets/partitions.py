@@ -81,6 +81,9 @@ class GroundSet:
         return range(self.n)
 
 
+_NOT_INTEGERS = "domain and block ids must be integers"
+
+
 @dataclass(frozen=True)
 class Partition:
     """A partition of a subset of a ground set, in canonical form.
@@ -102,7 +105,7 @@ class Partition:
         prev = -1
         seen = 0
         try:
-            for e, b in zip(map(index, dom), ids):
+            for e, b in zip(map(index, dom), map(index, ids)):
                 if e <= prev or not 0 <= e < self.ground.n:
                     raise ValidationError(
                         "domain must be strictly increasing and in range"
@@ -115,7 +118,7 @@ class Partition:
                 if b == seen:
                     seen += 1
         except TypeError:
-            raise ValidationError("domain and block ids must be integers") from None
+            raise ValidationError(_NOT_INTEGERS) from None
 
     # -- constructors -----------------------------------------------------
 
@@ -151,7 +154,10 @@ class Partition:
     @classmethod
     def from_block_of(cls, ground: GroundSet, owner: Mapping[int, int]) -> "Partition":
         """Canonicalize an element-to-block-key map (keys may be anything hashable)."""
-        domain = tuple(sorted(owner))
+        try:
+            domain = tuple(sorted(owner))
+        except TypeError:  # an element that does not compare with the others
+            raise ValidationError(_NOT_INTEGERS) from None
         relabel: dict[object, int] = {}
         ids = [relabel.setdefault(owner[e], len(relabel)) for e in domain]
         return cls(ground, domain, tuple(ids))
@@ -339,8 +345,11 @@ def partition_of_rank(ground: GroundSet, rank: int) -> Partition:
     ``T(r, m) = m T(r - 1, m) + T(r - 1, m + 1)``.
     """
     n = ground.n
-    if not 0 <= rank < bell_number(n):
-        raise ValidationError(f"rank {rank} out of range for {n} elements")
+    try:
+        if not 0 <= index(rank) < bell_number(n):
+            raise ValidationError(f"rank {rank} out of range for {n} elements")
+    except TypeError:
+        raise ValidationError(f"rank {rank!r} is not an integer") from None
     table = [[1] * (n + 2)]
     for _ in range(1, n):
         prev = table[-1]

@@ -25,6 +25,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import getitem
 from typing import Iterable, Mapping, Sequence
 
 from .factored import FactoredSet
@@ -53,15 +54,13 @@ def _scaled_row(row: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     return tuple(w.numerator * (scale // w.denominator) for w in row), scale
 
 
-def _element_masses(fs: FactoredSet, rows: _IntRows) -> list[int]:
-    """Point masses from integer weight rows, one positive scale off the true ones."""
-    masses = []
-    for coord in fs.coords:
-        m = 1
-        for row, b in zip(rows, coord):
-            m *= row[b]
-        masses.append(m)
-    return masses
+def _masses(rows: Sequence[Sequence], coords: Iterable[tuple[int, ...]]) -> list:
+    """Per coordinate row, the product of the weights of its blocks.
+
+    Integer rows give point masses one positive scale off the true ones;
+    a dimension-0 set's one empty coordinate row gets the int 1.
+    """
+    return [math.prod(map(getitem, rows, coord)) for coord in coords]
 
 
 def _independent(masses: Sequence[int], x: Partition, y: Partition, z: Partition) -> bool:
@@ -97,18 +96,11 @@ class FactoredDistribution:
 
     @classmethod
     def uniform(cls, fs: FactoredSet) -> "FactoredDistribution":
-        return cls(
-            fs,
-            tuple(
-                (Fraction(1, p.block_count),) * p.block_count for p in fs.factors
-            ),
-        )
+        return _normalized(fs, tuple((1,) * p.block_count for p in fs.factors))
 
     def point_mass(self, s: int) -> Fraction:
-        mass = Fraction(1)
-        for j, b in enumerate(self.fs.coords[self.fs.ground.check_index(s)]):
-            mass *= self.weights[j][b]
-        return mass
+        coord = self.fs.coords[self.fs.ground.check_index(s)]
+        return Fraction(_masses(self.weights, [coord])[0])
 
     def as_assignment(self) -> dict[VarId, Fraction]:
         """Weights keyed by polynomial variable id."""
@@ -119,7 +111,7 @@ class FactoredDistribution:
         }
 
     def as_table(self) -> tuple[Fraction, ...]:
-        return tuple(self.point_mass(s) for s in range(self.fs.size))
+        return tuple(map(Fraction, _masses(self.weights, self.fs.coords)))
 
 
 def prob(fs: FactoredSet, dist: FactoredDistribution, elements: Iterable[int]) -> Fraction:
@@ -136,9 +128,13 @@ def is_distribution_on_factored_set(
 
     Checks nonnegativity, total mass one, and that every point mass equals
     the product of its factor-block probabilities (block probability being
-    the sum of the masses in the block).
+    the sum of the masses in the block).  A table must hold exactly one
+    mass per element, keyed ``0..size-1`` if it is a mapping.
     """
-    masses = [Fraction(table[s]) for s in range(fs.size)]
+    n = fs.size
+    if len(table) != n or isinstance(table, Mapping) and table.keys() != set(range(n)):
+        raise ValidationError(f"expected one point mass per element, {n} in all")
+    masses = [Fraction(table[s]) for s in range(n)]
     if any(m < 0 for m in masses):
         return False
     if sum(masses, Fraction(0)) != 1:
@@ -147,13 +143,7 @@ def is_distribution_on_factored_set(
         [sum((masses[e] for e in blk), Fraction(0)) for blk in p.block_sets]
         for p in fs.factors
     ]
-    for s in range(fs.size):
-        product = Fraction(1)
-        for j, b in enumerate(fs.coords[s]):
-            product *= block_prob[j][b]
-        if product != masses[s]:
-            return False
-    return True
+    return _masses(block_prob, fs.coords) == masses
 
 
 def conditional_independence_holds(
@@ -170,7 +160,7 @@ def conditional_independence_holds(
     """
     require_full(fs.ground, x, y, z)
     rows = tuple(_scaled_row(row)[0] for row in dist.weights)
-    return _independent(_element_masses(fs, rows), x, y, z)
+    return _independent(_masses(rows, fs.coords), x, y, z)
 
 
 def _draw_rows(fs: FactoredSet, rng: random.Random, max_weight: int) -> _IntRows:
@@ -247,7 +237,7 @@ def fundamental_theorem_check(
     witness = None
     for _ in range(trials):
         rows = _draw_rows(fs, rng, _WEIGHT_RANGE)
-        if _independent(_element_masses(fs, rows), x, y, z):
+        if _independent(_masses(rows, fs.coords), x, y, z):
             independent += 1
         elif witness is None:
             witness = _normalized(fs, rows)

@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 import os
@@ -809,3 +810,145 @@ class TestDump:
             code, again, _ = run(capsys, "dump", str(resaved))
             assert code == 0
             assert again == out
+
+
+def _statement_per_handler_parser():
+    """The parser as declared one ``set_defaults`` per subcommand, kept as an oracle."""
+    parser = argparse.ArgumentParser(
+        prog="factoredsets",
+        description="Factored-set queries, verification sweeps, and bounded temporal inference.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("count-fact", help="count the factorizations of an n-element set")
+    p.add_argument("n", type=int)
+    p.set_defaults(handler=cli._cmd_count_fact)
+
+    p = sub.add_parser("enum-fact", help="list the factorizations of an n-element set")
+    p.add_argument("n", type=int)
+    p.add_argument("--limit", type=int, default=None)
+    p.set_defaults(handler=cli._cmd_enum_fact)
+
+    p = sub.add_parser("history", help="smallest factor set generating a partition")
+    p.add_argument("file")
+    p.add_argument("--partition", required=True)
+    p.set_defaults(handler=cli._cmd_history)
+
+    p = sub.add_parser("orth", help="orthogonality of two named partitions")
+    p.add_argument("file")
+    p.add_argument("a")
+    p.add_argument("b")
+    p.add_argument("--given", help="conditioning partition name")
+    p.add_argument("--event", help="conditioning event, e.g. \"00 01\"")
+    p.set_defaults(handler=cli._cmd_orth)
+
+    p = sub.add_parser("before", help="temporal comparison of two named partitions")
+    p.add_argument("file")
+    p.add_argument("a")
+    p.add_argument("b")
+    p.add_argument("--given-event", dest="given_event")
+    p.set_defaults(handler=cli._cmd_before)
+
+    p = sub.add_parser("poly", help="characteristic polynomial of an event")
+    p.add_argument("file")
+    p.add_argument("--event", required=True)
+    p.add_argument("--factor", action="store_true", help="factor into irreducibles")
+    p.set_defaults(handler=cli._cmd_poly)
+
+    p = sub.add_parser("prob", help="exact probability of an event under weights")
+    p.add_argument("file")
+    p.add_argument("dist")
+    p.add_argument("--event", required=True)
+    p.set_defaults(handler=cli._cmd_prob)
+
+    p = sub.add_parser(
+        "ft-verify",
+        help="sweep orthogonality vs. polynomial identity vs. sampled independence",
+    )
+    p.add_argument("--max-size", type=int, default=4, dest="max_size")
+    p.add_argument("--seed", type=int, default=cli.DEFAULT_SEED)
+    p.add_argument("--trials", type=int, default=5)
+    p.add_argument(
+        "--sample", type=int, default=None,
+        help="cap on partition triples per factorization (default: exhaustive)",
+    )
+    p.set_defaults(handler=cli._cmd_ft_verify)
+
+    p = sub.add_parser("check-model", help="check a model file against a database")
+    p.add_argument("--model", required=True)
+    p.add_argument("--db", required=True)
+    p.set_defaults(handler=cli._cmd_check_model)
+
+    p = sub.add_parser("infer", help="temporal inference over all models within bounds")
+    p.add_argument("--db", required=True)
+    p.add_argument("--before", nargs=2, metavar=("A", "B"), required=True)
+    p.add_argument("--max-size", type=int, required=True, dest="max_size")
+    p.add_argument("--max-dim", type=int, default=None, dest="max_dim")
+    p.add_argument("--surjective", action="store_true")
+    p.add_argument("--time-budget", type=float, default=None, dest="time_budget")
+    p.add_argument(
+        "--non-strict", action="store_true",
+        help="test history containment instead of strict containment",
+    )
+    p.set_defaults(handler=cli._cmd_infer)
+
+    p = sub.add_parser("consistent", help="search for any model of a database")
+    p.add_argument("--db", required=True)
+    p.add_argument("--max-size", type=int, required=True, dest="max_size")
+    p.add_argument("--max-dim", type=int, default=None, dest="max_dim")
+    p.add_argument("--surjective", action="store_true")
+    p.add_argument("--time-budget", type=float, default=None, dest="time_budget")
+    p.set_defaults(handler=cli._cmd_consistent)
+
+    p = sub.add_parser("observes", help="observation predicates for an agent partition")
+    p.add_argument("file")
+    p.add_argument("--agent", required=True)
+    p.add_argument("--event")
+    p.add_argument("--partition")
+    p.add_argument("--world", required=True)
+    p.add_argument("--budget", type=int, default=1_000_000)
+    p.set_defaults(handler=cli._cmd_observes)
+
+    p = sub.add_parser("counterfactable", help="counterfactability of a partition")
+    p.add_argument("file")
+    p.add_argument("partition")
+    p.add_argument("--relative-to", dest="relative_to")
+    p.set_defaults(handler=cli._cmd_counterfactable)
+
+    p = sub.add_parser("dump", help="re-emit a file in canonical form")
+    p.add_argument("file")
+    p.set_defaults(handler=cli._cmd_dump)
+
+    # One --format, before or after the subcommand.  A subcommand's copy sets
+    # nothing unless given, so it never overwrites a leading --format.
+    for p in (parser, *sub.choices.values()):
+        p.add_argument(
+            "--format", choices=("text", "structured"),
+            default="text" if p is parser else argparse.SUPPRESS,
+            help="output format; 'structured' is deterministic JSON",
+        )
+    return parser
+
+
+def _parser_facts(parser):
+    """Help text, actions and handler of a parser and of each subcommand."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    facts = []
+    for name, p in [("", parser), *sub.choices.items()]:
+        actions = [
+            (a.option_strings, a.dest, a.default, a.required, a.nargs, a.type,
+             None if a.choices is None else list(a.choices))
+            for a in p._actions
+        ]
+        facts.append((name, p.format_help(), actions, p.get_default("handler")))
+    return facts
+
+
+class TestParserOracle:
+    def test_same_help_actions_and_handlers(self):
+        old = _parser_facts(_statement_per_handler_parser())
+        new = _parser_facts(cli.build_parser())
+        assert len(new) == 15
+        assert [f[0] for f in new] == [f[0] for f in old]
+        for got, want in zip(new, old):
+            assert got == want

@@ -18,10 +18,13 @@ from factoredsets import (
     enumerate_factorizations,
     event_partition,
     factor_size_multisets,
+    generates,
     load_distribution_file,
     observes_event,
+    restricted_polynomial,
     trivial_factorization,
 )
+from factoredsets.partitions import partition_of_rank
 from factoredsets.factored import _iter_grids, mixed_radix_strides
 from conftest import assert_splice_identities, random_factored_set
 
@@ -184,17 +187,43 @@ class TestChimera:
             lambda ex1: characteristic_polynomial(ex1.fs, [1.0]),
             lambda ex1: cond_orthogonal_given_subset(ex1.fs, ex1.X, ex1.V, [1.0]),
             lambda ex1: observes_event(ex1.fs, ex1.X, [2.0], ex1.Y),
+            lambda ex1: Partition(GroundSet(4), (0, 1), (0, 0.5)),
+            lambda ex1: Partition.from_block_of(GroundSet(4), {0: 0, "a": 1}),
+            lambda ex1: partition_of_rank(GroundSet(3), 1.5),
         ],
         ids=[
             "check_index", "event_partition", "from_blocks", "restrict",
             "from_block_of", "chimera", "characteristic_polynomial",
-            "cond_orthogonal_given_subset", "observes_event",
+            "cond_orthogonal_given_subset", "observes_event", "block_ids",
+            "from_block_of_key", "partition_of_rank",
         ],
     )
     def test_numbers_that_are_not_integers(self, ex1, call):
         # 1.5 and 1.0 compare with 0 and 4, but no element has them as index.
         with pytest.raises(ValidationError, match="integer|block #0"):
             call(ex1)
+
+    @pytest.mark.parametrize("mask", [-1, 4, 8, 1.5])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda ex1, mask: ex1.fs.mask_indices(mask),
+            lambda ex1, mask: ex1.fs.factors_of_mask(mask),
+            lambda ex1, mask: ex1.fs.chimera_pair(mask, 0, 3),
+            lambda ex1, mask: ex1.fs.chimera_set(mask, [0], [1]),
+            lambda ex1, mask: restricted_polynomial(ex1.fs, mask, [0, 1]),
+            lambda ex1, mask: generates(ex1.fs, mask, ex1.X),
+        ],
+        ids=[
+            "mask_indices", "factors_of_mask", "chimera_pair", "chimera_set",
+            "restricted_polynomial", "generates",
+        ],
+    )
+    def test_factor_masks_outside_the_factor_set(self, ex1, call, mask):
+        # A negative mask has infinitely many set bits, and bits past the
+        # last factor name no factor; ex1's full mask is 3.
+        with pytest.raises(ValidationError, match=rf"^factor mask {mask} "):
+            call(ex1, mask)
 
     def test_unique_element_agreeing_factorwise(self):
         # The splice is the only element matching the assignment on every factor.

@@ -114,6 +114,41 @@ class TestPullback:
                 assert history(fs, pulled.restrict(y_block)) == expected
 
 
+def _dict_pullback(model, part):
+    """The owner-dict pull-back that ``pullback`` replaced, kept as its oracle."""
+    block_of = part.block_of
+    labeling = model.labeling
+    owner = {s: block_of[labeling[s]] for s in range(model.factored.size)}
+    return Partition.from_block_of(model.factored.ground, owner)
+
+
+class TestPullbackOracle:
+    def assert_same_pullbacks(self, model, db):
+        for name in (*db.partitions, "_", "!"):
+            part = db.resolve(name)
+            assert pullback(model, part) == _dict_pullback(model, part)
+
+    def test_every_model_of_ex1_up_to_six(self, ex1):
+        models = list(search_models(ex1.db, SearchBounds(max_size=6)))
+        assert len(models) == 65
+        for model in models:
+            self.assert_same_pullbacks(model, ex1.db)
+
+    def test_the_bundled_ex2_model(self, ex2):
+        self.assert_same_pullbacks(ex2.model, ex2.db)
+
+
+class TestModel:
+    def test_labels_must_be_integers(self, ex1):
+        with pytest.raises(ValidationError, match="^labeling targets must be integers$"):
+            Model(ex1.fs, (1.5, 0, 1, 2), ex1.db.omega)
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_labels_must_be_observations(self, ex1, bad):
+        with pytest.raises(ValidationError, match="^labeling target out of range$"):
+            Model(ex1.fs, (bad, 0, 1, 2), ex1.db.omega)
+
+
 class TestModelsDatabase:
     def test_identity_model_of_the_two_bit_db(self, ex1):
         db = _two_bit_db()

@@ -22,6 +22,7 @@ from factoredsets import (
     iter_partitions,
     prob,
     random_distribution,
+    trivial_factorization,
 )
 from conftest import mixed_random_partition, random_factored_set, random_subset
 
@@ -130,6 +131,131 @@ class TestIsDistributionOnFactoredSet:
         assert not is_distribution_on_factored_set(
             ex1.fs, (Fraction(3, 2), Fraction(-1, 2), Fraction(0), Fraction(0))
         )
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            [Fraction(1, 4)] * 4 + [Fraction(0)],
+            {**dict.fromkeys(range(4), Fraction(1, 4)), 7: 0},
+            [Fraction(1, 3)] * 3,
+            {0: H, 1: Fraction(0), 3: H},
+        ],
+        ids=["five-entries", "extra-key", "three-entries", "missing-key"],
+    )
+    def test_tables_for_another_set_are_refused(self, ex1, table):
+        message = "^expected one point mass per element, 4 in all$"
+        with pytest.raises(ValidationError, match=message):
+            is_distribution_on_factored_set(ex1.fs, table)
+
+
+# The per-element product loops that ``_masses`` replaced, kept as oracles.
+
+
+def _loop_point_mass(dist, s):
+    mass = Fraction(1)
+    for j, b in enumerate(dist.fs.coords[dist.fs.ground.check_index(s)]):
+        mass *= dist.weights[j][b]
+    return mass
+
+
+def _loop_as_table(dist):
+    return tuple(_loop_point_mass(dist, s) for s in range(dist.fs.size))
+
+
+def _loop_uniform(fs):
+    return FactoredDistribution(
+        fs, tuple((Fraction(1, p.block_count),) * p.block_count for p in fs.factors)
+    )
+
+
+def _loop_is_distribution(fs, table):
+    masses = [Fraction(table[s]) for s in range(fs.size)]
+    if any(m < 0 for m in masses):
+        return False
+    if sum(masses, Fraction(0)) != 1:
+        return False
+    block_prob = [
+        [sum((masses[e] for e in blk), Fraction(0)) for blk in p.block_sets]
+        for p in fs.factors
+    ]
+    for s in range(fs.size):
+        product = Fraction(1)
+        for j, b in enumerate(fs.coords[s]):
+            product *= block_prob[j][b]
+        if product != masses[s]:
+            return False
+    return True
+
+
+SMALL_FACTORIZATIONS = [fs for n in range(1, 7) for fs in enumerate_factorizations(n)]
+
+
+def _distributions(fs, rng):
+    """Uniform, three seeded draws, and three kinds of rows with zeros."""
+    yield FactoredDistribution.uniform(fs)
+    for _ in range(3):
+        yield random_distribution(fs, rng)
+    ks = [p.block_count for p in fs.factors]
+    yield FactoredDistribution(fs, tuple((1,) + (0,) * (k - 1) for k in ks))
+    yield FactoredDistribution(fs, tuple((0,) * (k - 1) + (1,) for k in ks))
+    yield FactoredDistribution(
+        fs, tuple(tuple(Fraction(2 * b, k * (k - 1)) for b in range(k)) for k in ks)
+    )
+
+
+def _perturbed(table, other, rng):
+    """The table, edits of it that may leave the product form, and a mixture."""
+    yield table
+    yield dict(enumerate(table))
+    yield tuple(2 * m for m in table)
+    if len(table) > 1:
+        i, j = rng.sample(range(len(table)), 2)
+        swapped = list(table)
+        swapped[i], swapped[j] = table[j], table[i]
+        yield swapped
+        moved = list(table)
+        step = Fraction(1, rng.randint(2, 50))
+        moved[i] += step
+        moved[j] -= step
+        yield moved
+    yield [(a + b) / 2 for a, b in zip(table, other)]
+
+
+class TestMassesAgainstTheLoops:
+    def test_point_masses_tables_and_uniform(self):
+        rng = random.Random(101)
+        for fs in SMALL_FACTORIZATIONS:
+            assert FactoredDistribution.uniform(fs) == _loop_uniform(fs)
+            for dist in _distributions(fs, rng):
+                table = dist.as_table()
+                assert table == _loop_as_table(dist)
+                assert all(type(m) is Fraction for m in table)
+                for s in range(fs.size):
+                    mass = dist.point_mass(s)
+                    assert type(mass) is Fraction
+                    assert mass == _loop_point_mass(dist, s)
+                assert is_distribution_on_factored_set(fs, table)
+
+    def test_dimension_zero(self):
+        fs = trivial_factorization(GroundSet(1))
+        dist = FactoredDistribution.uniform(fs)
+        assert fs.dim == 0 and dist == _loop_uniform(fs)
+        assert dist.as_table() == (Fraction(1),) == _loop_as_table(dist)
+        assert type(dist.as_table()[0]) is Fraction
+        assert type(dist.point_mass(0)) is Fraction
+
+    def test_perturbed_tables_get_the_loop_verdict(self):
+        rng = random.Random(103)
+        verdicts = {True: 0, False: 0}
+        for fs in SMALL_FACTORIZATIONS:
+            dists = list(_distributions(fs, rng))
+            for dist in dists:
+                other = rng.choice(dists).as_table()
+                for table in _perturbed(dist.as_table(), other, rng):
+                    got = is_distribution_on_factored_set(fs, table)
+                    assert got == _loop_is_distribution(fs, table)
+                    verdicts[got] += 1
+        assert min(verdicts.values()) > 100
 
 
 def _table_independence(dist, x, y, z):
