@@ -590,16 +590,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     elapsed = time.perf_counter() - started
 
-    inputs = {}
-    for attr in _INPUT_ARGS:
-        path = getattr(args, attr, None)
-        if path is not None:
-            try:
-                inputs[path] = _digest(path)
-            except OSError:
-                inputs[path] = None
-
     if args.format == "structured":
+        inputs = {}
+        for attr in _INPUT_ARGS:
+            path = getattr(args, attr, None)
+            if path is not None:
+                try:
+                    inputs[path] = _digest(path)
+                except OSError:
+                    inputs[path] = None
         payload = {
             "command": argv,
             "inputs": inputs,

@@ -112,7 +112,9 @@ class FactoredSet:
         self._codes = tuple(codes)
         self._contribs = tuple(contribs)
         self._inverse = inverse
-        self._mask_bits: dict[int, tuple[int, ...]] = {}
+        self._mask_bits = masks = [()]  # masks[m]: factor indices of mask m, ascending
+        for j in range(d):
+            masks += [b + (j,) for b in masks]
         self._history_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
         self._component_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
 
@@ -131,18 +133,17 @@ class FactoredSet:
         return (1 << len(self.factors)) - 1
 
     def mask_indices(self, mask: int) -> tuple[int, ...]:
-        """Factor indices of ``mask``, ascending; checked on a cache miss only."""
-        got = self._mask_bits.get(mask)
-        if got is None:
-            try:
-                if not 0 <= index(mask) <= self.full_mask:
-                    raise ValidationError(
-                        f"factor mask {mask} out of range 0..{self.full_mask}"
-                    )
-            except TypeError:
-                raise ValidationError(f"factor mask {mask!r} is not an integer") from None
-            got = self._mask_bits[mask] = tuple(iter_bits(mask))
-        return got
+        """Factor indices of ``mask``, ascending; a mask outside 0..full_mask raises."""
+        try:
+            if mask >= 0:
+                return self._mask_bits[mask]
+        except (TypeError, IndexError):
+            pass
+        try:
+            index(mask)
+        except TypeError:
+            raise ValidationError(f"factor mask {mask!r} is not an integer") from None
+        raise ValidationError(f"factor mask {mask} out of range 0..{self.full_mask}")
 
     def factors_of_mask(self, mask: int) -> tuple[Partition, ...]:
         return tuple(self.factors[j] for j in self.mask_indices(mask))

@@ -4,8 +4,10 @@ Each event (subset of the ground set) has a characteristic polynomial: the
 sum over its elements of the product of their factor blocks, with blocks
 treated as formal variables.  Variables are named ``(factor index, block
 index)``; blocks of distinct factors are distinct sets, so the naming is
-collision-free.  Coefficients are exact rationals because every check here
-is a polynomial identity, and identities are not a matter of tolerance.
+collision-free.  Coefficients stay integers: a characteristic polynomial's
+are 0 and 1, and integer sums and products are exact, so identities are
+decided without tolerance.  Only ``evaluate`` and a coefficient passed in as
+a non-``int`` (kept exactly) use Fraction.
 
 The irreducible factorization of a characteristic polynomial is computed
 combinatorially rather than by generic polynomial factoring: the factor
@@ -33,28 +35,32 @@ from .structure import splice_components
 VarId = tuple[int, int]
 Monomial = tuple[VarId, ...]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 class SetPolynomial:
     """Sparse exact-coefficient polynomial in factor-block variables.
 
     Terms map a monomial (sorted tuple of variable ids, repeats allowed) to a
-    nonzero rational coefficient; the map is canonical, so equality of terms
-    is equality of polynomials.
+    nonzero coefficient, an ``int`` or a Fraction; the map is canonical, so
+    equality of terms is equality of polynomials.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Monomial, Fraction | int] | None = None):
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[Monomial, Fraction | int] = {}
         if terms:
             for mono, coeff in terms.items():
-                coeff = Fraction(coeff)
+                coeff = coeff if type(coeff) is int else Fraction(coeff)
                 if coeff:
                     clean[tuple(sorted(mono))] = coeff
         self.terms = clean
+
+    @classmethod
+    def _of(cls, terms: dict[Monomial, Fraction | int]) -> "SetPolynomial":
+        """Wrap terms that are already canonical, without copying or checking."""
+        poly = cls.__new__(cls)
+        poly.terms = terms
+        return poly
 
     @classmethod
     def zero(cls) -> "SetPolynomial":
@@ -62,7 +68,7 @@ class SetPolynomial:
 
     @classmethod
     def one(cls) -> "SetPolynomial":
-        return cls({(): _ONE})
+        return cls._of({(): 1})
 
     @property
     def is_zero(self) -> bool:
@@ -76,48 +82,40 @@ class SetPolynomial:
     def __add__(self, other: "SetPolynomial") -> "SetPolynomial":
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            s = out.get(mono, _ZERO) + coeff
+            s = out.get(mono, 0) + coeff
             if s:
                 out[mono] = s
             else:
                 out.pop(mono, None)
-        result = SetPolynomial()
-        result.terms = out
-        return result
+        return SetPolynomial._of(out)
 
     def __neg__(self) -> "SetPolynomial":
-        result = SetPolynomial()
-        result.terms = {m: -c for m, c in self.terms.items()}
-        return result
+        return SetPolynomial._of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "SetPolynomial") -> "SetPolynomial":
         return self + (-other)
 
     def __mul__(self, other: "SetPolynomial | int | Fraction") -> "SetPolynomial":
         if isinstance(other, (int, Fraction)):
-            scale = Fraction(other)
-            result = SetPolynomial()
-            if scale:
-                result.terms = {m: c * scale for m, c in self.terms.items()}
-            return result
-        out: dict[Monomial, Fraction] = {}
+            return SetPolynomial._of(
+                {m: c * other for m, c in self.terms.items()} if other else {}
+            )
+        out: dict[Monomial, Fraction | int] = {}
         for m0, c0 in self.terms.items():
             for m1, c1 in other.terms.items():
                 mono = tuple(sorted(m0 + m1))
-                s = out.get(mono, _ZERO) + c0 * c1
+                s = out.get(mono, 0) + c0 * c1
                 if s:
                     out[mono] = s
                 else:
                     out.pop(mono, None)
-        result = SetPolynomial()
-        result.terms = out
-        return result
+        return SetPolynomial._of(out)
 
     __rmul__ = __mul__
 
     def evaluate(self, assignment: Mapping[VarId, Fraction | int]) -> Fraction:
         """Substitute a rational for every variable; all variables must be given."""
-        total = _ZERO
+        total = Fraction(0)
         for mono, coeff in self.terms.items():
             prod = coeff
             for var in mono:
@@ -139,12 +137,13 @@ def restricted_polynomial(
 
     Distinct elements may project to the same monomial once factors outside
     ``mask`` are ignored; each surviving monomial contributes coefficient 1.
+    Factor indices ascend, so every monomial is already sorted.
     """
     idxs = fs.mask_indices(mask)
     coords = fs.coords
     elements = map(fs.ground.check_index, elements)
     monos = {tuple((j, coords[s][j]) for j in idxs) for s in elements}
-    return SetPolynomial({m: _ONE for m in monos})
+    return SetPolynomial._of(dict.fromkeys(monos, 1))
 
 
 def characteristic_polynomial(fs: FactoredSet, elements: Iterable[int]) -> SetPolynomial:

@@ -93,6 +93,119 @@ class TestBasicCommands:
         assert out.splitlines()[0] == "1/2"
 
 
+EX1_DIGEST = "2b16711cef5c93cd"
+MODEL2_DIGEST = "e2c51784e90f5ebe"
+DIST1_DIGEST = "58ecf0a57106e1d1"
+MODEL2_DIST = "weights Xp 1/3 2/3\nweights Vp 1/4 3/4\nweights Zp 1/5 3/10 1/2\n"
+MODEL2_DIST_DIGEST = "e31ad4be321c7854"
+
+
+class TestPolyProbGolden:
+    """Structured ``poly`` and ``prob`` output, pinned byte for byte.
+
+    The inputs are copies of the bundled files (and one distribution written
+    here) named relative to the working directory, so the echoed command and
+    the input digests are fixed too.
+    """
+
+    @pytest.fixture(autouse=True)
+    def inputs_in_cwd(self, tmp_path, monkeypatch):
+        for name in ("ex1.ffs", "ex1-uniform.dist", "ex2-model.ffs"):
+            (tmp_path / name).write_bytes(data_path(name).read_bytes())
+        (tmp_path / "ex2-model.dist").write_text(MODEL2_DIST)
+        monkeypatch.chdir(tmp_path)
+
+    @pytest.mark.parametrize(
+        "argv, inputs, results",
+        [
+            (("poly", "ex1.ffs", "--event", "00 01"),
+             {"ex1.ffs": EX1_DIGEST},
+             {"event": "00 01", "polynomial": "X.0*V.0 + X.0*V.1"}),
+            (("poly", "ex1.ffs", "--event", "00 01 10"),
+             {"ex1.ffs": EX1_DIGEST},
+             {"event": "00 01 10", "polynomial": "X.0*V.0 + X.0*V.1 + X.1*V.1"}),
+            (("poly", "ex1.ffs", "--event", ""),
+             {"ex1.ffs": EX1_DIGEST},
+             {"event": "", "polynomial": "0"}),
+            (("poly", "ex1.ffs", "--event", "00 11", "--factor"),
+             {"ex1.ffs": EX1_DIGEST},
+             {"event": "00 11",
+              "irreducible": [{"component": ["X"], "factor": "X.0 + X.1"},
+                              {"component": ["V"], "factor": "V.0"}],
+              "polynomial": "X.0*V.0 + X.1*V.0"}),
+            (("poly", "ex1.ffs", "--event", "00 01 10 11", "--factor"),
+             {"ex1.ffs": EX1_DIGEST},
+             {"event": "00 01 10 11",
+              "irreducible": [{"component": ["X"], "factor": "X.0 + X.1"},
+                              {"component": ["V"], "factor": "V.0 + V.1"}],
+              "polynomial": "X.0*V.0 + X.0*V.1 + X.1*V.0 + X.1*V.1"}),
+            (("poly", "ex2-model.ffs", "--event", "000 001 00 01"),
+             {"ex2-model.ffs": MODEL2_DIGEST},
+             {"event": "000 001 00 01",
+              "polynomial": "Xp.0*Vp.0*Zp.0 + Xp.0*Vp.0*Zp.1 + Xp.0*Vp.0*Zp.2"
+                            " + Xp.0*Vp.1*Zp.2"}),
+            (("poly", "ex2-model.ffs", "--event", "000 001 00 01", "--factor"),
+             {"ex2-model.ffs": MODEL2_DIGEST},
+             {"event": "000 001 00 01",
+              "irreducible": [
+                  {"component": ["Xp"], "factor": "Xp.0"},
+                  {"component": ["Vp", "Zp"],
+                   "factor": "Vp.0*Zp.0 + Vp.0*Zp.1 + Vp.0*Zp.2 + Vp.1*Zp.2"}],
+              "polynomial": "Xp.0*Vp.0*Zp.0 + Xp.0*Vp.0*Zp.1 + Xp.0*Vp.0*Zp.2"
+                            " + Xp.0*Vp.1*Zp.2"}),
+            (("poly", "ex2-model.ffs", "--event", "010 011 100 101 01 10", "--factor"),
+             {"ex2-model.ffs": MODEL2_DIGEST},
+             {"event": "010 011 100 101 01 10",
+              "irreducible": [{"component": ["Xp"], "factor": "Xp.0 + Xp.1"},
+                              {"component": ["Vp"], "factor": "Vp.1"},
+                              {"component": ["Zp"], "factor": "Zp.0 + Zp.1 + Zp.2"}],
+              "polynomial": "Xp.0*Vp.1*Zp.0 + Xp.0*Vp.1*Zp.1 + Xp.0*Vp.1*Zp.2"
+                            " + Xp.1*Vp.1*Zp.0 + Xp.1*Vp.1*Zp.1 + Xp.1*Vp.1*Zp.2"}),
+            (("poly", "ex2-model.ffs", "--event", "111 11 000", "--factor"),
+             {"ex2-model.ffs": MODEL2_DIGEST},
+             {"event": "111 11 000",
+              "irreducible": [
+                  {"component": ["Xp", "Zp"],
+                   "factor": "Xp.0*Zp.0 + Xp.1*Zp.1 + Xp.1*Zp.2"},
+                  {"component": ["Vp"], "factor": "Vp.0"}],
+              "polynomial": "Xp.0*Vp.0*Zp.0 + Xp.1*Vp.0*Zp.1 + Xp.1*Vp.0*Zp.2"}),
+            (("prob", "ex1.ffs", "ex1-uniform.dist", "--event", "00 11"),
+             {"ex1-uniform.dist": DIST1_DIGEST, "ex1.ffs": EX1_DIGEST},
+             {"event": "00 11", "probability": "1/2"}),
+            (("prob", "ex1.ffs", "ex1-uniform.dist", "--event", "00 01 10"),
+             {"ex1-uniform.dist": DIST1_DIGEST, "ex1.ffs": EX1_DIGEST},
+             {"event": "00 01 10", "probability": "3/4"}),
+            (("prob", "ex2-model.ffs", "ex2-model.dist", "--event", "000 001 00 01"),
+             {"ex2-model.dist": MODEL2_DIST_DIGEST, "ex2-model.ffs": MODEL2_DIGEST},
+             {"event": "000 001 00 01", "probability": "5/24"}),
+            (("prob", "ex2-model.ffs", "ex2-model.dist",
+              "--event", "010 011 100 101 01 10"),
+             {"ex2-model.dist": MODEL2_DIST_DIGEST, "ex2-model.ffs": MODEL2_DIGEST},
+             {"event": "010 011 100 101 01 10", "probability": "3/4"}),
+            (("prob", "ex2-model.ffs", "ex2-model.dist", "--event", ""),
+             {"ex2-model.dist": MODEL2_DIST_DIGEST, "ex2-model.ffs": MODEL2_DIGEST},
+             {"event": "", "probability": "0"}),
+        ],
+    )
+    def test_structured_output(self, capsys, argv, inputs, results):
+        argv = ["--format", "structured", *argv]
+        code, out, _ = run(capsys, *argv)
+        payload = {"command": argv, "inputs": inputs, "results": results}
+        assert code == 0
+        assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+class TestInputDigests:
+    def test_text_mode_reads_no_digest(self, capsys, monkeypatch):
+        def refuse(path):
+            raise AssertionError(f"digest of {path} computed in text mode")
+
+        monkeypatch.setattr(cli, "_digest", refuse)
+        code, out, _ = run(capsys, "history", EX1, "--partition", "Y")
+        assert code == 0
+        assert "history(Y) = { X V }" in out
+
+
 class TestInferenceCommands:
     def test_check_model(self, capsys):
         code, out, _ = run(capsys, "check-model", "--model", MODEL2, "--db", DB2)

@@ -26,7 +26,22 @@ from factoredsets import (
 )
 from factoredsets.partitions import partition_of_rank
 from factoredsets.factored import _iter_grids, mixed_radix_strides
-from conftest import assert_splice_identities, random_factored_set
+from conftest import Ex1, assert_splice_identities, random_factored_set
+
+
+# Every public entry point that takes a factor mask, called on ex1.
+MASK_CALLS = [
+    lambda ex1, mask: ex1.fs.mask_indices(mask),
+    lambda ex1, mask: ex1.fs.factors_of_mask(mask),
+    lambda ex1, mask: ex1.fs.chimera_pair(mask, 0, 3),
+    lambda ex1, mask: ex1.fs.chimera_set(mask, [0], [1]),
+    lambda ex1, mask: restricted_polynomial(ex1.fs, mask, [0, 1]),
+    lambda ex1, mask: generates(ex1.fs, mask, ex1.X),
+]
+MASK_CALL_IDS = [
+    "mask_indices", "factors_of_mask", "chimera_pair", "chimera_set",
+    "restricted_polynomial", "generates",
+]
 
 
 def blocks(fs: FactoredSet) -> frozenset[frozenset[frozenset[int]]]:
@@ -204,25 +219,27 @@ class TestChimera:
             call(ex1)
 
     @pytest.mark.parametrize("mask", [-1, 4, 8, 1.5])
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda ex1, mask: ex1.fs.mask_indices(mask),
-            lambda ex1, mask: ex1.fs.factors_of_mask(mask),
-            lambda ex1, mask: ex1.fs.chimera_pair(mask, 0, 3),
-            lambda ex1, mask: ex1.fs.chimera_set(mask, [0], [1]),
-            lambda ex1, mask: restricted_polynomial(ex1.fs, mask, [0, 1]),
-            lambda ex1, mask: generates(ex1.fs, mask, ex1.X),
-        ],
-        ids=[
-            "mask_indices", "factors_of_mask", "chimera_pair", "chimera_set",
-            "restricted_polynomial", "generates",
-        ],
-    )
+    @pytest.mark.parametrize("call", MASK_CALLS, ids=MASK_CALL_IDS)
     def test_factor_masks_outside_the_factor_set(self, ex1, call, mask):
         # A negative mask has infinitely many set bits, and bits past the
         # last factor name no factor; ex1's full mask is 3.
         with pytest.raises(ValidationError, match=rf"^factor mask {mask} "):
+            call(ex1, mask)
+
+    @pytest.mark.parametrize("mask", [1.0, 1.5])
+    @pytest.mark.parametrize("call", MASK_CALLS, ids=MASK_CALL_IDS)
+    @pytest.mark.parametrize("int_first", [False, True])
+    def test_float_masks_fail_whatever_ran_before(self, call, mask, int_first):
+        # 1.0 == 1 and both hash alike, so nothing looked up for mask 1 may
+        # answer for 1.0; each order runs on a fresh set.
+        ex1 = Ex1()
+        message = rf"^factor mask {mask} is not an integer$"
+        if int_first:
+            call(ex1, 1)
+        with pytest.raises(ValidationError, match=message):
+            call(ex1, mask)
+        call(ex1, 1)
+        with pytest.raises(ValidationError, match=message):
             call(ex1, mask)
 
     def test_unique_element_agreeing_factorwise(self):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -11,11 +12,14 @@ from factoredsets import (
     cond_orthogonal,
     enumerate_factorizations,
     format_polynomial,
+    grid_factored_set,
     irreducible_components,
     iter_partitions,
     restricted_polynomial,
 )
+from factoredsets import structure
 from factoredsets.factored import iter_bits
+from factoredsets.partitions import block_triple_identity
 from conftest import mixed_random_partition, random_factored_set, random_subset
 
 
@@ -100,6 +104,127 @@ class TestRingOperations:
         a = characteristic_polynomial(fs, {0, 1})
         b = characteristic_polynomial(fs, {1, 0})
         assert a == b
+
+
+class TestConstructorExactness:
+    MONO = ((0, 1),)
+
+    @pytest.mark.parametrize(
+        "coeff, exact",
+        [(0.5, Fraction(1, 2)), ("2/3", Fraction(2, 3)), (Fraction(2, 4), Fraction(1, 2))],
+    )
+    def test_non_integers_become_exact_fractions(self, coeff, exact):
+        terms = SetPolynomial({self.MONO: coeff}).terms
+        assert terms == {self.MONO: exact}
+        assert type(terms[self.MONO]) is Fraction
+
+    def test_integers_stay_integers(self):
+        terms = SetPolynomial({self.MONO: 3, (): 0}).terms
+        assert terms == {self.MONO: 3} and type(terms[self.MONO]) is int
+
+    def test_booleans_are_numbers_not_names(self):
+        assert format_polynomial(SetPolynomial({(): True})) == "1"
+        assert SetPolynomial({self.MONO: False}).is_zero
+
+    def test_fraction_scaling_is_exact(self):
+        q = SetPolynomial({self.MONO: 3}) * Fraction(2, 3)
+        assert q.terms == {self.MONO: 2}
+        assert format_polynomial(q * Fraction(1, 4)) == "1/2*b0.1"
+
+    def test_evaluation_returns_a_fraction(self, ex1):
+        q = characteristic_polynomial(ex1.fs, {0})
+        value = q.evaluate({var: 1 for mono in q.terms for var in mono})
+        assert value == 1 and type(value) is Fraction
+
+
+class _FractionPolynomial:
+    """The earlier SetPolynomial, which converted every coefficient to Fraction.
+
+    Kept as the reference for the integer coefficients: construction, the
+    product and equality, as they were.
+    """
+
+    def __init__(self, terms=None):
+        clean = {}
+        if terms:
+            for mono, coeff in terms.items():
+                coeff = Fraction(coeff)
+                if coeff:
+                    clean[tuple(sorted(mono))] = coeff
+        self.terms = clean
+
+    def __eq__(self, other):
+        return isinstance(other, _FractionPolynomial) and self.terms == other.terms
+
+    def __mul__(self, other):
+        out = {}
+        for m0, c0 in self.terms.items():
+            for m1, c1 in other.terms.items():
+                mono = tuple(sorted(m0 + m1))
+                s = out.get(mono, Fraction(0)) + c0 * c1
+                if s:
+                    out[mono] = s
+                else:
+                    out.pop(mono, None)
+        result = _FractionPolynomial()
+        result.terms = out
+        return result
+
+
+def _reference_polynomial(fs, event):
+    """Characteristic polynomial built from coordinates alone."""
+    return _FractionPolynomial(
+        {tuple((j, fs.coords[s][j]) for j in range(fs.dim)): 1 for s in event}
+    )
+
+
+def _reference_verdict(fs, x, y, z):
+    return block_triple_identity(x, y, z, lambda e: _reference_polynomial(fs, e))
+
+
+class TestFractionReference:
+    """Integer coefficients against the Fraction polynomials they replaced."""
+
+    def test_products_agree_term_for_term(self):
+        rng = random.Random(47)
+        for _ in range(150):
+            fs = random_factored_set(rng, min_n=1, max_n=12)
+            e0, e1, e2 = (random_subset(rng, fs.size) for _ in range(3))
+            p, q, r = (characteristic_polynomial(fs, e) for e in (e0, e1, e2))
+            rp, rq, rr = (_reference_polynomial(fs, e) for e in (e0, e1, e2))
+            assert (p.terms, q.terms) == (rp.terms, rq.terms)
+            for got, want in [(p * q, rp * rq), (p * q * r, rp * rq * rr)]:
+                assert got.terms == want.terms
+                assert all(type(c) is int for c in got.terms.values())
+            # Signed factors cancel terms, which the product must drop.
+            diff, total = p - q, p + q
+            got = diff * total
+            want = _FractionPolynomial(diff.terms) * _FractionPolynomial(total.terms)
+            assert got.terms == want.terms
+
+    def test_verdicts_on_every_triple_of_sizes_two_and_three(self):
+        for n in (2, 3):
+            for fs in enumerate_factorizations(n):
+                parts = list(iter_partitions(fs.ground))
+                for x in parts:
+                    for y in parts:
+                        for z in parts:
+                            assert cond_orth_by_divisibility(
+                                fs, x, y, z
+                            ) == _reference_verdict(fs, x, y, z)
+
+    # The grids of the benchmark's queries workload, 2,000 triples in all.
+    @pytest.mark.parametrize(
+        "ks, count", [((2, 2, 3), 667), ((2, 2, 2, 2), 666), ((2, 3, 4), 667)]
+    )
+    def test_verdicts_on_seeded_grid_triples(self, ks, count):
+        rng = random.Random(53)
+        fs = grid_factored_set(math.prod(ks), ks)
+        for _ in range(count):
+            x, y, z = (mixed_random_partition(rng, fs) for _ in range(3))
+            assert cond_orth_by_divisibility(fs, x, y, z) == _reference_verdict(
+                fs, x, y, z
+            )
 
 
 class TestSpliceProductLaw:
@@ -212,6 +337,24 @@ class TestDivisibilityRoute:
             assert cond_orth_by_divisibility(
                 fs, Partition.indiscrete(fs.ground), y, z
             )
+
+    def test_reads_no_history(self, monkeypatch):
+        calls = []
+        real = structure._labeled_history
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(structure, "_labeled_history", spy)
+        rng = random.Random(59)
+        for _ in range(100):
+            fs = random_factored_set(rng, min_n=1, max_n=12)
+            x, y, z = (mixed_random_partition(rng, fs) for _ in range(3))
+            cond_orth_by_divisibility(fs, x, y, z)
+        assert not calls
+        cond_orthogonal(fs, x, y, z)  # the spy does see the history route
+        assert calls
 
     def test_agrees_with_history_route_on_all_square_triples(self):
         for fs in enumerate_factorizations(4):
