@@ -14,7 +14,7 @@ deduplicate.
 
 The layers above share three helpers from here: the full-partition guard,
 the block-triple identity that independence and polynomial divisibility
-decide with their own measures, and the ``_``/``!`` name resolver.
+decide with their own element weights, and the ``_``/``!`` name resolver.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import index
-from typing import Callable, Iterable, Iterator, Mapping, TypeVar
+from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
 
 class ValidationError(ValueError):
@@ -255,28 +255,28 @@ M = TypeVar("M")
 
 
 def block_triple_identity(
-    x: Partition, y: Partition, z: Partition, measure: Callable[[frozenset[int]], M]
+    x: Partition, y: Partition, z: Partition, weights: Sequence[M]
 ) -> bool:
     """Whether ``m(x&z) * m(y&z) == m(x&y&z) * m(z)`` for every block triple.
 
-    ``measure`` maps an event to a value with exact ``*`` and ``==``; it is
-    called once per distinct event.
+    ``m`` sums the weights of an event's elements, ``weights[e]`` for ``e``;
+    they need exact ``+``, ``*`` and ``==``, with ``w * 0`` as zero.  One pass
+    per ``z`` block sums them per ``x`` block, ``y`` block and ``(x, y)``
+    cell; an absent cell measures zero.
     """
-    cache: dict[frozenset[int], M] = {}
-
-    def m(event: frozenset[int]) -> M:
-        got = cache.get(event)
-        if got is None:
-            got = cache[event] = measure(event)
-        return got
-
-    for zb in z.block_sets:
-        mz = m(zb)
-        for xb in x.block_sets:
-            xz = xb & zb
-            mxz = m(xz)
-            for yb in y.block_sets:
-                if mxz * m(yb & zb) != m(xz & yb) * mz:
+    x_of, y_of = x.block_of, y.block_of
+    for zb in z.blocks:
+        mx, my, cells = {}, {}, {}
+        for e in zb:
+            w, i, j = weights[e], x_of[e], y_of[e]
+            mx[i] = mx[i] + w if i in mx else w
+            my[j] = my[j] + w if j in my else w
+            cells[i, j] = cells[i, j] + w if (i, j) in cells else w
+        zero = w * 0
+        mz = sum(mx.values(), zero)
+        for i, mxz in mx.items():
+            for j, myz in my.items():
+                if mxz * myz != cells.get((i, j), zero) * mz:
                     return False
     return True
 

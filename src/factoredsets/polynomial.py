@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .factored import FactoredSet
 from .partitions import (
@@ -34,6 +34,11 @@ from .structure import splice_components
 
 VarId = tuple[int, int]
 Monomial = tuple[VarId, ...]
+
+
+def _exact(coeff: object) -> Fraction | int:
+    """A plain ``int`` as it is, anything else as an exact Fraction."""
+    return coeff if type(coeff) is int else Fraction(coeff)
 
 
 class SetPolynomial:
@@ -50,7 +55,7 @@ class SetPolynomial:
         clean: dict[Monomial, Fraction | int] = {}
         if terms:
             for mono, coeff in terms.items():
-                coeff = coeff if type(coeff) is int else Fraction(coeff)
+                coeff = _exact(coeff)
                 if coeff:
                     clean[tuple(sorted(mono))] = coeff
         self.terms = clean
@@ -96,7 +101,9 @@ class SetPolynomial:
         return self + (-other)
 
     def __mul__(self, other: "SetPolynomial | int | Fraction") -> "SetPolynomial":
-        if isinstance(other, (int, Fraction)):
+        """Product with a polynomial, or with a scalar converted as a coefficient."""
+        if not isinstance(other, SetPolynomial):
+            other = _exact(other)
             return SetPolynomial._of(
                 {m: c * other for m, c in self.terms.items()} if other else {}
             )
@@ -130,6 +137,13 @@ class SetPolynomial:
         return f"SetPolynomial({format_polynomial(self)})"
 
 
+def _monomials(fs: FactoredSet, mask: int, elements: Iterable[int]) -> Iterator[Monomial]:
+    """Per element, the product of its blocks of the factors in ``mask``."""
+    idxs, coords = fs.mask_indices(mask), fs.coords
+    for s in map(fs.ground.check_index, elements):
+        yield tuple((j, coords[s][j]) for j in idxs)
+
+
 def restricted_polynomial(
     fs: FactoredSet, mask: int, elements: Iterable[int]
 ) -> SetPolynomial:
@@ -139,11 +153,7 @@ def restricted_polynomial(
     ``mask`` are ignored; each surviving monomial contributes coefficient 1.
     Factor indices ascend, so every monomial is already sorted.
     """
-    idxs = fs.mask_indices(mask)
-    coords = fs.coords
-    elements = map(fs.ground.check_index, elements)
-    monos = {tuple((j, coords[s][j]) for j in idxs) for s in elements}
-    return SetPolynomial._of(dict.fromkeys(monos, 1))
+    return SetPolynomial._of(dict.fromkeys(_monomials(fs, mask, elements), 1))
 
 
 def characteristic_polynomial(fs: FactoredSet, elements: Iterable[int]) -> SetPolynomial:
@@ -187,14 +197,13 @@ def cond_orth_by_divisibility(
 
     For every block triple the products must agree exactly:
     ``Q(z) * Q(x&y&z) == Q(x&z) * Q(y&z)``, the block-triple identity with
-    characteristic polynomials as the measure.  This route never looks at
-    histories, which makes it an independent cross-check of the
-    splice-based decision.
+    each element's monomial as its weight, so an event measures its
+    characteristic polynomial.  This route never looks at histories, which
+    makes it an independent cross-check of the splice-based decision.
     """
     require_full(fs.ground, x, y, z)
-    return block_triple_identity(
-        x, y, z, lambda event: characteristic_polynomial(fs, event)
-    )
+    monos = _monomials(fs, fs.full_mask, fs.ground.elements())
+    return block_triple_identity(x, y, z, [SetPolynomial._of({m: 1}) for m in monos])
 
 
 def format_polynomial(

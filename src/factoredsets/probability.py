@@ -3,12 +3,13 @@
 A distribution on a factored set assigns each factor a rational weight
 vector; the mass of an element is the product of the weights of its blocks.
 Conditional independence is the block-triple identity of ``partitions``
-with point-mass sums as the measure, a hard equality, never a tolerance
-check.  The identity is homogeneous: scaling every point mass by one
-positive constant leaves its verdict unchanged.  So the exact checks scale
-each factor's weight row to integers (by the lcm of its denominators, or by
-the total of a raw integer draw), and decide with integer masses alone;
-rational weights are what the public API takes and returns.
+with the point masses as the element weights, so an event measures the sum
+of its masses: a hard equality, never a tolerance check.  The identity is
+homogeneous: scaling every point mass by one positive constant leaves its
+verdict unchanged.  So the exact checks scale each factor's weight row to
+integers (by the lcm of its denominators, or by the total of a raw integer
+draw), and decide with integer masses alone; rational weights are what the
+public API takes and returns.
 
 ``fundamental_theorem_check`` cross-examines one triple of partitions three
 ways: the splice-based orthogonality verdict, the exact polynomial identity,
@@ -61,12 +62,6 @@ def _masses(rows: Sequence[Sequence], coords: Iterable[tuple[int, ...]]) -> list
     a dimension-0 set's one empty coordinate row gets the int 1.
     """
     return [math.prod(map(getitem, rows, coord)) for coord in coords]
-
-
-def _independent(masses: Sequence[int], x: Partition, y: Partition, z: Partition) -> bool:
-    """The block-triple identity with sums of (scaled) point masses as the measure."""
-    at = masses.__getitem__
-    return block_triple_identity(x, y, z, lambda event: sum(map(at, event)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,9 +153,11 @@ def conditional_independence_holds(
     Decided on integer-scaled weight rows, which scale every point mass by
     the same positive constant and so leave the homogeneous identity intact.
     """
+    if dist.fs != fs:
+        raise ValidationError("distribution belongs to a different factored set")
     require_full(fs.ground, x, y, z)
     rows = tuple(_scaled_row(row)[0] for row in dist.weights)
-    return _independent(_masses(rows, fs.coords), x, y, z)
+    return block_triple_identity(x, y, z, _masses(rows, fs.coords))
 
 
 def _draw_rows(fs: FactoredSet, rng: random.Random, max_weight: int) -> _IntRows:
@@ -237,7 +234,7 @@ def fundamental_theorem_check(
     witness = None
     for _ in range(trials):
         rows = _draw_rows(fs, rng, _WEIGHT_RANGE)
-        if _independent(_masses(rows, fs.coords), x, y, z):
+        if block_triple_identity(x, y, z, _masses(rows, fs.coords)):
             independent += 1
         elif witness is None:
             witness = _normalized(fs, rows)

@@ -51,6 +51,34 @@ def brute_history(fs: FactoredSet, part: Partition) -> int:
     return h
 
 
+def event_block_triple_identity(
+    x: Partition, y: Partition, z: Partition, measure
+) -> bool:
+    """The block-triple identity from a measure of events, with intersected blocks.
+
+    This is the library's identity before it took per-element weights, kept
+    as the oracle for that rewrite: ``measure`` maps a frozenset event to a
+    value with exact ``*`` and ``==`` and is called once per distinct event.
+    """
+    cache: dict = {}
+
+    def m(event):
+        got = cache.get(event)
+        if got is None:
+            got = cache[event] = measure(event)
+        return got
+
+    for zb in z.block_sets:
+        mz = m(zb)
+        for xb in x.block_sets:
+            xz = xb & zb
+            mxz = m(xz)
+            for yb in y.block_sets:
+                if mxz * m(yb & zb) != m(xz & yb) * mz:
+                    return False
+    return True
+
+
 def random_factored_set(
     rng: random.Random, max_n: int = 8, min_n: int = 1
 ) -> FactoredSet:

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from collections import Counter
 from typing import Iterator
 
 import pytest
@@ -10,13 +12,18 @@ from factoredsets import (
     Partition,
     ValidationError,
     bell_number,
+    characteristic_polynomial,
     common_refinement,
+    cond_orth_by_divisibility,
+    enumerate_factorizations,
     format_partition,
+    grid_factored_set,
     iter_coarsenings,
     iter_partitions,
     parse_partition,
 )
-from factoredsets.partitions import partition_of_rank
+from factoredsets.partitions import block_triple_identity, partition_of_rank
+from conftest import event_block_triple_identity, mixed_random_partition
 
 
 @st.composite
@@ -278,6 +285,73 @@ class TestPartitionOfRank:
     def test_rank_out_of_range(self, n, rank):
         with pytest.raises(ValidationError, match="out of range"):
             partition_of_rank(GroundSet(n), rank)
+
+
+def _seeded_masses(fs, rng) -> list[int]:
+    """Point masses from integer block weights in -2..2.
+
+    Some masses vanish, and some are negative: under nonnegative weights the
+    present cells' equalities already force the absent cells' (summed over
+    the ``y`` blocks, both sides give ``m(x&z) * m(z)``), so only signed
+    weights can tell an identity that skips absent cells.
+    """
+    rows = [[rng.randint(-2, 2) for _ in range(p.block_count)] for p in fs.factors]
+    return [math.prod(rows[j][b] for j, b in enumerate(c)) for c in fs.coords]
+
+
+class TestBlockTripleIdentityOracle:
+    """The per-element identity against the event-callback identity it replaced.
+
+    Each triple is decided under seeded integer masses, by
+    ``block_triple_identity`` itself, and under characteristic polynomials,
+    by ``cond_orth_by_divisibility``; the oracle measures each event
+    directly.
+    """
+
+    def assert_same_verdicts(self, fs, triples, rng, verdicts: Counter) -> None:
+        for x, y, z in triples:
+            masses = _seeded_masses(fs, rng)
+            by_mass = block_triple_identity(x, y, z, masses)
+            assert by_mass == event_block_triple_identity(
+                x, y, z, lambda e: sum(masses[s] for s in e)
+            )
+            by_poly = cond_orth_by_divisibility(fs, x, y, z)
+            assert by_poly == event_block_triple_identity(
+                x, y, z, lambda e: characteristic_polynomial(fs, e)
+            )
+            verdicts["mass", by_mass] += 1
+            verdicts["poly", by_poly] += 1
+
+    def assert_both_verdicts(self, verdicts: Counter, triples: int) -> None:
+        # Each measure reaches both verdicts, so neither comparison is vacuous.
+        assert len(verdicts) == 4
+        assert verdicts.total() == 2 * triples
+
+    def test_every_triple_of_sizes_two_to_four(self):
+        rng = random.Random(67)
+        verdicts = Counter()
+        for n in (2, 3, 4):
+            for fs in enumerate_factorizations(n):
+                parts = list(iter_partitions(fs.ground))
+                self.assert_same_verdicts(
+                    fs, itertools.product(parts, repeat=3), rng, verdicts
+                )
+        self.assert_both_verdicts(verdicts, 13633)
+
+    # The grids of the benchmark's queries workload, 2,000 triples in all.
+    @pytest.mark.parametrize(
+        "ks, count", [((2, 2, 3), 667), ((2, 2, 2, 2), 666), ((2, 3, 4), 667)]
+    )
+    def test_seeded_grid_triples(self, ks, count):
+        rng = random.Random(71)
+        fs = grid_factored_set(math.prod(ks), ks)
+        triples = [
+            tuple(mixed_random_partition(rng, fs) for _ in range(3))
+            for _ in range(count)
+        ]
+        verdicts = Counter()
+        self.assert_same_verdicts(fs, triples, rng, verdicts)
+        self.assert_both_verdicts(verdicts, count)
 
 
 class TestTextSyntax:

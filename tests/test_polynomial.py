@@ -19,8 +19,12 @@ from factoredsets import (
 )
 from factoredsets import structure
 from factoredsets.factored import iter_bits
-from factoredsets.partitions import block_triple_identity
-from conftest import mixed_random_partition, random_factored_set, random_subset
+from conftest import (
+    event_block_triple_identity,
+    mixed_random_partition,
+    random_factored_set,
+    random_subset,
+)
 
 
 def var(fs, factor, block):
@@ -131,6 +135,13 @@ class TestConstructorExactness:
         assert q.terms == {self.MONO: 2}
         assert format_polynomial(q * Fraction(1, 4)) == "1/2*b0.1"
 
+    def test_scalar_products_convert_as_the_constructor_does(self):
+        half = SetPolynomial({(): Fraction(1, 2)})
+        assert SetPolynomial.one() * 0.5 == half
+        assert 0.5 * SetPolynomial.one() == half
+        with pytest.raises(TypeError):
+            SetPolynomial.one() * None
+
     def test_evaluation_returns_a_fraction(self, ex1):
         q = characteristic_polynomial(ex1.fs, {0})
         value = q.evaluate({var: 1 for mono in q.terms for var in mono})
@@ -179,7 +190,9 @@ def _reference_polynomial(fs, event):
 
 
 def _reference_verdict(fs, x, y, z):
-    return block_triple_identity(x, y, z, lambda e: _reference_polynomial(fs, e))
+    return event_block_triple_identity(
+        x, y, z, lambda e: _reference_polynomial(fs, e)
+    )
 
 
 class TestFractionReference:

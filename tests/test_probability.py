@@ -322,6 +322,13 @@ class TestConditionalIndependence:
             _table_independence(dist, x, y, z)
         )
 
+    def test_distribution_of_another_set_is_refused(self, ex1):
+        # Same ground set, one factor instead of two: the rows do not fit.
+        other = FactoredDistribution.uniform(trivial_factorization(ex1.fs.ground))
+        ind = Partition.indiscrete(ex1.fs.ground)
+        with pytest.raises(ValidationError, match="different factored set"):
+            conditional_independence_holds(ex1.fs, other, ex1.X, ex1.V, ind)
+
     def test_discrete_conditioning_is_always_independent(self):
         rng = random.Random(59)
         for _ in range(40):
