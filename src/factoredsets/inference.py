@@ -17,20 +17,35 @@ multiset and enumerates labelings up to the grid's automorphisms (block
 relabelings within a factor composed with swaps of equal-size factors).
 The search keeps the lexicographically least labeling of each orbit, so
 each isomorphism orbit of models is visited exactly once; every verdict
-checked is invariant under relabeling.  On a multi-factor grid a
-depth-first walk in lexicographic order decides this alone (orderly
-generation, after Read and McKay): per depth it carries the automorphisms
-still tied with the prefix, skips a subtree once an image is smaller, and
-drops an automorphism once its image is larger.
+checked is invariant under relabeling.  A depth-first walk in
+lexicographic order decides this alone (orderly generation, after Read and
+McKay): per depth it carries the automorphisms still tied with the prefix,
+skips a subtree once an image is smaller, and drops an automorphism once
+its image is larger.  A single discrete factor has every ground
+permutation as automorphism, and its lex-least labelings are the sorted
+ones, which are exactly those no larger than their image under each
+adjacent transposition, so there the walk compares against those ``n - 1``.
 
-Model checking runs on integer label tuples.  A checker compiled against
-one reference grid keeps, per name, the row of block ids over the
-observations, so a labeling pulls the name back with one tuple lookup per
-element and builds no partition.  A triple holds when the histories of its
-first two names, restricted to each block of its third, are disjoint block
-by block.  Per labeling, the checker groups each pulled-back conditioning
-name into blocks once and reads the histories through
-``structure.block_histories`` from the grid's history cache, which
+On a product set the history of a full partition is the set of
+coordinates it depends on: coordinate ``j`` belongs to it exactly when two
+elements one step apart along ``j`` lie in different blocks.  So the walk
+reads the history of every name asserted ``| _`` off the placed prefix, one
+bit per grid coordinate: placing position ``i`` compares its block with the
+block of ``i - stride_j`` for each coordinate ``j`` where ``i``'s digit is
+above 0.  That neighbour is already placed, and every pair one step apart
+is compared once both are placed, so a set bit stays set in every
+extension and the masks are exact histories at full length.  The walk
+skips a subtree as soon as the masks of an asserted ``orthogonal A B | _``
+meet, and decides every ``| _`` assertion from ints at full length.
+
+The remaining, conditioned assertions run on integer label tuples.  A
+checker compiled against one reference grid keeps, per name, the row of
+block ids over the observations, so a labeling pulls the name back with one
+tuple lookup per element and builds no partition.  A triple holds when the
+histories of its first two names, restricted to each block of its third,
+are disjoint block by block.  Per labeling, the checker groups each
+pulled-back conditioning name into blocks once and reads the histories
+through ``structure.block_histories`` from the grid's history cache, which
 ``search_models`` shares across the labelings of one grid.
 """
 
@@ -138,21 +153,30 @@ class _GridCheck:
 
     A name's row holds the block id of every observation, so a labeling
     pulls the name back to the label tuple ``row[f[s]]`` per element.
-    Reports keep the assertions' order; ``satisfies`` checks the triples
-    conditioned on ``_`` first, which read one history per name rather
-    than one per block.
+    Reports keep the assertions' order.  The names of the ``| _``
+    assertions are ``masked``, in order of first appearance: ``satisfies``
+    decides those assertions from one history per masked name, and pulls
+    back only for the conditioned ones.
     """
 
     def __init__(self, fs: FactoredSet, triples: Sequence[ResolvedTriple]):
         self.fs = fs
         self.triples = [(expected, names) for expected, names, _ in triples]
-        self.unconditional_first = sorted(self.triples, key=lambda t: t[1][2] != "_")
         # Resolved partitions are full: ``block_ids[w]`` is the block of ``w``.
         self.rows = {
-            name: part.block_ids.__getitem__
+            name: part.block_ids
             for _, names, parts in triples
             for name, part in zip(names, parts)
         }
+        self.conditioned = [t for t in self.triples if t[1][2] != "_"]
+        unconditional = [t for t in self.triples if t[1][2] == "_"]
+        self.masked = list(dict.fromkeys(n for _, ns in unconditional for n in ns[:2]))
+        at = {name: k for k, name in enumerate(self.masked)}
+        self.unconditional = [
+            (e, names, at[names[0]], at[names[1]]) for e, names in unconditional
+        ]
+        # The pairs of masked names asserted orthogonal, by position in ``masked``.
+        self.disjoint = [(a, b) for e, _, a, b in self.unconditional if e]
 
     def verdicts(
         self, labeling: Labels
@@ -168,7 +192,7 @@ class _GridCheck:
         for expected, names in triples:
             for name in names:
                 if name not in pulled:
-                    pulled[name] = tuple(map(self.rows[name], labeling))
+                    pulled[name] = tuple(map(self.rows[name].__getitem__, labeling))
             x, y, z = names
             if (blocks := blocks_of.get(z)) is None:
                 grouped: dict[int, list[int]] = {}
@@ -179,10 +203,22 @@ class _GridCheck:
             hy = block_histories(self.fs, pulled[y], blocks)
             yield expected, names, not any(map(and_, hx, hy))
 
-    def satisfies(self, labeling: Labels) -> bool:
-        """Whether a labeling of this checker's factored set meets every assertion."""
-        verdicts = self._verdicts(labeling, self.unconditional_first)
-        return all(e == a for e, _, a in verdicts)
+    def history_verdicts(
+        self, histories: Sequence[int]
+    ) -> Iterator[tuple[bool, tuple[str, str, str], bool]]:
+        """``(expected, names, actual)`` per ``| _`` assertion, in report order.
+
+        ``histories`` holds one history bitmask per masked name; any one
+        numbering of the factors serves.
+        """
+        for expected, names, a, b in self.unconditional:
+            yield expected, names, not histories[a] & histories[b]
+
+    def satisfies(self, labeling: Labels, histories: Sequence[int]) -> bool:
+        """Whether a labeling with these masked-name histories meets every assertion."""
+        return all(e == a for e, _, a in self.history_verdicts(histories)) and all(
+            e == a for e, _, a in self._verdicts(labeling, self.conditioned)
+        )
 
 
 @dataclass(frozen=True)
@@ -288,9 +324,26 @@ def _grid_automorphisms(n: int, ks: tuple[int, ...]) -> tuple[tuple[int, ...], .
     return tuple(perms)
 
 
+@lru_cache(maxsize=None)
+def _walk_automorphisms(n: int, ks: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The non-identity grid automorphisms, or on one factor the ``n - 1``
+    adjacent transpositions, which leave exactly the sorted labelings."""
+    if ks == (n,):
+        return tuple(
+            tuple(range(j)) + (j + 1, j) + tuple(range(j + 2, n)) for j in range(n - 1)
+        )
+    return _grid_automorphisms(n, ks)[1:]
+
+
 def _grid_labelings(
-    n: int, omega_n: int, auts: tuple[tuple[int, ...], ...]
-) -> Iterator[tuple[int, ...]]:
+    n: int,
+    ks: tuple[int, ...],
+    omega_n: int,
+    auts: tuple[tuple[int, ...], ...],
+    rows: Sequence[Sequence[int]] = (),
+    disjoint: Sequence[tuple[int, int]] = (),
+    deadline: float | None = None,
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]] | None]:
     """The labelings no larger than their image under any of ``auts``, in order.
 
     Labels are tried in ascending order at each position.  Each automorphism
@@ -299,8 +352,38 @@ def _grid_labelings(
     stopped: a greater ``f[j]`` skips the subtree, a smaller one drops ``p``
     for the subtree, and equal pairs keep ``p`` tied.  At full length every
     position is placed, so a labeling that survives is canonical.
+
+    Each labeling comes with the history of every row's pull-back, bit ``j``
+    for coordinate ``j``, read off the prefix as the module docstring says.
+    A subtree is skipped once the masks of a ``disjoint`` pair of rows
+    meet.  With a ``deadline`` the walk reads the clock once per placed
+    label and yields ``None`` once it has passed.
     """
+    d = len(ks)
+    low = (1 << d) - 1
+    strides = mixed_radix_strides(ks)
+    # ``masks[i]`` packs the masks of the prefix ``f[:i]`` into one int, row
+    # k's at bits k*d .. k*d + d - 1.
+    shifts = [k * d for k in range(len(rows))]
+    pairs = [(shifts[a], shifts[b]) for a, b in disjoint]
+    # apart[v][u] sets bit k*d for each row k with labels v and u in
+    # different blocks; shifted by j, it sets those rows' coordinate j.
+    labels = range(omega_n)
+    apart = [
+        [
+            sum(1 << k for k, row in zip(shifts, rows) if row[v] != row[u])
+            for u in labels
+        ]
+        for v in labels
+    ]
+    # Per position, its neighbour one step down along each coordinate where
+    # its digit is above 0, with that coordinate.
+    steps = [
+        [(i - strides[j], j) for j in range(d) if i // strides[j] % ks[j]]
+        for i in range(n)
+    ]
     f = [-1] * n
+    masks = [0] * (n + 1)
     tied = [[(p, 0) for p in auts]] + [[]] * n
     i = 0
     while i >= 0:
@@ -308,6 +391,15 @@ def _grid_labelings(
         if f[i] == omega_n:
             f[i] = -1
             i -= 1
+            continue
+        if deadline is not None and time.monotonic() > deadline:
+            yield None
+            return
+        h = masks[i]
+        differs = apart[f[i]]
+        for s, j in steps[i]:
+            h |= differs[f[s]] << j
+        if h != masks[i] and any(h >> a & h >> b & low for a, b in pairs):
             continue
         still = []
         for p, j in tied[i]:
@@ -319,9 +411,10 @@ def _grid_labelings(
                 break
         else:
             if i + 1 == n:
-                yield tuple(f)
+                yield tuple(f), tuple(h >> k & low for k in shifts)
             else:
                 tied[i + 1] = still
+                masks[i + 1] = h
                 i += 1
 
 
@@ -335,13 +428,14 @@ def search_models(
     ``Truncation`` item signals an exhausted time budget and names the size
     it stopped in.
 
-    Every canonical labeling gets one deadline read, then the surjectivity
-    filter, then the database check on its label tuple; only a labeling
-    that passes becomes a ``Model``.  On a multi-factor grid the walk
-    yields exactly the labelings no larger than their image under every
-    non-identity grid automorphism.  A single discrete factor has every
-    ground permutation as automorphism, so its orbits are the multisets
-    of labels and need no test.
+    On every grid the walk yields exactly the labelings no larger than their
+    image under every non-identity grid automorphism (under every adjacent
+    transposition, for a single discrete factor), minus the subtrees where
+    an asserted ``orthogonal A B | _`` already fails, together with the
+    histories of the names asserted ``| _``.  With a time budget the walk
+    reads the clock once per placed label.  Each labeling it yields goes
+    through the surjectivity filter, then the database check; only a
+    labeling that passes becomes a ``Model``.
     """
     deadline = (
         None if bounds.time_budget is None else time.monotonic() + bounds.time_budget
@@ -354,17 +448,17 @@ def search_models(
                 continue
             fs = grid_factored_set(n, ks)
             check = _GridCheck(fs, triples)
-            if ks == (n,):
-                candidates = itertools.combinations_with_replacement(range(omega_n), n)
-            else:
-                candidates = _grid_labelings(n, omega_n, _grid_automorphisms(n, ks)[1:])
-            for f in candidates:
-                if deadline is not None and time.monotonic() > deadline:
+            auts = _walk_automorphisms(n, ks)
+            rows = [check.rows[name] for name in check.masked]
+            walk = _grid_labelings(n, ks, omega_n, auts, rows, check.disjoint, deadline)
+            for item in walk:
+                if item is None:
                     yield Truncation(n)
                     return
+                f, histories = item
                 if bounds.surjective_only and len(set(f)) != omega_n:
                     continue
-                if check.satisfies(f):
+                if check.satisfies(f, histories):
                     yield Model(fs, f, db.omega)
 
 

@@ -238,10 +238,10 @@ def expire_budget_in_size(monkeypatch):
         satisfies = inference._GridCheck.satisfies
         grid = inference.grid_factored_set
 
-        def spy(check, labeling):
+        def spy(check, labeling, histories):
             if len(labeling) >= size:
                 now[0] = math.inf
-            return satisfies(check, labeling)
+            return satisfies(check, labeling, histories)
 
         def entering(n, ks):
             if n > size and now[0] != math.inf:

@@ -19,6 +19,7 @@ import pytest
 
 from factoredsets import (
     GroundSet,
+    Model,
     Partition,
     SearchBounds,
     common_refinement,
@@ -28,6 +29,7 @@ from factoredsets import (
     count_factorizations,
     counterfactable,
     enumerate_factorizations,
+    grid_factored_set,
     history,
     infer_before,
     iter_partitions,
@@ -35,7 +37,9 @@ from factoredsets import (
     observes_event,
     pullback,
     random_distribution,
+    search_models,
 )
+from factoredsets import inference
 from factoredsets.cli import main as cli_main
 from conftest import (
     assert_semigraphoid_axioms,
@@ -380,8 +384,58 @@ def test_criterion_11_three_bit_example(ex2):
         assert payload["results"]["verdict"] == "holds-up-to-bound"
         assert payload["results"]["models_checked"] == 5
         assert "size <= 8" in payload["results"]["bound"]
+
+        # Sizes 9 and 10 add no model.
+        code, payload = _run_cli_json(
+            ["infer", "--db", str(ex2_db_path()), "--before", "X", "Y",
+             "--max-size", "10"]
+        )
+        assert code == 0
+        assert payload["results"]["verdict"] == "holds-up-to-bound"
+        assert payload["results"]["models_checked"] == 5
+        assert "size <= 10" in payload["results"]["bound"]
         elapsed = time.perf_counter() - started
         assert elapsed <= 600.0
+
+
+@pytest.mark.slow
+def test_criterion_11_size_twelve():
+    started = time.perf_counter()
+    with criterion(11, "three-bit example: X before Y in all 39 models up to size 12"):
+        code, payload = _run_cli_json(
+            ["infer", "--db", str(ex2_db_path()), "--before", "X", "Y",
+             "--max-size", "12"]
+        )
+        assert code == 0
+        assert payload["results"]["verdict"] == "holds-up-to-bound"
+        assert payload["results"]["models_checked"] == 39
+        assert "size <= 12" in payload["results"]["bound"]
+        elapsed = time.perf_counter() - started
+        assert elapsed <= 1800.0
+
+
+@pytest.mark.slow
+def test_criterion_11_bundled_model_is_searched(ex2):
+    with criterion(11, "three-bit example: the bundled model's orbit is in the size-12 search"):
+        model = ex2.model
+        fs = model.factored
+        # Move the model onto the reference grid of its block counts, factor
+        # ``order[j]`` onto coordinate ``j``, and take its orbit's least labeling.
+        order = sorted(range(fs.dim), key=lambda j: fs.factors[j].block_count)
+        ks = tuple(fs.factors[j].block_count for j in order)
+        assert ks == (2, 2, 3)
+        strides = inference.mixed_radix_strides(ks)
+        moved = [0] * fs.size
+        for s, coords in enumerate(fs.coords):
+            code = sum(coords[j] * stride for j, stride in zip(order, strides))
+            moved[code] = model.labeling[s]
+        canonical = min(
+            tuple(moved[p[s]] for s in range(fs.size))
+            for p in inference._grid_automorphisms(fs.size, ks)
+        )
+        reference = Model(grid_factored_set(fs.size, ks), canonical, model.omega)
+        assert models_database(reference, ex2.db).ok
+        assert reference in search_models(ex2.db, SearchBounds(max_size=12))
 
 
 def test_criterion_12_agency_predicates(ex1):

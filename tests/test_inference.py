@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 from functools import lru_cache
 from operator import itemgetter
 
@@ -172,8 +173,14 @@ class TestModelsDatabase:
         assert len(report.entries) == 6
 
 
+def _masked_histories(check, model, db):
+    """The history of each name the checker masks, pulled back through the model."""
+    fs = model.factored
+    return [history(fs, pullback(model, db.resolve(name))) for name in check.masked]
+
+
 class TestAssertionOrder:
-    """Reports keep the sorted assertion order; ``satisfies`` checks ``_`` first."""
+    """Reports keep the assertions' sorted order; ``satisfies`` pulls back conditioned ones."""
 
     def test_report_order_and_check_order(self, ex1, ex2, monkeypatch):
         ex1_model = resolve_model(ex1.file, ex1.db.omega)
@@ -205,8 +212,9 @@ class TestAssertionOrder:
         list(check.verdicts(model.labeling))
         assert conditioned[::2] == zs
         conditioned.clear()
-        assert check.satisfies(model.labeling)
-        assert conditioned[::2] == ["_", "_", "_", "Y", "Y", "Y"]
+        assert check.masked == ["X", "V", "Z"]
+        assert check.satisfies(model.labeling, _masked_histories(check, model, ex2.db))
+        assert conditioned == ["Y"] * 6
 
 
 # Grid shapes and observation spaces for the model-check oracle.
@@ -256,7 +264,8 @@ class TestModelCheckOracle:
             assert entry.actual == cond_orthogonal(fs, x, y, z)
             assert entry.actual == _brute_cond_orthogonal(fs, x, y, z)
         assert report.ok == all(e.ok for e in report.entries)
-        assert inference._GridCheck(fs, triples).satisfies(labeling) == report.ok
+        check = inference._GridCheck(fs, triples)
+        assert check.satisfies(labeling, _masked_histories(check, model, db)) == report.ok
 
     def test_examples_include_a_satisfying_model_of_each_db(self):
         for name, n, labeling in (
@@ -640,7 +649,7 @@ class TestCompleteness:
         assert is_complete(db) == all(t in asserted for t in space)
 
 
-# -- differential oracle: the candidate loop against the labeling stream it replaced
+# -- differential oracle: the pruned search against the unpruned one it replaced
 
 
 def _old_grid_automorphisms(n, ks):
@@ -670,49 +679,58 @@ def _old_grid_automorphisms(n, ks):
     return tuple(perms)
 
 
-def _old_canonical_labelings(n, ks, omega_n, surjective_only, deadline):
-    """The separate labeling stream, ending with ``None`` once the deadline passed."""
-    if ks == (n,):
-        for f in itertools.combinations_with_replacement(range(omega_n), n):
-            if deadline is not None and inference.time.monotonic() > deadline:
-                yield None
-                return
-            if surjective_only and len(set(f)) != omega_n:
-                continue
-            yield f
-        return
-    auts = [p for p in _old_grid_automorphisms(n, ks) if p != tuple(range(n))]
-    for f in itertools.product(range(omega_n), repeat=n):
-        if deadline is not None and inference.time.monotonic() > deadline:
-            yield None
-            return
-        if surjective_only and len(set(f)) != omega_n:
+def _old_grid_labelings(n, omega_n, auts):
+    """The walk before it kept history masks: lex-leader comparisons alone."""
+    f = [-1] * n
+    tied = [[(p, 0) for p in auts]] + [[]] * n
+    i = 0
+    while i >= 0:
+        f[i] += 1
+        if f[i] == omega_n:
+            f[i] = -1
+            i -= 1
             continue
-        if all(f <= tuple(f[p[s]] for s in range(n)) for p in auts):
-            yield f
+        still = []
+        for p, j in tied[i]:
+            while j <= i and p[j] <= i and f[j] == f[p[j]]:
+                j += 1
+            if j > i or p[j] > i:
+                still.append((p, j))
+            elif f[j] > f[p[j]]:
+                break
+        else:
+            if i + 1 == n:
+                yield tuple(f)
+            else:
+                tied[i + 1] = still
+                i += 1
 
 
 def _old_search_models(db, bounds):
-    deadline = (
-        None
-        if bounds.time_budget is None
-        else inference.time.monotonic() + bounds.time_budget
-    )
+    """The search before its walk kept history masks, without a time budget.
+
+    A single discrete factor takes every multiset of labels, every other
+    grid the unpruned walk, and each canonical labeling that passes the
+    surjectivity filter goes through the checker's full per-labeling pass.
+    """
     triples = db.resolved_triples()
+    omega_n = db.omega.n
     for n in range(1, bounds.max_size + 1):
         for ks in inference.factor_size_multisets(n):
             if bounds.max_dim is not None and len(ks) > bounds.max_dim:
                 continue
             fs = grid_factored_set(n, ks)
-            for f in _old_canonical_labelings(
-                n, ks, db.omega.n, bounds.surjective_only, deadline
-            ):
-                if f is None:
-                    yield Truncation(n)
-                    return
-                model = Model(fs, f, db.omega)
-                if inference._GridCheck(fs, triples).satisfies(model.labeling):
-                    yield model
+            check = inference._GridCheck(fs, triples)
+            if ks == (n,):
+                candidates = itertools.combinations_with_replacement(range(omega_n), n)
+            else:
+                auts = inference._grid_automorphisms(n, ks)[1:]
+                candidates = _old_grid_labelings(n, omega_n, auts)
+            for f in candidates:
+                if bounds.surjective_only and len(set(f)) != omega_n:
+                    continue
+                if all(e == a for e, _, a in check.verdicts(f)):
+                    yield Model(fs, f, db.omega)
 
 
 def _planted_db(rng):
@@ -739,9 +757,22 @@ def _planted_db(rng):
     return db, n
 
 
-SEARCH_ORACLE_DBS = [("ex1", ORACLE_DBS["ex1"], 7), ("ex2", ORACLE_DBS["ex2"], 5)] + [
-    (f"planted{seed}", *_planted_db(random.Random(seed))) for seed in range(16)
-]
+PLANTED_DBS = [(f"planted{seed}", *_planted_db(random.Random(seed))) for seed in range(16)]
+SEARCH_ORACLE_DBS = [
+    ("ex1", ORACLE_DBS["ex1"], 9),
+    ("ex2", ORACLE_DBS["ex2"], 7),
+    # Without its dependent lines ex2 has thousands of models by size 6.
+    ("ex2-orthogonal-only", replace(ORACLE_DBS["ex2"], dependent_triples=()), 6),
+    # Y appears in no ex1 assertion, so here it appears only orthogonal to itself.
+    (
+        "ex1-self-orthogonal",
+        replace(
+            ORACLE_DBS["ex1"],
+            orthogonal_triples=ORACLE_DBS["ex1"].orthogonal_triples | {("Y", "Y", "_")},
+        ),
+        8,
+    ),
+] + PLANTED_DBS
 
 
 class TestSearchOracle:
@@ -760,9 +791,16 @@ class TestSearchOracle:
         )
         assert list(search_models(db, bounds)) == list(_old_search_models(db, bounds))
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("surjective_only", [False, True])
+    def test_same_models_in_the_same_order_on_ex2_to_size_eight(self, surjective_only):
+        bounds = SearchBounds(max_size=8, surjective_only=surjective_only)
+        db = ORACLE_DBS["ex2"]
+        assert list(search_models(db, bounds)) == list(_old_search_models(db, bounds))
+
     def test_planted_databases_have_models(self):
         # The planted model's orbit has a representative of the planted size.
-        for _, db, max_size in SEARCH_ORACLE_DBS[2:]:
+        for _, db, max_size in PLANTED_DBS:
             assert any(
                 item.factored.size == max_size
                 for item in search_models(db, SearchBounds(max_size=max_size))
@@ -803,9 +841,9 @@ class TestSearchOracle:
             events.append("expired read")
             return math.inf
 
-        def spy(check, labeling):
+        def spy(check, labeling, histories):
             events.append("check")
-            return satisfies(check, labeling)
+            return satisfies(check, labeling, histories)
 
         def entering(n, ks):
             entered.append(n)
@@ -877,6 +915,92 @@ class TestCanonicalWalkOracle:
             assert walked.get(grid_factored_set(n, ks), []) == expected, (n, ks)
 
 
+def _cycle_count(p):
+    seen = set()
+    cycles = 0
+    for s in range(len(p)):
+        if s not in seen:
+            cycles += 1
+            while s not in seen:
+                seen.add(s)
+                s = p[s]
+    return cycles
+
+
+class TestWalkCountOracle:
+    """The walk without assertions against Burnside's lemma and sorted multisets."""
+
+    def test_orbit_count_on_every_multi_factor_grid(self):
+        grids = [
+            (n, ks)
+            for n in range(1, 9)
+            for ks in inference.factor_size_multisets(n)
+            if len(ks) > 1
+        ]
+        assert grids == [(4, (2, 2)), (6, (2, 3)), (8, (2, 2, 2)), (8, (2, 4))]
+        for n, ks in grids:
+            auts = inference._grid_automorphisms(n, ks)
+            cycles = [_cycle_count(p) for p in auts]
+            for omega_n in range(1, 5):
+                orbits, rest = divmod(sum(omega_n**c for c in cycles), len(auts))
+                assert rest == 0
+                walk = inference._grid_labelings(n, ks, omega_n, auts[1:])
+                assert sum(1 for _ in walk) == orbits, (n, ks, omega_n)
+
+    def test_adjacent_transpositions_leave_the_sorted_labelings(self):
+        for n in range(2, 8):
+            auts = inference._walk_automorphisms(n, (n,))
+            for omega_n in range(1, 6):
+                walked = [f for f, _ in inference._grid_labelings(n, (n,), omega_n, auts)]
+                assert walked == list(
+                    itertools.combinations_with_replacement(range(omega_n), n)
+                ), (n, omega_n)
+
+
+def _coordinate_bits(fs, ks):
+    """Per coordinate of the reference grid with block counts ``ks``, its factor's bit in ``fs``."""
+    strides = inference.mixed_radix_strides(ks)
+    ids = [p.block_ids for p in fs.factors]
+    return [
+        1 << ids.index(tuple(s // strides[j] % ks[j] for s in range(fs.size)))
+        for j in range(len(ks))
+    ]
+
+
+def _check_masks_against_histories(db, max_size):
+    """Every canonical labeling's masks against ``history``, and its ``| _`` verdicts."""
+    triples = db.resolved_triples()
+    checked = 0
+    for n in range(1, max_size + 1):
+        for ks in inference.factor_size_multisets(n):
+            fs = grid_factored_set(n, ks)
+            check = inference._GridCheck(fs, triples)
+            auts = inference._walk_automorphisms(n, ks)
+            bits = _coordinate_bits(fs, ks)
+            rows = [check.rows[name] for name in check.masked]
+            for f, masks in inference._grid_labelings(n, ks, db.omega.n, auts, rows):
+                model = Model(fs, f, db.omega)
+                for name, mask in zip(check.masked, masks):
+                    factor_mask = sum(b for j, b in enumerate(bits) if mask >> j & 1)
+                    assert factor_mask == history(fs, pullback(model, db.resolve(name)))
+                unconditional = [v for v in check.verdicts(f) if v[1][2] == "_"]
+                assert list(check.history_verdicts(masks)) == unconditional
+                checked += 1
+    return checked
+
+
+class TestHistoryMasks:
+    """The walk's masks, without pruning, are the pulled-back names' histories."""
+
+    @pytest.mark.parametrize("name,max_size,labelings", [("ex1", 8, 4971), ("ex2", 6, 26720)])
+    def test_every_canonical_labeling(self, name, max_size, labelings):
+        assert _check_masks_against_histories(ORACLE_DBS[name], max_size) == labelings
+
+    @pytest.mark.slow
+    def test_every_canonical_labeling_of_ex2_to_size_eight(self):
+        assert _check_masks_against_histories(ORACLE_DBS["ex2"], 8) == 804811
+
+
 def _restriction_tables(n, ks):
     """Per prefix length ``i``, the automorphisms mapping ``[0, i)`` onto itself.
 
@@ -925,7 +1049,7 @@ class TestRestrictionTableWalkOracle:
         assert {(12, (2, 2, 3)), (12, (2, 6)), (12, (3, 4))} <= set(grids)
         for n, ks in grids:
             auts = inference._grid_automorphisms(n, ks)[1:]
-            walked = list(inference._grid_labelings(n, 3, auts))
+            walked = [f for f, _ in inference._grid_labelings(n, ks, 3, auts)]
             assert walked == list(
                 _restriction_table_walk(3, _restriction_tables(n, ks))
             ), (n, ks)
@@ -987,4 +1111,5 @@ class TestGridCheckOracle:
         for f in labelings + labelings[::-1]:
             assert list(check.verdicts(f)) == old[f]
             satisfied = all(e == a for e, _, a in old[f])
-            assert check.satisfies(f) == satisfied
+            histories = _masked_histories(check, Model(fs, f, db.omega), db)
+            assert check.satisfies(f, histories) == satisfied
