@@ -38,15 +38,14 @@ extension and the masks are exact histories at full length.  The walk
 skips a subtree as soon as the masks of an asserted ``orthogonal A B | _``
 meet, and decides every ``| _`` assertion from ints at full length.
 
-The remaining, conditioned assertions run on integer label tuples.  A
-checker compiled against one reference grid keeps, per name, the row of
-block ids over the observations, so a labeling pulls the name back with one
-tuple lookup per element and builds no partition.  A triple holds when the
-histories of its first two names, restricted to each block of its third,
-are disjoint block by block.  Per labeling, the checker groups each
-pulled-back conditioning name into blocks once and reads the histories
-through ``structure.block_histories`` from the grid's history cache, which
-``search_models`` shares across the labelings of one grid.
+The walk is the only place the search decides a ``| _`` assertion.  Each
+conditioned one runs per yielded labeling on integer label tuples: a name's
+row of block ids over the observations pulls it back with one lookup per
+element, and the triple holds when the histories of its first two names,
+restricted to each block of its third, are disjoint block by block.  They
+are read through ``structure.block_histories`` from the grid's history
+cache.  ``models_database`` decides a given model by
+``structure.cond_orthogonal`` on the pull-backs.
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ from .partitions import (
     require_full,
     resolve_name,
 )
-from .structure import Labels, block_histories, history
+from .structure import Labels, block_histories, cond_orthogonal, history
 
 # (expected orthogonal, names, resolved partitions) of one assertion.
 ResolvedTriple = tuple[bool, tuple[str, str, str], tuple[Partition, Partition, Partition]]
@@ -144,81 +143,8 @@ class Model:
 def pullback(model: Model, part: Partition) -> Partition:
     """Preimage partition on the model's elements; empty preimages vanish."""
     require_full(model.omega, part)
-    pulled = map(part.block_ids.__getitem__, model.labeling)  # as in ``_GridCheck``
+    pulled = map(part.block_ids.__getitem__, model.labeling)  # as the search pulls back
     return Partition.from_block_of(model.factored.ground, dict(enumerate(pulled)))
-
-
-class _GridCheck:
-    """The assertions compiled against one factored set, checked per labeling.
-
-    A name's row holds the block id of every observation, so a labeling
-    pulls the name back to the label tuple ``row[f[s]]`` per element.
-    Reports keep the assertions' order.  The names of the ``| _``
-    assertions are ``masked``, in order of first appearance: ``satisfies``
-    decides those assertions from one history per masked name, and pulls
-    back only for the conditioned ones.
-    """
-
-    def __init__(self, fs: FactoredSet, triples: Sequence[ResolvedTriple]):
-        self.fs = fs
-        self.triples = [(expected, names) for expected, names, _ in triples]
-        # Resolved partitions are full: ``block_ids[w]`` is the block of ``w``.
-        self.rows = {
-            name: part.block_ids
-            for _, names, parts in triples
-            for name, part in zip(names, parts)
-        }
-        self.conditioned = [t for t in self.triples if t[1][2] != "_"]
-        unconditional = [t for t in self.triples if t[1][2] == "_"]
-        self.masked = list(dict.fromkeys(n for _, ns in unconditional for n in ns[:2]))
-        at = {name: k for k, name in enumerate(self.masked)}
-        self.unconditional = [
-            (e, names, at[names[0]], at[names[1]]) for e, names in unconditional
-        ]
-        # The pairs of masked names asserted orthogonal, by position in ``masked``.
-        self.disjoint = [(a, b) for e, _, a, b in self.unconditional if e]
-
-    def verdicts(
-        self, labeling: Labels
-    ) -> Iterator[tuple[bool, tuple[str, str, str], bool]]:
-        """``(expected, names, actual)`` per assertion, pulling each name back once."""
-        return self._verdicts(labeling, self.triples)
-
-    def _verdicts(
-        self, labeling: Labels, triples: list[tuple[bool, tuple[str, str, str]]]
-    ) -> Iterator[tuple[bool, tuple[str, str, str], bool]]:
-        pulled: dict[str, Labels] = {}
-        blocks_of: dict[str, list[tuple[int, ...]]] = {}
-        for expected, names in triples:
-            for name in names:
-                if name not in pulled:
-                    pulled[name] = tuple(map(self.rows[name].__getitem__, labeling))
-            x, y, z = names
-            if (blocks := blocks_of.get(z)) is None:
-                grouped: dict[int, list[int]] = {}
-                for s, b in enumerate(pulled[z]):
-                    grouped.setdefault(b, []).append(s)
-                blocks = blocks_of[z] = [tuple(b) for b in grouped.values()]
-            hx = block_histories(self.fs, pulled[x], blocks)
-            hy = block_histories(self.fs, pulled[y], blocks)
-            yield expected, names, not any(map(and_, hx, hy))
-
-    def history_verdicts(
-        self, histories: Sequence[int]
-    ) -> Iterator[tuple[bool, tuple[str, str, str], bool]]:
-        """``(expected, names, actual)`` per ``| _`` assertion, in report order.
-
-        ``histories`` holds one history bitmask per masked name; any one
-        numbering of the factors serves.
-        """
-        for expected, names, a, b in self.unconditional:
-            yield expected, names, not histories[a] & histories[b]
-
-    def satisfies(self, labeling: Labels, histories: Sequence[int]) -> bool:
-        """Whether a labeling with these masked-name histories meets every assertion."""
-        return all(e == a for e, _, a in self.history_verdicts(histories)) and all(
-            e == a for e, _, a in self._verdicts(labeling, self.conditioned)
-        )
 
 
 @dataclass(frozen=True)
@@ -240,19 +166,20 @@ class ModelCheckReport:
 
 
 def models_database(model: Model, db: OrthogonalityDatabase) -> ModelCheckReport:
-    """Check every database assertion against the model, with a per-triple report."""
+    """Per assertion, ``cond_orthogonal`` of its three pull-backs through the model."""
     if model.omega != db.omega:
         raise ValidationError("model and database observe different spaces")
+    triples = db.resolved_triples()
+    parts = {n: p for _, names, ps in triples for n, p in zip(names, ps)}
+    pulled = {name: pullback(model, part) for name, part in parts.items()}
     entries = tuple(
         TripleVerdict(
             kind="orthogonal" if expected else "dependent",
             names=names,
             expected=expected,
-            actual=actual,
+            actual=cond_orthogonal(model.factored, *map(pulled.__getitem__, names)),
         )
-        for expected, names, actual in _GridCheck(
-            model.factored, db.resolved_triples()
-        ).verdicts(model.labeling)
+        for expected, names, _ in triples
     )
     return ModelCheckReport(all(e.ok for e in entries), entries)
 
@@ -267,6 +194,12 @@ class SearchBounds:
     time_budget: float | None = None
 
     def __post_init__(self) -> None:
+        dim = 0 if self.max_dim is None else self.max_dim
+        for name, value in (("max_size", self.max_size), ("max_dim", dim)):
+            try:
+                index(value)
+            except TypeError:
+                raise ValidationError(f"{name} must be an integer") from None
         if self.max_size < 1:
             raise ValidationError("max_size must be at least 1")
         if self.max_dim is not None and self.max_dim < 0:
@@ -342,8 +275,9 @@ def _grid_labelings(
     auts: tuple[tuple[int, ...], ...],
     rows: Sequence[Sequence[int]] = (),
     disjoint: Sequence[tuple[int, int]] = (),
+    meeting: Sequence[tuple[int, int]] = (),
     deadline: float | None = None,
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]] | None]:
+) -> Iterator[tuple[int, ...] | None]:
     """The labelings no larger than their image under any of ``auts``, in order.
 
     Labels are tried in ascending order at each position.  Each automorphism
@@ -353,9 +287,10 @@ def _grid_labelings(
     for the subtree, and equal pairs keep ``p`` tied.  At full length every
     position is placed, so a labeling that survives is canonical.
 
-    Each labeling comes with the history of every row's pull-back, bit ``j``
-    for coordinate ``j``, read off the prefix as the module docstring says.
-    A subtree is skipped once the masks of a ``disjoint`` pair of rows
+    The walk keeps the history of every row's pull-back, bit ``j`` for
+    coordinate ``j``, read off the prefix as the module docstring says.  A
+    subtree is skipped once the masks of a ``disjoint`` pair of rows meet,
+    and a full labeling is kept only if the masks of every ``meeting`` pair
     meet.  With a ``deadline`` the walk reads the clock once per placed
     label and yields ``None`` once it has passed.
     """
@@ -365,7 +300,8 @@ def _grid_labelings(
     # ``masks[i]`` packs the masks of the prefix ``f[:i]`` into one int, row
     # k's at bits k*d .. k*d + d - 1.
     shifts = [k * d for k in range(len(rows))]
-    pairs = [(shifts[a], shifts[b]) for a, b in disjoint]
+    apart_pairs = [(shifts[a], shifts[b]) for a, b in disjoint]
+    meeting_pairs = [(shifts[a], shifts[b]) for a, b in meeting]
     # apart[v][u] sets bit k*d for each row k with labels v and u in
     # different blocks; shifted by j, it sets those rows' coordinate j.
     labels = range(omega_n)
@@ -399,7 +335,9 @@ def _grid_labelings(
         differs = apart[f[i]]
         for s, j in steps[i]:
             h |= differs[f[s]] << j
-        if h != masks[i] and any(h >> a & h >> b & low for a, b in pairs):
+        if h != masks[i] and any(h >> a & h >> b & low for a, b in apart_pairs):
+            continue
+        if i + 1 == n and not all(h >> a & h >> b & low for a, b in meeting_pairs):
             continue
         still = []
         for p, j in tied[i]:
@@ -411,11 +349,37 @@ def _grid_labelings(
                 break
         else:
             if i + 1 == n:
-                yield tuple(f), tuple(h >> k & low for k in shifts)
+                yield tuple(f)
             else:
                 tied[i + 1] = still
                 masks[i + 1] = h
                 i += 1
+
+
+def _conditioned_hold(
+    fs: FactoredSet,
+    rows: Mapping[str, Sequence[int]],
+    conditioned: Sequence[tuple[bool, tuple[str, str, str]]],
+    labeling: Labels,
+) -> bool:
+    """Whether ``labeling`` meets every ``(expected, names)``, up to the first miss."""
+    pulled: dict[str, Labels] = {}
+    blocks_of: dict[str, list[tuple[int, ...]]] = {}
+    for expected, names in conditioned:
+        for name in names:
+            if name not in pulled:
+                pulled[name] = tuple(map(rows[name].__getitem__, labeling))
+        x, y, z = names
+        if (blocks := blocks_of.get(z)) is None:
+            grouped: dict[int, list[int]] = {}
+            for s, b in enumerate(pulled[z]):
+                grouped.setdefault(b, []).append(s)
+            blocks = blocks_of[z] = [tuple(b) for b in grouped.values()]
+        hx = block_histories(fs, pulled[x], blocks)
+        hy = block_histories(fs, pulled[y], blocks)
+        if expected == any(map(and_, hx, hy)):
+            return False
+    return True
 
 
 def search_models(
@@ -430,35 +394,43 @@ def search_models(
 
     On every grid the walk yields exactly the labelings no larger than their
     image under every non-identity grid automorphism (under every adjacent
-    transposition, for a single discrete factor), minus the subtrees where
-    an asserted ``orthogonal A B | _`` already fails, together with the
-    histories of the names asserted ``| _``.  With a time budget the walk
-    reads the clock once per placed label.  Each labeling it yields goes
-    through the surjectivity filter, then the database check; only a
-    labeling that passes becomes a ``Model``.
+    transposition, for a single discrete factor) that meet every ``| _``
+    assertion, and skips a subtree once an asserted ``orthogonal A B | _``
+    fails.  With a time budget it reads the clock once per placed label.
+    Each labeling it yields goes through the surjectivity filter, then
+    ``_conditioned_hold``; only one that passes becomes a ``Model``.  Both
+    checks are compiled once per database.
     """
     deadline = (
         None if bounds.time_budget is None else time.monotonic() + bounds.time_budget
     )
     triples = db.resolved_triples()
     omega_n = db.omega.n
+    # Resolved partitions are full: ``block_ids[w]`` is the block of ``w``.
+    rows = {n: p.block_ids for _, names, parts in triples for n, p in zip(names, parts)}
+    conditioned = [(e, names) for e, names, _ in triples if names[2] != "_"]
+    unconditional = [(e, names[:2]) for e, names, _ in triples if names[2] == "_"]
+    masked = list(dict.fromkeys(name for _, pair in unconditional for name in pair))
+    masked_rows = [rows[name] for name in masked]
+    at = masked.index
+    disjoint = [(at(x), at(y)) for e, (x, y) in unconditional if e]
+    meeting = [(at(x), at(y)) for e, (x, y) in unconditional if not e]
     for n in range(1, bounds.max_size + 1):
         for ks in factor_size_multisets(n):
             if bounds.max_dim is not None and len(ks) > bounds.max_dim:
                 continue
             fs = grid_factored_set(n, ks)
-            check = _GridCheck(fs, triples)
             auts = _walk_automorphisms(n, ks)
-            rows = [check.rows[name] for name in check.masked]
-            walk = _grid_labelings(n, ks, omega_n, auts, rows, check.disjoint, deadline)
-            for item in walk:
-                if item is None:
+            walk = _grid_labelings(
+                n, ks, omega_n, auts, masked_rows, disjoint, meeting, deadline
+            )
+            for f in walk:
+                if f is None:
                     yield Truncation(n)
                     return
-                f, histories = item
                 if bounds.surjective_only and len(set(f)) != omega_n:
                     continue
-                if check.satisfies(f, histories):
+                if _conditioned_hold(fs, rows, conditioned, f):
                     yield Model(fs, f, db.omega)
 
 

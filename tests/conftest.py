@@ -222,36 +222,27 @@ def ex2() -> Ex2:
 
 @pytest.fixture
 def expire_budget_in_size(monkeypatch):
-    """Run the search's time budget out at its first checked labeling of a given size.
+    """Run the search's time budget out as it enters a given size.
 
-    ``inference.time.monotonic`` reads 0 until the per-labeling check
-    ``inference._GridCheck.satisfies`` sees a labeling of that size and
-    infinity afterwards, so the next deadline check truncates in that size,
-    whatever the wall time.  Should the check stop going through that hook,
-    the search fails as it enters a larger size instead of running on, and
-    teardown fails if the spy never fired.
+    ``inference.time.monotonic`` reads 0 until the search builds its first
+    grid of that size and infinity afterwards, so the walk's first deadline
+    check there truncates in that size, whatever the wall time.  Teardown
+    fails if the search never entered the size.
     """
     clocks = []
 
     def arm(size: int) -> None:
         now = [0.0]
-        satisfies = inference._GridCheck.satisfies
         grid = inference.grid_factored_set
 
-        def spy(check, labeling, histories):
-            if len(labeling) >= size:
-                now[0] = math.inf
-            return satisfies(check, labeling, histories)
-
         def entering(n, ks):
-            if n > size and now[0] != math.inf:
-                pytest.fail(f"search entered size {n} before checking size {size}")
+            if n >= size:
+                now[0] = math.inf
             return grid(n, ks)
 
         monkeypatch.setattr(inference.time, "monotonic", lambda: now[0])
-        monkeypatch.setattr(inference._GridCheck, "satisfies", spy)
         monkeypatch.setattr(inference, "grid_factored_set", entering)
         clocks.append(now)
 
     yield arm
-    assert clocks and all(now[0] == math.inf for now in clocks), "the spy never fired"
+    assert clocks and all(now[0] == math.inf for now in clocks), "the size was never entered"

@@ -230,6 +230,50 @@ class TestInferenceCommands:
             assert triples[split:] == sorted(triples[split:])
         assert [t[2] for t in triples] == ["Y", "_", "Y", "_", "_", "Y"]
 
+    # A 2x2 model of ex2.db: its first factor feeds both X and V, and Z is
+    # constant on each block of Y.
+    VIOLATING_MODEL = (
+        "set 4\nlabels 00 01 10 11\n"
+        "factor A { 00 01 | 10 11 }\nfactor B { 00 10 | 01 11 }\n"
+        "map 00 -> 000\nmap 01 -> 000\nmap 10 -> 011\nmap 11 -> 100\n"
+    )
+
+    def test_check_model_reports_each_violation(self, capsys, tmp_path):
+        model = tmp_path / "violating.ffs"
+        model.write_text(self.VIOLATING_MODEL)
+        code, out, _ = run(capsys, "check-model", "--model", str(model), "--db", DB2)
+        assert code == 1
+        assert out == (
+            "orthogonal V Z | Y : satisfied\n"
+            "orthogonal X V | _ : VIOLATED\n"
+            "orthogonal X Z | Y : satisfied\n"
+            "dependent V Z | _ : satisfied\n"
+            "dependent X Z | _ : satisfied\n"
+            "dependent Z Z | Y : VIOLATED\n"
+            "does not model database\n"
+        )
+        code, out, _ = run(
+            capsys, "--format", "structured", "check-model", "--model", str(model),
+            "--db", DB2,
+        )
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["inputs"][str(model)] == "6da212ea4e19ec1c"
+        assert payload["results"] == {
+            "entries": [
+                {"kind": kind, "ok": ok, "triple": list(triple)}
+                for kind, ok, triple in (
+                    ("orthogonal", True, "VZY"),
+                    ("orthogonal", False, "XV_"),
+                    ("orthogonal", True, "XZY"),
+                    ("dependent", True, "VZ_"),
+                    ("dependent", True, "XZ_"),
+                    ("dependent", False, "ZZY"),
+                )
+            ],
+            "ok": False,
+        }
+
     def test_infer_holds_with_qualifier(self, capsys):
         code, out, _ = run(
             capsys, "infer", "--db", DB1, "--before", "X", "Y", "--max-size", "6"

@@ -173,14 +173,8 @@ class TestModelsDatabase:
         assert len(report.entries) == 6
 
 
-def _masked_histories(check, model, db):
-    """The history of each name the checker masks, pulled back through the model."""
-    fs = model.factored
-    return [history(fs, pullback(model, db.resolve(name))) for name in check.masked]
-
-
 class TestAssertionOrder:
-    """Reports keep the assertions' sorted order; ``satisfies`` pulls back conditioned ones."""
+    """Reports keep the assertions' sorted order; the search pulls back conditioned ones."""
 
     def test_report_order_and_check_order(self, ex1, ex2, monkeypatch):
         ex1_model = resolve_model(ex1.file, ex1.db.omega)
@@ -193,28 +187,35 @@ class TestAssertionOrder:
             ]
             assert [e.expected for e in report.entries] == [e for e, _, _ in triples]
 
-        # ex2's conditioning names are ``_`` and Y, which its model pulls
-        # back to one and two blocks, so a spy on the histories the checker
-        # reads tells them apart.
-        model = ex2.model
-        assert len(pullback(model, ex2.db.resolve("Y")).blocks) == 2
-        conditioned = []
-        block_histories = inference.block_histories
-
-        def spy(fs, labels, blocks):
-            conditioned.append("_" if len(blocks) == 1 else "Y")
-            return block_histories(fs, labels, blocks)
-
-        monkeypatch.setattr(inference, "block_histories", spy)
+        # ex2's conditioning names are ``_`` and Y.  The walk decides the
+        # ``| _`` assertions, so during a search every history the
+        # per-labeling check reads is conditioned on a block of Y pulled
+        # back through the labeling at hand.  Y always pulls back to two
+        # blocks there, so the one block of ``_`` could never pass for it.
         zs = [names[2] for _, names, _ in ex2.db.resolved_triples()]
         assert zs == ["Y", "_", "Y", "_", "_", "Y"]
-        check = inference._GridCheck(model.factored, ex2.db.resolved_triples())
-        list(check.verdicts(model.labeling))
-        assert conditioned[::2] == zs
-        conditioned.clear()
-        assert check.masked == ["X", "V", "Z"]
-        assert check.satisfies(model.labeling, _masked_histories(check, model, ex2.db))
-        assert conditioned == ["Y"] * 6
+        y = ex2.db.resolve("Y")
+        labelings = []
+        block_counts = []
+        block_histories = inference.block_histories
+        conditioned_hold = inference._conditioned_hold
+
+        def check(fs, rows, conditioned, labeling):
+            assert [names[2] for _, names in conditioned] == ["Y"] * 3
+            labelings.append(labeling)
+            return conditioned_hold(fs, rows, conditioned, labeling)
+
+        def spy(fs, labels, blocks):
+            model = Model(fs, labelings[-1], ex2.db.omega)
+            assert set(blocks) == set(pullback(model, y).blocks)
+            block_counts.append(len(blocks))
+            return block_histories(fs, labels, blocks)
+
+        monkeypatch.setattr(inference, "_conditioned_hold", check)
+        monkeypatch.setattr(inference, "block_histories", spy)
+        models = list(search_models(ex2.db, SearchBounds(max_size=8)))
+        assert len(models) == 5
+        assert labelings and set(block_counts) == {2}
 
 
 # Grid shapes and observation spaces for the model-check oracle.
@@ -264,8 +265,9 @@ class TestModelCheckOracle:
             assert entry.actual == cond_orthogonal(fs, x, y, z)
             assert entry.actual == _brute_cond_orthogonal(fs, x, y, z)
         assert report.ok == all(e.ok for e in report.entries)
-        check = inference._GridCheck(fs, triples)
-        assert check.satisfies(labeling, _masked_histories(check, model, db)) == report.ok
+        old = list(_old_verdicts(model, triples))
+        assert [(e.expected, e.names, e.actual) for e in report.entries] == old
+        assert _search_accepts(name, n, ORACLE_GRIDS[n], labeling) == report.ok
 
     def test_examples_include_a_satisfying_model_of_each_db(self):
         for name, n, labeling in (
@@ -284,11 +286,14 @@ class TestSearchBounds:
             ({"max_dim": -1}, "max_dim must be at least 0"),
             ({"time_budget": -0.5}, "time_budget must be a number of seconds >= 0"),
             ({"time_budget": math.nan}, "time_budget must be a number of seconds >= 0"),
+            ({"max_size": 2.5}, "max_size must be an integer"),
+            ({"max_size": "3"}, "max_size must be an integer"),
+            ({"max_dim": 1.5}, "max_dim must be an integer"),
         ],
     )
     def test_rejected(self, kwargs, message):
         with pytest.raises(ValidationError, match=message):
-            SearchBounds(max_size=3, **kwargs)
+            SearchBounds(**{"max_size": 3, **kwargs})
 
     def test_zero_dim_and_zero_budget_are_valid(self):
         bounds = SearchBounds(max_size=3, max_dim=0, time_budget=0.0)
@@ -711,7 +716,7 @@ def _old_search_models(db, bounds):
 
     A single discrete factor takes every multiset of labels, every other
     grid the unpruned walk, and each canonical labeling that passes the
-    surjectivity filter goes through the checker's full per-labeling pass.
+    surjectivity filter goes through the per-model pass ``_old_verdicts``.
     """
     triples = db.resolved_triples()
     omega_n = db.omega.n
@@ -720,7 +725,6 @@ def _old_search_models(db, bounds):
             if bounds.max_dim is not None and len(ks) > bounds.max_dim:
                 continue
             fs = grid_factored_set(n, ks)
-            check = inference._GridCheck(fs, triples)
             if ks == (n,):
                 candidates = itertools.combinations_with_replacement(range(omega_n), n)
             else:
@@ -729,8 +733,9 @@ def _old_search_models(db, bounds):
             for f in candidates:
                 if bounds.surjective_only and len(set(f)) != omega_n:
                     continue
-                if all(e == a for e, _, a in check.verdicts(f)):
-                    yield Model(fs, f, db.omega)
+                model = Model(fs, f, db.omega)
+                if all(e == a for e, _, a in _old_verdicts(model, triples)):
+                    yield model
 
 
 def _planted_db(rng):
@@ -831,7 +836,7 @@ class TestSearchOracle:
         count = [0]
         events = []
         entered = []
-        satisfies = inference._GridCheck.satisfies
+        conditioned_hold = inference._conditioned_hold
         grid = inference.grid_factored_set
 
         def clock():
@@ -841,16 +846,16 @@ class TestSearchOracle:
             events.append("expired read")
             return math.inf
 
-        def spy(check, labeling, histories):
+        def spy(fs, rows, conditioned, labeling):
             events.append("check")
-            return satisfies(check, labeling, histories)
+            return conditioned_hold(fs, rows, conditioned, labeling)
 
         def entering(n, ks):
             entered.append(n)
             return grid(n, ks)
 
         monkeypatch.setattr(inference.time, "monotonic", clock)
-        monkeypatch.setattr(inference._GridCheck, "satisfies", spy)
+        monkeypatch.setattr(inference, "_conditioned_hold", spy)
         monkeypatch.setattr(inference, "grid_factored_set", entering)
         items = list(search_models(db, bounds))
         if "expired read" not in events:
@@ -951,54 +956,51 @@ class TestWalkCountOracle:
         for n in range(2, 8):
             auts = inference._walk_automorphisms(n, (n,))
             for omega_n in range(1, 6):
-                walked = [f for f, _ in inference._grid_labelings(n, (n,), omega_n, auts)]
+                walked = list(inference._grid_labelings(n, (n,), omega_n, auts))
                 assert walked == list(
                     itertools.combinations_with_replacement(range(omega_n), n)
                 ), (n, omega_n)
 
 
-def _coordinate_bits(fs, ks):
-    """Per coordinate of the reference grid with block counts ``ks``, its factor's bit in ``fs``."""
-    strides = inference.mixed_radix_strides(ks)
-    ids = [p.block_ids for p in fs.factors]
-    return [
-        1 << ids.index(tuple(s // strides[j] % ks[j] for s in range(fs.size)))
-        for j in range(len(ks))
-    ]
+def _check_pruned_walk(db, max_size):
+    """Per grid, the pruned walk against the unpruned one kept by the old ``| _`` verdicts.
 
-
-def _check_masks_against_histories(db, max_size):
-    """Every canonical labeling's masks against ``history``, and its ``| _`` verdicts."""
-    triples = db.resolved_triples()
+    Returns the number of unpruned labelings checked.
+    """
+    unconditional = [t for t in db.resolved_triples() if t[1][2] == "_"]
+    masked = list(dict.fromkeys(x for _, names, _ in unconditional for x in names[:2]))
+    rows = [db.resolve(x).block_ids for x in masked]
+    pairs = {True: [], False: []}
+    for expected, (x, y, _), _ in unconditional:
+        pairs[expected].append((masked.index(x), masked.index(y)))
     checked = 0
     for n in range(1, max_size + 1):
         for ks in inference.factor_size_multisets(n):
             fs = grid_factored_set(n, ks)
-            check = inference._GridCheck(fs, triples)
             auts = inference._walk_automorphisms(n, ks)
-            bits = _coordinate_bits(fs, ks)
-            rows = [check.rows[name] for name in check.masked]
-            for f, masks in inference._grid_labelings(n, ks, db.omega.n, auts, rows):
-                model = Model(fs, f, db.omega)
-                for name, mask in zip(check.masked, masks):
-                    factor_mask = sum(b for j, b in enumerate(bits) if mask >> j & 1)
-                    assert factor_mask == history(fs, pullback(model, db.resolve(name)))
-                unconditional = [v for v in check.verdicts(f) if v[1][2] == "_"]
-                assert list(check.history_verdicts(masks)) == unconditional
+            kept = []
+            for f in inference._grid_labelings(n, ks, db.omega.n, auts):
+                old = _old_verdicts(Model(fs, f, db.omega), unconditional)
+                if all(e == a for e, _, a in old):
+                    kept.append(f)
                 checked += 1
+            pruned = inference._grid_labelings(
+                n, ks, db.omega.n, auts, rows, pairs[True], pairs[False]
+            )
+            assert list(pruned) == kept, (n, ks)
     return checked
 
 
 class TestHistoryMasks:
-    """The walk's masks, without pruning, are the pulled-back names' histories."""
+    """The walk keeps exactly the canonical labelings meeting every ``| _`` assertion."""
 
     @pytest.mark.parametrize("name,max_size,labelings", [("ex1", 8, 4971), ("ex2", 6, 26720)])
     def test_every_canonical_labeling(self, name, max_size, labelings):
-        assert _check_masks_against_histories(ORACLE_DBS[name], max_size) == labelings
+        assert _check_pruned_walk(ORACLE_DBS[name], max_size) == labelings
 
     @pytest.mark.slow
     def test_every_canonical_labeling_of_ex2_to_size_eight(self):
-        assert _check_masks_against_histories(ORACLE_DBS["ex2"], 8) == 804811
+        assert _check_pruned_walk(ORACLE_DBS["ex2"], 8) == 804811
 
 
 def _restriction_tables(n, ks):
@@ -1049,7 +1051,7 @@ class TestRestrictionTableWalkOracle:
         assert {(12, (2, 2, 3)), (12, (2, 6)), (12, (3, 4))} <= set(grids)
         for n, ks in grids:
             auts = inference._grid_automorphisms(n, ks)[1:]
-            walked = [f for f, _ in inference._grid_labelings(n, ks, 3, auts)]
+            walked = list(inference._grid_labelings(n, ks, 3, auts))
             assert walked == list(
                 _restriction_table_walk(3, _restriction_tables(n, ks))
             ), (n, ks)
@@ -1087,8 +1089,23 @@ def labelings_of_one_grid(draw):
     return name, n, ks, labelings
 
 
+@lru_cache(maxsize=None)
+def _grid_models(name, n, ks):
+    """The labelings ``search_models`` yields on the one grid ``ks`` of size ``n``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inference, "factor_size_multisets", lambda m: [ks] if m == n else [])
+        models = search_models(CHECKER_DBS[name], SearchBounds(max_size=n))
+        return frozenset(m.labeling for m in models)
+
+
+def _search_accepts(name, n, ks, labeling):
+    """Whether the search yields the least labeling in the orbit of ``labeling``."""
+    orbit = (tuple(labeling[s] for s in p) for p in inference._grid_automorphisms(n, ks))
+    return min(orbit) in _grid_models(name, n, ks)
+
+
 class TestGridCheckOracle:
-    """One checker per grid, sharing its grid's history cache, against the old pass."""
+    """``models_database`` and the search's accept/reject against the old pass."""
 
     @settings(max_examples=120, deadline=None)
     @given(labelings_of_one_grid())
@@ -1107,9 +1124,9 @@ class TestGridCheckOracle:
             for (_, _, actual), (_, _, parts) in zip(old[f], triples):
                 x, y, z = (pullback(model, p) for p in parts)
                 assert actual == _brute_cond_orthogonal(fs, x, y, z)
-        check = inference._GridCheck(fs, triples)
         for f in labelings + labelings[::-1]:
-            assert list(check.verdicts(f)) == old[f]
+            report = models_database(Model(fs, f, db.omega), db)
+            assert [(e.expected, e.names, e.actual) for e in report.entries] == old[f]
             satisfied = all(e == a for e, _, a in old[f])
-            histories = _masked_histories(check, Model(fs, f, db.omega), db)
-            assert check.satisfies(f, histories) == satisfied
+            assert report.ok == satisfied
+            assert _search_accepts(name, n, ks, f) == satisfied
