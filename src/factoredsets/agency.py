@@ -6,28 +6,21 @@ the world model: the agent's choice neither influences the event nor, in the
 worlds where the event fails, anything the world model distinguishes.
 
 Observing a partition splits the agent into one subagent per block.  The
-subagents must jointly refine back to the agent, which pins every candidate
-subagent into the agent's coarsening lattice: a common refinement equal to
-the agent forces each piece to be coarser than the agent.  The search is
-therefore bounded in principle, but its size is a product of coarsening
-counts, so a budget caps it and exhaustion is an explicit third verdict
-rather than a guess.
+subagents must jointly refine back to the agent, so each is a coarsening of
+the agent, orthogonal to the world on the rest of the set.  Those
+coarsenings are closed under common refinement (the history of a common
+refinement is the union of the histories), so each block has a finest one,
+read off the coordinates; the agent observes the partition exactly when the
+finest subagents refine back to it.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
 from .factored import FactoredSet
-from .partitions import (
-    Partition,
-    bell_number,
-    common_refinement,
-    iter_coarsenings,
-    require_full,
-)
+from .partitions import Partition, common_refinement, require_full
 from .structure import (
     cond_orthogonal,
     cond_orthogonal_given_subset,
@@ -58,63 +51,62 @@ def observes_event(
 
 @dataclass(frozen=True)
 class ObservesVerdict:
-    outcome: str  # "yes" | "no" | "inconclusive"
+    outcome: str  # "yes" | "no"
     witness: tuple[Partition, ...] | None = None
-    tuples_tried: int = 0
 
     def __bool__(self) -> bool:
         return self.outcome == "yes"
 
 
+def _finest_subagent(
+    fs: FactoredSet, agent: Partition, rest: frozenset[int], world: Partition
+) -> Partition:
+    """Finest coarsening of the agent orthogonal to the world on ``rest``.
+
+    The world's history on ``rest`` is a union of splice components of
+    ``rest``, so the factors outside it keep ``rest`` closed, and a
+    coarsening's restriction avoids that history exactly when those factors
+    generate it: when elements of ``rest`` with the same coordinates on them
+    share a block.  Merging the agent's blocks along such pairs (a union-find
+    over block ids) gives the finest such coarsening.
+    """
+    outside = fs.mask_indices(fs.full_mask & ~history(fs, world.restrict(rest)))
+    root = list(range(agent.block_count))
+
+    def find(b: int) -> int:
+        while root[b] != b:
+            b = root[b]
+        return b
+
+    ids = agent.block_ids
+    first: dict[tuple[int, ...], int] = {}
+    for s in rest:
+        key = tuple(map(fs.coords[s].__getitem__, outside))
+        root[find(first.setdefault(key, ids[s]))] = find(ids[s])
+    return Partition.from_block_of(fs.ground, {s: find(b) for s, b in enumerate(ids)})
+
+
 def observes_partition(
-    fs: FactoredSet,
-    agent: Partition,
-    x: Partition,
-    world: Partition,
-    budget: int = 1_000_000,
+    fs: FactoredSet, agent: Partition, x: Partition, world: Partition
 ) -> ObservesVerdict:
     """Split the agent into per-block subagents, each observing its block.
 
-    Each block keeps the coarsenings of the agent that pass the
-    conditioned-orthogonality test for it, and one ``itertools.product`` scan
-    walks the tuples of those lists in lexicographic order.  The witness is
-    the first tuple whose common refinement restores the agent, and
-    ``tuples_tried`` counts the tuples scanned, the witness included.  The
-    scan tries at most ``budget`` tuples, and a scan that tried ``budget``
-    tuples without a witness is ``inconclusive``, even if the last of them
-    ended the product.
+    The subagent for a block is the finest coarsening of the agent that is
+    orthogonal to the world on the rest of the set.  The verdict is ``yes``
+    exactly when these refine back to the agent, and they are the witness;
+    any other qualifying tuple is coarser piece by piece, so none restores
+    the agent when they do not.
     """
     require_full(fs.ground, agent, x, world)
     if not orthogonal(fs, agent, x):
         return ObservesVerdict("no")
-    blocks = x.block_sets
-    if not blocks:
-        # Empty ground set: the empty common refinement is the (empty)
-        # indiscrete partition, which the agent already equals.
-        return ObservesVerdict("yes", witness=())
-    if bell_number(agent.block_count) > budget:
-        return ObservesVerdict("inconclusive")
-    coarsenings = list(iter_coarsenings(agent))
     everything = frozenset(range(fs.size))
-    valid: list[list[Partition]] = []
-    for xb in blocks:
-        rest = everything - xb
-        valid.append(
-            [c for c in coarsenings if cond_orthogonal_given_subset(fs, c, world, rest)]
-        )
-        if not valid[-1]:
-            return ObservesVerdict("no")
-
-    tried = 0
-    for witness in itertools.product(*valid):
-        if tried >= budget:
-            break
-        tried += 1
-        if common_refinement(witness) == agent:
-            return ObservesVerdict("yes", witness=witness, tuples_tried=tried)
-    if tried >= budget:
-        return ObservesVerdict("inconclusive", tuples_tried=tried)
-    return ObservesVerdict("no", tuples_tried=tried)
+    witness = tuple(
+        _finest_subagent(fs, agent, everything - b, world) for b in x.block_sets
+    )
+    if common_refinement(witness, ground=fs.ground) == agent:
+        return ObservesVerdict("yes", witness=witness)
+    return ObservesVerdict("no")
 
 
 def history_join(fs: FactoredSet, x: Partition) -> Partition:

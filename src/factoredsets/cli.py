@@ -401,8 +401,6 @@ def _cmd_consistent(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_observes(args) -> tuple[int, dict, list[str]]:
-    if args.budget < 1:
-        raise _Failure("--budget must be at least 1")
     fsf = load_factored_set_file(args.file)
     fs = fsf.fs
     agent = fsf.resolve(args.agent)
@@ -415,7 +413,7 @@ def _cmd_observes(args) -> tuple[int, dict, list[str]]:
         payload = {"agent": args.agent, "event": args.event, "observes": verdict}
         return (0 if verdict else 1), payload, [outcome]
     target = fsf.resolve(args.partition)
-    result = agency.observes_partition(fs, agent, target, world, budget=args.budget)
+    result = agency.observes_partition(fs, agent, target, world)
     lines = [result.outcome]
     witness = None
     if result.witness is not None:
@@ -545,7 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--event")
     p.add_argument("--partition")
     p.add_argument("--world", required=True)
-    p.add_argument("--budget", type=int, default=1_000_000)
 
     p = command("counterfactable", _cmd_counterfactable, "counterfactability of a partition")
     p.add_argument("file")

@@ -204,7 +204,11 @@ class SearchBounds:
             raise ValidationError("max_size must be at least 1")
         if self.max_dim is not None and self.max_dim < 0:
             raise ValidationError("max_dim must be at least 0")
-        if self.time_budget is not None and not self.time_budget >= 0:
+        try:
+            bad_budget = self.time_budget is not None and not self.time_budget >= 0
+        except TypeError:
+            bad_budget = True
+        if bad_budget:
             raise ValidationError("time_budget must be a number of seconds >= 0")
 
     def describe(self, truncation: Truncation | None) -> str:

@@ -37,7 +37,11 @@ class GroundSet:
     labels: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n < 0:
+        try:
+            negative = index(self.n) < 0
+        except TypeError:
+            raise ValidationError(f"ground set size {self.n!r} is not an integer") from None
+        if negative:
             raise ValidationError(f"ground set size must be >= 0, got {self.n}")
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(self.labels))

@@ -1,5 +1,5 @@
 import random
-from typing import Iterator
+from collections import Counter
 
 import pytest
 
@@ -23,7 +23,6 @@ from factoredsets import (
     orthogonal,
     relatively_counterfactable,
 )
-from factoredsets.agency import ObservesVerdict
 from factoredsets.partitions import require_full
 from conftest import (
     mixed_random_partition,
@@ -123,7 +122,7 @@ class TestObservesPartition:
             a = mixed_random_partition(rng, fs)
             x = mixed_random_partition(rng, fs)
             w = mixed_random_partition(rng, fs)
-            verdict = observes_partition(fs, a, x, w, budget=20_000)
+            verdict = observes_partition(fs, a, x, w)
             if verdict.outcome == "yes":
                 seen_yes += 1
                 assert common_refinement(list(verdict.witness)) == a
@@ -135,14 +134,6 @@ class TestObservesPartition:
                         fs, piece.restrict(rest), w.restrict(rest)
                     )
         assert seen_yes > 5
-
-    def test_budget_exhaustion_is_inconclusive(self, ex1):
-        # The agent passes the orthogonality precheck, so a zero budget must
-        # stop the subagent search before it can conclude anything.
-        fs = ex1.fs
-        assert orthogonal(fs, ex1.X, ex1.V)
-        tiny = observes_partition(fs, ex1.X, ex1.V, ex1.Y, budget=0)
-        assert tiny.outcome == "inconclusive"
 
     def test_relabeling_invariance_of_yes(self, ex1):
         # Permute the ground set; the verdict must not change.
@@ -162,81 +153,86 @@ class TestObservesPartition:
             )
             assert got.outcome == base.outcome
 
+    def test_join_of_four_factors_on_the_5_cube(self):
+        # The agent has Bell(16) > 10^10 coarsenings, so the old search's
+        # default budget of 10^6 made it answer inconclusive.  Against the
+        # world factor 0 each subagent merges the blocks that differ only in
+        # factor 0, so the subagents lose it.
+        fs = grid_factored_set(32, (2,) * 5)
+        agent = common_refinement(fs.factors[:4])
+        assert agent.block_count == 16
+        x = fs.factors[4]
+        ind = Partition.indiscrete(fs.ground)
+        verdict = observes_partition(fs, agent, x, ind)
+        assert verdict.outcome == "yes"
+        assert verdict.witness == (agent, agent)
+        assert observes_partition(fs, agent, x, fs.factors[0]).outcome == "no"
+
 
 def recursive_observes_partition(
     fs: FactoredSet, agent: Partition, x: Partition, world: Partition, budget: int
-) -> ObservesVerdict:
-    """The subagent search as a recursive walk over join prefixes.
+) -> tuple[str, list[list[Partition]]]:
+    """The old subagent search, as a recursive walk over join prefixes.
 
-    The oracle for ``observes_partition``'s product scan.  A prefix whose
-    join already equals the agent counts as one tuple and is completed with
-    the first option of every later block.
+    It lists the agent's coarsenings, keeps per block those that pass the
+    conditioned-orthogonality test, and tries their tuples in lexicographic
+    order, a prefix whose join already equals the agent counting as one
+    tuple.  After ``budget`` tuples without a witness, or when the agent has
+    more than ``budget`` coarsenings, it is ``inconclusive``.  It returns the
+    outcome and the per-block lists, empty when it listed none.
     """
     require_full(fs.ground, agent, x, world)
     if not orthogonal(fs, agent, x):
-        return ObservesVerdict("no")
-    blocks = x.block_sets
-    if not blocks:
-        return ObservesVerdict("yes", witness=())
+        return "no", []
     if bell_number(agent.block_count) > budget:
-        return ObservesVerdict("inconclusive")
-    coarsenings = sorted(iter_coarsenings(agent), key=lambda p: p.key)
+        return "inconclusive", []
+    coarsenings = list(iter_coarsenings(agent))
     everything = frozenset(range(fs.size))
-    valid: list[list[Partition]] = []
-    for xb in blocks:
-        rest = everything - xb
-        valid.append(
-            [c for c in coarsenings if cond_orthogonal_given_subset(fs, c, world, rest)]
-        )
-        if not valid[-1]:
-            return ObservesVerdict("no")
-
+    valid = [
+        [c for c in coarsenings if cond_orthogonal_given_subset(fs, c, world, everything - b)]
+        for b in x.block_sets
+    ]
     tried = 0
-    chosen: list[Partition] = []
 
-    def rec(i: int, joined: Partition | None) -> Iterator[tuple[Partition, ...]]:
+    def rec(i: int, joined: Partition) -> bool:
         nonlocal tried
-        if joined == agent:
+        if joined == agent or i == len(valid):
             tried += 1
-            yield tuple(chosen) + tuple(options[0] for options in valid[i:])
-            return
-        if i == len(valid):
-            tried += 1
-            return
+            return joined == agent
         for cand in valid[i]:
             if tried >= budget:
-                return
-            chosen.append(cand)
-            nxt = cand if joined is None else common_refinement([joined, cand])
-            yield from rec(i + 1, nxt)
-            chosen.pop()
+                return False
+            if rec(i + 1, common_refinement([joined, cand])):
+                return True
+        return False
 
-    for witness in rec(0, None):
-        return ObservesVerdict("yes", witness=witness, tuples_tried=tried)
-    if tried >= budget:
-        return ObservesVerdict("inconclusive", tuples_tried=tried)
-    return ObservesVerdict("no", tuples_tried=tried)
+    if rec(0, Partition.indiscrete(fs.ground)):
+        return "yes", valid
+    return ("inconclusive" if tried >= budget else "no"), valid
 
 
 class TestRecursiveSearchOracle:
-    """The product scan gives the recursive walk's outcome, witness and count."""
+    """The closed form against the old search over coarsening tuples.
 
-    BUDGETS = (0, 1, 7, 50, 20_000)
+    Wherever the search concludes it gives the same outcome, and each witness
+    piece is the common refinement of every coarsening the search kept for
+    its block.
+    """
 
-    def check(self, fs, agent, x, world) -> list[ObservesVerdict]:
-        """Compare at the fixed budgets and at both sides of the full scan's count."""
-        full = observes_partition(fs, agent, x, world, budget=20_000)
-        edges = (full.tuples_tried - 1, full.tuples_tried)
-        verdicts = []
-        for budget in self.BUDGETS + tuple(b for b in edges if b >= 0):
-            got = observes_partition(fs, agent, x, world, budget=budget)
-            assert got == recursive_observes_partition(fs, agent, x, world, budget)
-            verdicts.append(got)
-        return verdicts
+    def check(self, fs, agent, x, world) -> tuple[str, bool]:
+        """The search's outcome, and whether it listed subagents, after comparing."""
+        got = observes_partition(fs, agent, x, world)
+        expected, valid = recursive_observes_partition(fs, agent, x, world, 20_000)
+        if expected != "inconclusive":
+            assert got.outcome == expected
+        if got and valid:
+            for piece, options in zip(got.witness, valid):
+                assert piece == common_refinement(options)
+        return expected, bool(valid)
 
     def test_random_sets(self):
         rng = random.Random(4099)
-        verdicts = []
+        outcomes = Counter()
         for _ in range(400):
             fs = random_factored_set(rng, min_n=2, max_n=8)
             agent = random_generated_partition(rng, fs)
@@ -249,15 +245,11 @@ class TestRecursiveSearchOracle:
             else:
                 x = mixed_random_partition(rng, fs)
             world = mixed_random_partition(rng, fs)
-            verdicts += self.check(fs, agent, x, world)
-        outcomes = {(v.outcome, v.tuples_tried > 1) for v in verdicts}
-        assert {("yes", False), ("yes", True), ("no", False)} <= outcomes
-        assert ("inconclusive", False) in outcomes
+            outcomes[self.check(fs, agent, x, world)] += 1
+        # Every search concluded, and some "no" came from the subagents.
+        assert set(outcomes) == {("yes", True), ("no", False), ("no", True)}
 
     def test_every_generated_triple_on_the_cube(self):
-        # On the 2x2x2 grid some witnesses come after more tuples than the
-        # agent has coarsenings, so a budget between the two stops the scan
-        # itself rather than the coarsening-count precheck.
         fs = grid_factored_set(8, (2, 2, 2))
         generated = set()
         for mask in range(1 << fs.dim):
@@ -265,15 +257,14 @@ class TestRecursiveSearchOracle:
             if join.block_count <= 4:
                 generated.update(iter_coarsenings(join))
         generated = sorted(generated, key=lambda p: p.key)
-        stopped = 0
+        outcomes = Counter()
         for agent in generated:
             for x in generated:
                 if agent.block_count < 3 or not orthogonal(fs, agent, x):
                     continue
                 for world in generated:
-                    for v in self.check(fs, agent, x, world):
-                        stopped += v.outcome == "inconclusive" and v.tuples_tried > 0
-        assert stopped > 0
+                    outcomes[self.check(fs, agent, x, world)] += 1
+        assert set(outcomes) == {("yes", True), ("no", True)}
 
     @pytest.mark.parametrize(
         "name",

@@ -452,16 +452,6 @@ class TestAgencyCommands:
         assert code == 0 and "yes" in out
         assert "subagent 0" in out
 
-    def test_non_positive_budget_exits_2(self, capsys):
-        for budget in ("0", "-5"):
-            code, out, err = run(
-                capsys, "observes", EX1, "--agent", "_", "--partition", "V",
-                "--world", "Y", "--budget", budget,
-            )
-            assert code == 2
-            assert out == ""
-            assert err == "error: --budget must be at least 1\n"
-
     def test_counterfactable(self, capsys):
         code, _, _ = run(capsys, "counterfactable", EX1, "X")
         assert code == 0
@@ -1063,7 +1053,6 @@ def _statement_per_handler_parser():
     p.add_argument("--event")
     p.add_argument("--partition")
     p.add_argument("--world", required=True)
-    p.add_argument("--budget", type=int, default=1_000_000)
     p.set_defaults(handler=cli._cmd_observes)
 
     p = sub.add_parser("counterfactable", help="counterfactability of a partition")

@@ -289,6 +289,7 @@ class TestSearchBounds:
             ({"max_size": 2.5}, "max_size must be an integer"),
             ({"max_size": "3"}, "max_size must be an integer"),
             ({"max_dim": 1.5}, "max_dim must be an integer"),
+            ({"time_budget": "1"}, "time_budget must be a number of seconds >= 0"),
         ],
     )
     def test_rejected(self, kwargs, message):
@@ -780,6 +781,13 @@ SEARCH_ORACLE_DBS = [
 ] + PLANTED_DBS
 
 
+@lru_cache(maxsize=None)
+def _old_unbounded_stream(name: str) -> tuple[Model, ...]:
+    """The old search's models for an oracle case, with no dim or surjectivity bound."""
+    _, db, max_size = next(c for c in SEARCH_ORACLE_DBS if c[0] == name)
+    return tuple(_old_search_models(db, SearchBounds(max_size=max_size)))
+
+
 class TestSearchOracle:
     """``search_models`` yields what the old labeling stream plus filter yielded."""
 
@@ -791,10 +799,18 @@ class TestSearchOracle:
     def test_same_models_in_the_same_order(
         self, name, db, max_size, max_dim, surjective_only
     ):
+        # The old search skips grids by dimension and labelings by their
+        # image, so each bounded stream is the unbounded one, filtered.
         bounds = SearchBounds(
             max_size=max_size, max_dim=max_dim, surjective_only=surjective_only
         )
-        assert list(search_models(db, bounds)) == list(_old_search_models(db, bounds))
+        expected = [
+            m
+            for m in _old_unbounded_stream(name)
+            if (max_dim is None or m.factored.dim <= max_dim)
+            and (not surjective_only or len(set(m.labeling)) == db.omega.n)
+        ]
+        assert list(search_models(db, bounds)) == expected
 
     @pytest.mark.slow
     @pytest.mark.parametrize("surjective_only", [False, True])

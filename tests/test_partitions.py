@@ -44,6 +44,18 @@ class TestGroundSet:
         with pytest.raises(ValidationError):
             GroundSet(2, ("a",))
 
+    @pytest.mark.parametrize(
+        "n,message",
+        [
+            (-1, "ground set size must be >= 0, got -1"),
+            (2.5, "ground set size 2.5 is not an integer"),
+            ("3", "ground set size '3' is not an integer"),
+        ],
+    )
+    def test_size_must_be_a_non_negative_integer(self, n, message):
+        with pytest.raises(ValidationError, match=message):
+            GroundSet(n)
+
     def test_token_resolution(self):
         g = GroundSet(3, ("a", "b", "c"))
         assert g.index_of("b") == 1
