@@ -17,7 +17,7 @@ finest subagents refine back to it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Hashable, Iterable
 
 from .factored import FactoredSet
 from .partitions import Partition, common_refinement, require_full
@@ -26,6 +26,7 @@ from .structure import (
     cond_orthogonal_given_subset,
     history,
     orthogonal,
+    projection,
 )
 
 
@@ -70,7 +71,7 @@ def _finest_subagent(
     share a block.  Merging the agent's blocks along such pairs (a union-find
     over block ids) gives the finest such coarsening.
     """
-    outside = fs.mask_indices(fs.full_mask & ~history(fs, world.restrict(rest)))
+    key = projection(fs, fs.full_mask & ~history(fs, world.restrict(rest)))
     root = list(range(agent.block_count))
 
     def find(b: int) -> int:
@@ -79,10 +80,9 @@ def _finest_subagent(
         return b
 
     ids = agent.block_ids
-    first: dict[tuple[int, ...], int] = {}
+    first: dict[Hashable, int] = {}
     for s in rest:
-        key = tuple(map(fs.coords[s].__getitem__, outside))
-        root[find(first.setdefault(key, ids[s]))] = find(ids[s])
+        root[find(first.setdefault(key(fs.coords[s]), ids[s]))] = find(ids[s])
     return Partition.from_block_of(fs.ground, {s: find(b) for s, b in enumerate(ids)})
 
 

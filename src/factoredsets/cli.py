@@ -582,7 +582,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)
         return 2
-    except IsADirectoryError as exc:
+    except OSError as exc:
         print(f"error: cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - started

@@ -2,10 +2,12 @@
 
 A factorization of a set is a collection of nontrivial partitions such that
 picking one block from each partition pins down exactly one element, which
-makes the set a product of its factors.  The chimera function splices two
-elements along a subset of factors and is the O(dim) inner loop behind every
-generation, history, and orthogonality check, so coordinate and inverse
-tables are precomputed at validation time.
+makes the set a product of its factors, so each element is its coordinate
+tuple: its block in each factor.  Validation builds the coordinates and the
+inverse map from coordinate tuple to element.  The chimera function splices
+two elements along a subset of factors by taking the spliced coordinate
+tuple back through that map; generation and history work on the
+coordinates directly (see ``structure``).
 
 Factor subsets are integer bitmasks over the canonical (sorted) factor
 order; bit ``j`` stands for ``factors[j]``.
@@ -16,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from operator import index, mul
+from operator import index
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .partitions import (
@@ -66,9 +68,7 @@ class FactoredSet:
         "ground",
         "factors",
         "coords",
-        "_codes",
-        "_contribs",
-        "_inverse",
+        "_element",
         "_mask_bits",
         "_history_cache",
         "_component_cache",
@@ -89,31 +89,17 @@ class FactoredSet:
             )
         self.ground = ground
         self.factors = tuple(facs)
-        d = len(facs)
-        strides = mixed_radix_strides(sizes)
-        coords = []
-        codes = []
-        contribs = []
-        inverse = [-1] * total
-        for s in range(ground.n):
-            cs = tuple(p.block_ids[s] for p in facs)
-            contrib = tuple(cs[j] * strides[j] for j in range(d))
-            code = sum(contrib)
-            if inverse[code] != -1:
+        self.coords = tuple(zip(*(p.block_ids for p in facs))) if facs else ((),) * total
+        self._element: dict[tuple[int, ...], int] = {}
+        for s, cs in enumerate(self.coords):
+            other = self._element.setdefault(cs, s)
+            if other != s:
                 raise ValidationError(
-                    f"elements {ground.label(inverse[code])} and {ground.label(s)} "
+                    f"elements {ground.label(other)} and {ground.label(s)} "
                     "agree on every factor"
                 )
-            inverse[code] = s
-            coords.append(cs)
-            codes.append(code)
-            contribs.append(contrib)
-        self.coords = tuple(coords)
-        self._codes = tuple(codes)
-        self._contribs = tuple(contribs)
-        self._inverse = inverse
         self._mask_bits = masks = [()]  # masks[m]: factor indices of mask m, ascending
-        for j in range(d):
+        for j in range(len(facs)):
             masks += [b + (j,) for b in masks]
         self._history_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
         self._component_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -175,19 +161,19 @@ class FactoredSet:
             assignment = [assignment[p] for p in self.factors]
         if len(assignment) != self.dim:
             raise ValidationError("assignment must name one element per factor")
-        code = 0
-        for j, s in enumerate(assignment):
-            code += self._contribs[self.ground.check_index(s)][j]
-        return self._inverse[code]
+        coords = self.coords
+        check = self.ground.check_index
+        return self._element[
+            tuple(coords[check(s)][j] for j, s in enumerate(assignment))
+        ]
 
     def chimera_pair(self, mask: int, s: int, t: int) -> int:
         """Element taking its blocks from ``s`` inside ``mask`` and from ``t`` outside."""
-        code = self._codes[t]
-        cs = self._contribs[s]
-        ct = self._contribs[t]
+        spliced = list(self.coords[t])
+        cs = self.coords[s]
         for j in self.mask_indices(mask):
-            code += cs[j] - ct[j]
-        return self._inverse[code]
+            spliced[j] = cs[j]
+        return self._element[tuple(spliced)]
 
     def chimera_set(
         self, mask: int, left: Iterable[int], right: Iterable[int]
@@ -256,7 +242,6 @@ def _iter_grids(n: int, ks: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], 
     least one per label the column still needs.
     """
     d = len(ks)
-    strides = mixed_radix_strides(ks)
 
     def frame(tied: list[int], maxlab: tuple[int, ...]):
         # ``tied``: the columns ``i`` still equal to column ``i + 1`` so far.
@@ -267,24 +252,23 @@ def _iter_grids(n: int, ks: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], 
     # call stack, so ``n`` is not bounded by the recursion limit.  Label
     # maxima start at -1, so the first row can only be all zeros.
     rows: list[tuple[int, ...]] = []
-    used: set[int] = set()
+    used: set[tuple[int, ...]] = set()
     stack = [frame([i for i in range(d - 1) if ks[i] == ks[i + 1]], (-1,) * d)]
     while stack:
         tied, maxlab, candidates = stack[-1]
         if len(rows) == len(stack):  # retract this frame's previous row
-            used.discard(sum(map(mul, rows.pop(), strides)))
+            used.discard(rows.pop())
         for vec in candidates:
             for i in tied:
                 if vec[i] > vec[i + 1]:
                     break
             else:
-                code = sum(map(mul, vec, strides))
-                if code not in used:
+                if vec not in used:
                     break
         else:
             stack.pop()
             continue
-        used.add(code)
+        used.add(vec)
         rows.append(vec)
         if len(rows) == n:
             yield tuple(rows)

@@ -109,6 +109,9 @@ def _header_line(
         raise ParseError(
             origin, lineno, "'labels' may appear once, before any partitions"
         )
+    for label in tokens[1:]:
+        if "|" in label:
+            raise ParseError(origin, lineno, f"label {label!r} contains '|'")
     return GroundSet(ground.n, tuple(tokens[1:]))
 
 

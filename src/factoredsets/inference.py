@@ -276,13 +276,13 @@ def _grid_labelings(
     n: int,
     ks: tuple[int, ...],
     omega_n: int,
-    auts: tuple[tuple[int, ...], ...],
     rows: Sequence[Sequence[int]] = (),
     disjoint: Sequence[tuple[int, int]] = (),
     meeting: Sequence[tuple[int, int]] = (),
     deadline: float | None = None,
 ) -> Iterator[tuple[int, ...] | None]:
-    """The labelings no larger than their image under any of ``auts``, in order.
+    """The labelings no larger than their image under any of
+    ``_walk_automorphisms(n, ks)``, in order.
 
     Labels are tried in ascending order at each position.  Each automorphism
     ``p`` tied with the prefix ``f`` compares ``f[j]`` with ``f[p[j]]`` for
@@ -324,7 +324,7 @@ def _grid_labelings(
     ]
     f = [-1] * n
     masks = [0] * (n + 1)
-    tied = [[(p, 0) for p in auts]] + [[]] * n
+    tied = [[(p, 0) for p in _walk_automorphisms(n, ks)]] + [[]] * n
     i = 0
     while i >= 0:
         f[i] += 1
@@ -424,9 +424,8 @@ def search_models(
             if bounds.max_dim is not None and len(ks) > bounds.max_dim:
                 continue
             fs = grid_factored_set(n, ks)
-            auts = _walk_automorphisms(n, ks)
             walk = _grid_labelings(
-                n, ks, omega_n, auts, masked_rows, disjoint, meeting, deadline
+                n, ks, omega_n, masked_rows, disjoint, meeting, deadline
             )
             for f in walk:
                 if f is None:

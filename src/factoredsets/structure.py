@@ -1,11 +1,13 @@
 """Generation, history, orthogonality, and temporal order.
 
 All predicates work uniformly on partitions of the whole ground set and on
-subpartitions (partitions of a subset).  The single generation check used
-throughout is the splice test: a factor subset ``C`` generates ``X`` when
-splicing any two domain elements along ``C`` stays inside the block of the
-first, which simultaneously enforces that the domain is closed under the
-splice.
+subpartitions (partitions of a subset).  The paper defines generation by
+splicing: ``C`` generates ``X`` on its domain ``E`` when splicing any two
+elements of ``E`` along ``C`` lands in the block of the first.  The one check
+used throughout is its closed form, one pass over ``E``: elements with the
+same coordinates on ``C`` share a block, and ``E`` is the product of its
+projections on ``C`` and off ``C`` (``|pi_C(E)| * |pi_rest(E)| == |E|``), so
+every splice stays in ``E``, in the block its ``C`` coordinates name.
 
 History, the smallest generating factor subset, drives everything else:
 orthogonality is disjointness of histories and temporal order is containment.
@@ -30,8 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
-from operator import and_
-from typing import Iterable, Iterator
+from operator import and_, itemgetter
+from typing import Callable, Hashable, Iterable, Iterator
 
 from .factored import FactoredSet
 from .partitions import Partition, ValidationError, require_full
@@ -39,20 +41,32 @@ from .partitions import Partition, ValidationError, require_full
 Labels = tuple[int, ...]
 
 
+def projection(fs: FactoredSet, mask: int) -> Callable[[tuple[int, ...]], Hashable]:
+    """Getter from a coordinate tuple to its blocks in the factors of ``mask``."""
+    idxs = fs.mask_indices(mask)
+    return itemgetter(*idxs) if idxs else lambda coords: ()
+
+
 def generates(fs: FactoredSet, mask: int, part: Partition) -> bool:
     """Whether the factors in ``mask`` pin down the block of every domain element."""
     if part.ground != fs.ground:
         raise ValidationError("partition belongs to a different ground set")
-    return _generates(fs, mask, part.block_of)
+    return _generates(fs, mask, part.domain, part.block_ids)
 
 
-def _generates(fs: FactoredSet, mask: int, block_of: dict[int, int]) -> bool:
-    pair = fs.chimera_pair
-    for s, bs in block_of.items():
-        for t in block_of:
-            if block_of.get(pair(mask, s, t)) != bs:
-                return False
-    return True
+def _generates(fs: FactoredSet, mask: int, domain: tuple[int, ...], labels: Labels) -> bool:
+    """Whether ``mask`` generates ``domain`` split into blocks of equal label."""
+    on = projection(fs, mask)
+    off = projection(fs, fs.full_mask ^ mask)
+    coords = fs.coords
+    label_on: dict[Hashable, int] = {}
+    rest = set()
+    for s, b in zip(domain, labels):
+        c = coords[s]
+        if label_on.setdefault(on(c), b) != b:
+            return False
+        rest.add(off(c))
+    return len(label_on) * len(rest) == len(domain)
 
 
 def splice_components(fs: FactoredSet, part: Partition) -> tuple[int, ...]:
@@ -73,8 +87,8 @@ def _components(fs: FactoredSet, domain: tuple[int, ...]) -> tuple[int, ...]:
     if comps is None:
         # A factor subset keeps the domain closed under splicing exactly when
         # it generates the one-block partition of the domain.
-        one = dict.fromkeys(domain, 0)
-        closed = [m for m in range(1 << fs.dim) if _generates(fs, m, one)]
+        one = (0,) * len(domain)
+        closed = [m for m in range(1 << fs.dim) if _generates(fs, m, domain, one)]
         atoms = (reduce(and_, [m for m in closed if m >> j & 1]) for j in range(fs.dim))
         comps = fs._component_cache[domain] = tuple(dict.fromkeys(atoms))
     return comps
@@ -85,10 +99,9 @@ def _labeled_history(fs: FactoredSet, domain: tuple[int, ...], labels: Labels) -
     key = (domain, labels)
     h = fs._history_cache.get(key)
     if h is None:
-        block_of = dict(zip(domain, labels))
         h = 0
         for comp in _components(fs, domain):
-            if not _generates(fs, fs.full_mask & ~comp, block_of):
+            if not _generates(fs, fs.full_mask & ~comp, domain, labels):
                 h |= comp
         fs._history_cache[key] = h
     return h

@@ -81,6 +81,21 @@ class TestBasicCommands:
         code, out, _ = run(capsys, "before", EX1, "Y", "X")
         assert code == 1 and "strictly-after" in out
 
+    def test_before_given_event(self, capsys):
+        # Restricted to the first X block, X collapses and Y does not.
+        code, out, _ = run(capsys, "before", EX1, "X", "Y", "--given-event", "00 01")
+        assert code == 0 and out == "X before Y given event: yes\n"
+        code, out, _ = run(capsys, "before", EX1, "Y", "X", "--given-event", "00 01")
+        assert code == 1 and out == "Y before X given event: no\n"
+
+    def test_before_given_event_structured(self, capsys):
+        argv = ["--format", "structured", "before", EX1, "Y", "X", "--given-event", "00 01"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert json.loads(out)["results"] == {
+            "a": "Y", "b": "X", "before": False, "given_event": "00 01",
+        }
+
     def test_poly_factor(self, capsys):
         code, out, _ = run(capsys, "poly", EX1, "--event", "00 01", "--factor")
         assert code == 0
@@ -689,6 +704,22 @@ class TestBadInputFiles:
         assert out == ""
         assert err == f"error: cannot read {tmp_path}: Is a directory\n"
 
+    def test_path_through_a_file(self, capsys):
+        # ex1.ffs is a file, so nothing can lie under it.
+        path = os.path.join(EX1, "x")
+        code, out, err = run(capsys, "history", path, "--partition", "X")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot read {path}: Not a directory\n"
+
+    def test_symlink_loop(self, capsys, tmp_path):
+        loop = tmp_path / "loop.ffs"
+        loop.symlink_to(loop)
+        code, out, err = run(capsys, "history", str(loop), "--partition", "X")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot read {loop}: Too many levels of symbolic links\n"
+
     def test_first_error_in_file_order_is_reported(self, capsys, tmp_path):
         bad = tmp_path / "two-errors.ffs"
         bad.write_text(
@@ -708,6 +739,32 @@ class TestBadInputFiles:
         assert code == 2
         assert out == ""
         assert err == f"error: {bad}:1: 'omega' expects one count (at 'omega')\n"
+
+
+class TestBadFlagCombinations:
+    """Flags that contradict each other, or ask the impossible, exit 2 without output."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["orth", EX1, "X", "Y", "--given", "X", "--event", "00"],
+             "--given and --event are mutually exclusive"),
+            (["poly", EX1, "--event", "", "--factor"],
+             "cannot factor the polynomial of an empty event"),
+            (["observes", EX1, "--agent", "X", "--world", "Y"],
+             "exactly one of --event and --partition is required"),
+            (["observes", EX1, "--agent", "X", "--world", "Y", "--event", "00",
+              "--partition", "V"],
+             "exactly one of --event and --partition is required"),
+        ],
+        ids=["orth-given-and-event", "poly-factor-empty", "observes-neither",
+             "observes-both"],
+    )
+    def test_exit_two(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestMapLineErrors:

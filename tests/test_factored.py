@@ -19,6 +19,7 @@ from factoredsets import (
     event_partition,
     factor_size_multisets,
     generates,
+    grid_factored_set,
     load_distribution_file,
     observes_event,
     restricted_polynomial,
@@ -37,10 +38,12 @@ MASK_CALLS = [
     lambda ex1, mask: ex1.fs.chimera_set(mask, [0], [1]),
     lambda ex1, mask: restricted_polynomial(ex1.fs, mask, [0, 1]),
     lambda ex1, mask: generates(ex1.fs, mask, ex1.X),
+    # No domain element to splice: the mask is still checked.
+    lambda ex1, mask: generates(ex1.fs, mask, Partition.empty(ex1.fs.ground)),
 ]
 MASK_CALL_IDS = [
     "mask_indices", "factors_of_mask", "chimera_pair", "chimera_set",
-    "restricted_polynomial", "generates",
+    "restricted_polynomial", "generates", "generates-empty",
 ]
 
 
@@ -276,6 +279,61 @@ class TestChimera:
             assert fs.chimera_pair(fs.full_mask, s, t) == s
             assert fs.chimera_pair(0, s, t) == t
             assert fs.chimera_pair(rng.randrange(1 << fs.dim), s, s) == s
+
+
+class MixedRadixChimera:
+    """The splice as first written: mixed-radix codes and an inverse table.
+
+    Element ``s`` has code ``sum(block_j(s) * stride_j)``; splicing ``s``
+    into ``t`` along a mask swaps in ``s``'s digit contributions there.
+    """
+
+    def __init__(self, fs: FactoredSet):
+        strides = mixed_radix_strides([p.block_count for p in fs.factors])
+        self.contribs = [
+            tuple(p.block_ids[s] * st for p, st in zip(fs.factors, strides))
+            for s in range(fs.size)
+        ]
+        self.inverse = [-1] * fs.size
+        for s, contrib in enumerate(self.contribs):
+            self.inverse[sum(contrib)] = s
+        self.dim = fs.dim
+
+    def chimera(self, assignment) -> int:
+        return self.inverse[sum(self.contribs[s][j] for j, s in enumerate(assignment))]
+
+    def chimera_pair(self, mask: int, s: int, t: int) -> int:
+        code = sum(self.contribs[t])
+        for j in range(self.dim):
+            if mask >> j & 1:
+                code += self.contribs[s][j] - self.contribs[t][j]
+        return self.inverse[code]
+
+
+class TestMixedRadixChimeraOracle:
+    """The coordinate-tuple splice agrees with the mixed-radix tables it replaced."""
+
+    @staticmethod
+    def check(fs: FactoredSet) -> None:
+        old = MixedRadixChimera(fs)
+        elements = range(fs.size)
+        for s in elements:
+            for t in elements:
+                for mask in range(1 << fs.dim):
+                    assert fs.chimera_pair(mask, s, t) == old.chimera_pair(mask, s, t)
+                    # The same splice as an assignment: factor j from s
+                    # where bit j of the mask is set.
+                    g = [s if mask >> j & 1 else t for j in range(fs.dim)]
+                    assert fs.chimera(g) == old.chimera(g)
+
+    def test_every_factorization_to_size_six(self):
+        for n in range(7):
+            for fs in enumerate_factorizations(n):
+                self.check(fs)
+
+    def test_query_grids(self):
+        for ks in ((2, 2, 3), (2, 2, 2, 2), (2, 3, 4)):
+            self.check(grid_factored_set(math.prod(ks), ks))
 
 
 class TestEnumeration:

@@ -111,6 +111,17 @@ class TestFactoredSetFiles:
         assert exc.value.lineno == 3
         assert "duplicates factor 'X'" in str(exc.value)
 
+    def test_label_with_a_bar_rejected_at_its_line(self):
+        # No partition could name 'a|': the bar would split it.
+        with pytest.raises(ParseError) as exc:
+            parse_factored_set_text("set 2\nlabels a| b\nfactor A { a| | b }\n")
+        assert str(exc.value) == "<string>:2: label 'a|' contains '|'"
+
+    def test_reserved_partition_name(self):
+        with pytest.raises(ParseError) as exc:
+            parse_factored_set_text("set 2\nfactor A { 0 | 1 }\npartition _ { 0 | 1 }\n")
+        assert str(exc.value) == "<string>:3: '_' is reserved (at '_')"
+
     def test_labels_after_a_map_line_rejected(self):
         with pytest.raises(ParseError, match="before any partitions") as exc:
             parse_factored_set_text("set 2\nmap 0 -> 0\nlabels a b\n")
@@ -295,6 +306,23 @@ class TestDatabaseFiles:
         with pytest.raises(ParseError, match="expects 'A B | C'"):
             parse_database_text("omega 2\northogonal _ _ _\n")
 
+    def test_label_with_a_bar_rejected_at_its_line(self):
+        with pytest.raises(ParseError) as exc:
+            parse_database_text("omega 2\nlabels a b|\n", "bar.db")
+        assert str(exc.value) == "bar.db:2: label 'b|' contains '|'"
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("omega 2\nbogus A\n", "unknown keyword 'bogus' (at 'bogus')"),
+            ("omega 2\npartition A { 0 | 5 }\n", "element index 5 out of range 0..1"),
+        ],
+    )
+    def test_bad_line_named(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_database_text(text, "bad.db")
+        assert str(exc.value) == f"bad.db:2: {message}"
+
     def test_second_labels_line_rejected(self):
         with pytest.raises(ParseError, match="'labels' may appear once") as exc:
             parse_database_text("omega 2\nlabels a b\nlabels c d\n", "two.db")
@@ -351,3 +379,19 @@ class TestDistributionFiles:
             parse_distribution_text(
                 "weights X 1/2 1/4 1/4\nweights V 1/2 1/2\n", ex1.file
             )
+
+    @pytest.mark.parametrize(
+        "text,lineno,message",
+        [
+            ("bogus X 1/2\n", 1, "unknown keyword 'bogus'"),
+            ("weights X\n", 1, "'weights' expects a factor name and fractions"),
+            ("weights X 1/2 1/2\nweights X 1/2 1/2\n", 2, "duplicate weights for factor 'X'"),
+            ("weights X 1/0 1/2\n", 1, "bad fraction: "),
+            ("weights X 1/2 half\n", 1, "bad fraction: "),
+        ],
+    )
+    def test_bad_line_named(self, ex1, text, lineno, message):
+        with pytest.raises(ParseError) as exc:
+            parse_distribution_text(text, ex1.file, "bad.dist")
+        assert str(exc.value).startswith(f"bad.dist:{lineno}: {message}")
+        assert exc.value.lineno == lineno

@@ -965,14 +965,13 @@ class TestWalkCountOracle:
             for omega_n in range(1, 5):
                 orbits, rest = divmod(sum(omega_n**c for c in cycles), len(auts))
                 assert rest == 0
-                walk = inference._grid_labelings(n, ks, omega_n, auts[1:])
+                walk = inference._grid_labelings(n, ks, omega_n)
                 assert sum(1 for _ in walk) == orbits, (n, ks, omega_n)
 
     def test_adjacent_transpositions_leave_the_sorted_labelings(self):
         for n in range(2, 8):
-            auts = inference._walk_automorphisms(n, (n,))
             for omega_n in range(1, 6):
-                walked = list(inference._grid_labelings(n, (n,), omega_n, auts))
+                walked = list(inference._grid_labelings(n, (n,), omega_n))
                 assert walked == list(
                     itertools.combinations_with_replacement(range(omega_n), n)
                 ), (n, omega_n)
@@ -993,15 +992,14 @@ def _check_pruned_walk(db, max_size):
     for n in range(1, max_size + 1):
         for ks in inference.factor_size_multisets(n):
             fs = grid_factored_set(n, ks)
-            auts = inference._walk_automorphisms(n, ks)
             kept = []
-            for f in inference._grid_labelings(n, ks, db.omega.n, auts):
+            for f in inference._grid_labelings(n, ks, db.omega.n):
                 old = _old_verdicts(Model(fs, f, db.omega), unconditional)
                 if all(e == a for e, _, a in old):
                     kept.append(f)
                 checked += 1
             pruned = inference._grid_labelings(
-                n, ks, db.omega.n, auts, rows, pairs[True], pairs[False]
+                n, ks, db.omega.n, rows, pairs[True], pairs[False]
             )
             assert list(pruned) == kept, (n, ks)
     return checked
@@ -1066,8 +1064,7 @@ class TestRestrictionTableWalkOracle:
         ]
         assert {(12, (2, 2, 3)), (12, (2, 6)), (12, (3, 4))} <= set(grids)
         for n, ks in grids:
-            auts = inference._grid_automorphisms(n, ks)[1:]
-            walked = list(inference._grid_labelings(n, ks, 3, auts))
+            walked = list(inference._grid_labelings(n, ks, 3))
             assert walked == list(
                 _restriction_table_walk(3, _restriction_tables(n, ks))
             ), (n, ks)
