@@ -55,7 +55,6 @@ from .partitions import (
     bell_number,
     common_refinement,
     format_partition,
-    iter_coarsenings,
     iter_partitions,
     parse_partition,
 )

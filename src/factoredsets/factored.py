@@ -62,6 +62,10 @@ class FactoredSet:
 
     Instances are immutable after construction and safe to share; the
     caches are idempotent, and the history cache's keys name no ground set.
+    They hold histories and splice components per domain (``structure``)
+    and, once asked for, one integer mass per element: its characteristic
+    monomial at the one point where ``polynomial`` decides the
+    orthogonality identity.
     """
 
     __slots__ = (
@@ -72,6 +76,7 @@ class FactoredSet:
         "_mask_bits",
         "_history_cache",
         "_component_cache",
+        "_generic_masses",
     )
 
     def __init__(self, ground: GroundSet, factors: Iterable[Partition]):
@@ -103,6 +108,7 @@ class FactoredSet:
             masks += [b + (j,) for b in masks]
         self._history_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
         self._component_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._generic_masses: list[int] | None = None
 
     # -- basics -------------------------------------------------------------
 

@@ -371,20 +371,6 @@ def partition_of_rank(ground: GroundSet, rank: int) -> Partition:
     return Partition(ground, tuple(range(n)), tuple(ids))
 
 
-def iter_coarsenings(part: Partition) -> Iterator[Partition]:
-    """All partitions coarser than ``part`` (by merging its blocks), in key order.
-
-    The groupings of blocks come in restricted-growth order, and so do the
-    block ids they give the domain, so the order carries over unchanged.
-    """
-    k = part.block_count
-    dummy = GroundSet(k)
-    for grouping in iter_partitions(dummy):
-        group_of = grouping.block_of
-        owner = {e: group_of[b] for e, b in zip(part.domain, part.block_ids)}
-        yield Partition.from_block_of(part.ground, owner)
-
-
 def bell_number(n: int) -> int:
     """Number of partitions of an n-element set."""
     row = [1]

@@ -5,9 +5,14 @@ sum over its elements of the product of their factor blocks, with blocks
 treated as formal variables.  Variables are named ``(factor index, block
 index)``; blocks of distinct factors are distinct sets, so the naming is
 collision-free.  Coefficients stay integers: a characteristic polynomial's
-are 0 and 1, and integer sums and products are exact, so identities are
-decided without tolerance.  Only ``evaluate`` and a coefficient passed in as
-a non-``int`` (kept exactly) use Fraction.
+are 0 and 1, and integer sums and products are exact.  Only ``evaluate``
+and a coefficient passed in as a non-``int`` (kept exactly) use Fraction.
+
+The identity ``Q(x&z) * Q(y&z) == Q(x&y&z) * Q(z)`` behind conditional
+orthogonality is decided without multiplying polynomials: every block
+variable takes one integer value, a power of ``size + 1`` chosen so that
+the identity holds at that one point exactly when it holds as a polynomial
+identity (see ``cond_orth_by_divisibility``).
 
 The irreducible factorization of a characteristic polynomial is computed
 combinatorially rather than by generic polynomial factoring: the factor
@@ -19,8 +24,10 @@ partition the factor set and index the irreducible factors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import getitem
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .factored import FactoredSet
@@ -190,20 +197,110 @@ def irreducible_components(fs: FactoredSet, elements: Iterable[int]) -> IrrDecom
     )
 
 
+def _masses(rows: Sequence[Sequence], coords: Iterable[tuple[int, ...]]) -> list:
+    """Per coordinate row, the product of the weights of its blocks.
+
+    ``rows[j][b]`` weighs block ``b`` of factor ``j``; a dimension-0 set's
+    one empty coordinate row gets the int 1.
+    """
+    return [math.prod(map(getitem, rows, coord)) for coord in coords]
+
+
+# The greedy Mian-Chowla Sidon sequence from 0: each term is the least
+# integer above the last that keeps every sum ``s_a + s_b`` (a <= b) distinct.
+_SIDON = [0]
+
+
+def _sidon(k: int) -> list[int]:
+    """The module's Sidon list, first extended to at least ``k`` terms.
+
+    An extension is built on a copy and then bound, so a reader never sees
+    a list in the middle of growing.
+    """
+    global _SIDON
+    seq = _SIDON
+    if len(seq) < k:
+        seq = list(seq)
+        while len(seq) < k:
+            sums = {a + b for i, a in enumerate(seq) for b in seq[i:]}
+            c = seq[-1] + 1
+            while any(c + a in sums for a in seq) or 2 * c in sums:
+                c += 1
+            seq.append(c)
+        _SIDON = seq
+    return seq
+
+
+def _generic_rows(block_counts: Sequence[int], t: int) -> list[tuple[int, ...]]:
+    """Block ``b`` of factor ``j`` weighs ``t ** (s_b * R_j)``.
+
+    ``s`` is the Sidon sequence and ``R_j`` the product of
+    ``2 * s_(k_i - 1) + 1`` over the factors ``i < j``, a mixed radix whose
+    digit ``j`` holds the sum of two exponents of factor ``j``.
+    """
+    rows, radix = [], 1
+    for k in block_counts:
+        s = _sidon(k)
+        rows.append(tuple(t ** (s[b] * radix) for b in range(k)))
+        radix *= 2 * s[k - 1] + 1
+    return rows
+
+
+def _generic_masses(fs: FactoredSet) -> list[int]:
+    """Every element's characteristic monomial at the generic point, cached on ``fs``."""
+    masses = fs._generic_masses
+    if masses is None:
+        rows = _generic_rows([p.block_count for p in fs.factors], fs.size + 1)
+        masses = fs._generic_masses = _masses(rows, fs.coords)
+    return masses
+
+
 def cond_orth_by_divisibility(
     fs: FactoredSet, x: Partition, y: Partition, z: Partition
 ) -> bool:
     """Conditional orthogonality decided purely by polynomial identities.
 
     For every block triple the products must agree exactly:
-    ``Q(z) * Q(x&y&z) == Q(x&z) * Q(y&z)``, the block-triple identity with
-    each element's monomial as its weight, so an event measures its
-    characteristic polynomial.  This route never looks at histories, which
-    makes it an independent cross-check of the splice-based decision.
+    ``Q(z) * Q(x&y&z) == Q(x&z) * Q(y&z)``.  By the paper's fundamental
+    theorem that is conditional orthogonality.  The identity is decided at
+    one integer point, the block-triple identity with each element's
+    monomial evaluated there as its weight.  This route never looks at
+    histories, which makes it an independent cross-check of the
+    splice-based decision.
+
+    Why one point decides the identity, for a set of size ``n`` and
+    dimension ``d``, with ``t = n + 1`` and the weights of ``_generic_rows``:
+
+    1. Each monomial of a characteristic polynomial has one variable per
+       factor, so every monomial of the difference
+       ``Q(x&z) Q(y&z) - Q(x&y&z) Q(z)`` has exactly two variables per
+       factor, counted with multiplicity.
+    2. Two variables ``a, b`` of factor ``j`` contribute the exponent
+       ``(s_a + s_b) R_j`` of ``t``.  As ``s_a + s_b <= 2 s_(k_j - 1)``, the
+       mixed radix ``R_j`` keeps the factors' digits apart, and the Sidon
+       property recovers ``{a, b}`` from each digit.  So distinct monomials
+       go to distinct powers of ``t``.
+    3. A coefficient of either product counts the ordered pairs of elements
+       whose monomials multiply to that monomial.  Per factor the pair can
+       only swap its two blocks, so there are at most ``2^d`` pairs, and
+       ``2^d <= n`` because every factor has at least 2 blocks.  The
+       difference's coefficients lie in ``[-n, n]``.
+    4. A non-zero integer polynomial with coefficients of absolute value at
+       most ``n`` is non-zero at ``t = n + 1``: its top term is at least
+       ``t^e`` in absolute value, and the lower terms sum to at most
+       ``n (t^e - 1) / (t - 1) = t^e - 1``.  So a non-zero difference is
+       non-zero at the point, and the identity holds there exactly when it
+       holds as a polynomial identity.
+
+    (The empty set's one factor has no blocks, so no triple has a block and
+    the identity holds vacuously there, with ``t = 1``.)
+
+    No test checks the bound ``t = n + 1`` of step 4: the tests' inputs
+    also pass with ``t = 2``.  They do fail with linear exponents in place
+    of the Sidon sequence, or with ``t = 1``.
     """
     require_full(fs.ground, x, y, z)
-    monos = _monomials(fs, fs.full_mask, fs.ground.elements())
-    return block_triple_identity(x, y, z, [SetPolynomial._of({m: 1}) for m in monos])
+    return block_triple_identity(x, y, z, _generic_masses(fs))
 
 
 def format_polynomial(

@@ -17,7 +17,10 @@ and sampled product distributions.  Orthogonal triples must be independent
 under every sampled distribution; non-orthogonal triples must fail the
 polynomial identity, with a sampled witness distribution violating
 independence as corroboration.  The polynomial verdict is authoritative for
-the negative direction since a finite sample can miss a witness.
+the negative direction since a finite sample can miss a witness; it is
+decided exactly at one integer point, the same block-triple identity with
+each element's characteristic monomial evaluated there as its mass (see
+``polynomial.cond_orth_by_divisibility``).
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import getitem
 from typing import Iterable, Mapping, Sequence
 
 from .factored import FactoredSet
@@ -36,7 +38,7 @@ from .partitions import (
     block_triple_identity,
     require_full,
 )
-from .polynomial import VarId, cond_orth_by_divisibility
+from .polynomial import VarId, _masses, cond_orth_by_divisibility
 from .structure import cond_orthogonal
 
 DEFAULT_SEED = 1729
@@ -53,15 +55,6 @@ def _scaled_row(row: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     """
     scale = math.lcm(*(w.denominator for w in row))
     return tuple(w.numerator * (scale // w.denominator) for w in row), scale
-
-
-def _masses(rows: Sequence[Sequence], coords: Iterable[tuple[int, ...]]) -> list:
-    """Per coordinate row, the product of the weights of its blocks.
-
-    Integer rows give point masses one positive scale off the true ones;
-    a dimension-0 set's one empty coordinate row gets the int 1.
-    """
-    return [math.prod(map(getitem, rows, coord)) for coord in coords]
 
 
 @dataclass(frozen=True, slots=True)
@@ -220,10 +213,11 @@ def fundamental_theorem_check(
 ) -> FundamentalTheoremReport:
     """Confront orthogonality, the polynomial identity, and sampled distributions.
 
-    Each trial draws what ``random_distribution`` draws and decides
-    independence on the raw integer rows (each row is its normalized weights
-    times its total); only the first failing trial is normalized, as the
-    witness.
+    The polynomial identity is decided exactly by evaluating every
+    characteristic monomial at one integer point.  Each trial draws what
+    ``random_distribution`` draws and decides independence on the raw
+    integer rows (each row is its normalized weights times its total); only
+    the first failing trial is normalized, as the witness.
     """
     if trials < 1:
         raise ValidationError("at least one trial is required")

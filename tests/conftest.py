@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from typing import Iterator
 
 import pytest
 
@@ -23,6 +24,7 @@ from factoredsets import (
     data_path,
     factor_size_multisets,
     grid_factored_set,
+    iter_partitions,
     load_database_file,
     load_factored_set_file,
     resolve_model,
@@ -49,6 +51,20 @@ def brute_history(fs: FactoredSet, part: Partition) -> int:
         if stable and join.restrict(dom).refines(part):
             h &= mask
     return h
+
+
+def iter_coarsenings(part: Partition) -> Iterator[Partition]:
+    """All partitions coarser than ``part`` (by merging its blocks), in key order.
+
+    The groupings of blocks come in restricted-growth order, and so do the
+    block ids they give the domain, so the order carries over unchanged.
+    """
+    k = part.block_count
+    dummy = GroundSet(k)
+    for grouping in iter_partitions(dummy):
+        group_of = grouping.block_of
+        owner = {e: group_of[b] for e, b in zip(part.domain, part.block_ids)}
+        yield Partition.from_block_of(part.ground, owner)
 
 
 def event_block_triple_identity(

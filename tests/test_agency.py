@@ -16,7 +16,6 @@ from factoredsets import (
     grid_factored_set,
     history,
     history_join,
-    iter_coarsenings,
     load_factored_set_file,
     observes_event,
     observes_partition,
@@ -25,6 +24,7 @@ from factoredsets import (
 )
 from factoredsets.partitions import require_full
 from conftest import (
+    iter_coarsenings,
     mixed_random_partition,
     random_factored_set,
     random_generated_partition,

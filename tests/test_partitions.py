@@ -18,12 +18,15 @@ from factoredsets import (
     enumerate_factorizations,
     format_partition,
     grid_factored_set,
-    iter_coarsenings,
     iter_partitions,
     parse_partition,
 )
 from factoredsets.partitions import block_triple_identity, partition_of_rank
-from conftest import event_block_triple_identity, mixed_random_partition
+from conftest import (
+    event_block_triple_identity,
+    iter_coarsenings,
+    mixed_random_partition,
+)
 
 
 @st.composite

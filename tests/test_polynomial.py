@@ -17,7 +17,7 @@ from factoredsets import (
     iter_partitions,
     restricted_polynomial,
 )
-from factoredsets import structure
+from factoredsets import polynomial, structure
 from factoredsets.factored import iter_bits
 from conftest import (
     event_block_triple_identity,
@@ -226,6 +226,28 @@ class TestFractionReference:
                                 fs, x, y, z
                             ) == _reference_verdict(fs, x, y, z)
 
+    def test_verdicts_on_every_triple_of_sizes_zero_and_one(self):
+        for n in (0, 1):
+            for fs in enumerate_factorizations(n):
+                parts = list(iter_partitions(fs.ground))
+                for x in parts:
+                    for y in parts:
+                        for z in parts:
+                            assert cond_orth_by_divisibility(
+                                fs, x, y, z
+                            ) == _reference_verdict(fs, x, y, z)
+
+    # Sizes 5 and 6 have 1 and 61 factorizations; 20 triples each.
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_verdicts_on_seeded_triples_per_factorization(self, n):
+        rng = random.Random(67 + n)
+        for fs in enumerate_factorizations(n):
+            for _ in range(20):
+                x, y, z = (mixed_random_partition(rng, fs) for _ in range(3))
+                assert cond_orth_by_divisibility(fs, x, y, z) == _reference_verdict(
+                    fs, x, y, z
+                )
+
     # The grids of the benchmark's queries workload, 2,000 triples in all.
     @pytest.mark.parametrize(
         "ks, count", [((2, 2, 3), 667), ((2, 2, 2, 2), 666), ((2, 3, 4), 667)]
@@ -238,6 +260,59 @@ class TestFractionReference:
             assert cond_orth_by_divisibility(fs, x, y, z) == _reference_verdict(
                 fs, x, y, z
             )
+
+
+def _disagrees_with_the_oracle():
+    """Whether some triple of sizes 2-4 gets a verdict the oracle does not give.
+
+    The polynomial identity implies the identity at every point, so a point
+    can only wrongly say that it holds: only those verdicts need the oracle.
+    """
+    for n in (2, 3, 4):
+        for fs in enumerate_factorizations(n):
+            parts = list(iter_partitions(fs.ground))
+            for x in parts:
+                for y in parts:
+                    for z in parts:
+                        if cond_orth_by_divisibility(
+                            fs, x, y, z
+                        ) and not _reference_verdict(fs, x, y, z):
+                            return True
+    return False
+
+
+class TestGenericPoint:
+    def test_sidon_sequence(self):
+        seq = polynomial._sidon(20)[:20]
+        assert seq[:8] == [0, 1, 3, 7, 12, 20, 30, 44]
+        sums = [a + b for i, a in enumerate(seq) for b in seq[i:]]
+        assert len(set(sums)) == len(sums)
+
+    def test_masses_evaluate_the_characteristic_monomials(self):
+        rng = random.Random(71)
+        for _ in range(40):
+            fs = random_factored_set(rng, min_n=0, max_n=12)
+            rows = polynomial._generic_rows(
+                [p.block_count for p in fs.factors], fs.size + 1
+            )
+            point = {(j, b): w for j, row in enumerate(rows) for b, w in enumerate(row)}
+            masses = polynomial._generic_masses(fs)
+            assert masses is polynomial._generic_masses(fs)
+            assert masses == [
+                characteristic_polynomial(fs, {s}).evaluate(point)
+                for s in range(fs.size)
+            ]
+
+    def test_linear_exponents_fail_the_oracle(self, monkeypatch):
+        # 0, 1, 2, ... is no Sidon sequence: 0 + 3 == 1 + 2 merges monomials.
+        monkeypatch.setattr(polynomial, "_SIDON", list(range(8)))
+        assert _disagrees_with_the_oracle()
+
+    def test_base_one_fails_the_oracle(self, monkeypatch):
+        # t = 1 is the uniform distribution, which misses dependent triples.
+        rows = polynomial._generic_rows
+        monkeypatch.setattr(polynomial, "_generic_rows", lambda ks, t: rows(ks, 1))
+        assert _disagrees_with_the_oracle()
 
 
 class TestSpliceProductLaw:
