@@ -295,7 +295,9 @@ def _cmd_ft_verify(args) -> tuple[int, dict, list[str]]:
                 triples_checked += 1
                 if not report.verdicts_agree:
                     mismatches += 1
-                if not report.orthogonal and not report.witness_found:
+                # Every dependent triple has the exact generic witness; a
+                # missed one is a dependent triple no sampled trial caught.
+                if not report.orthogonal and report.independent_trials == report.trials:
                     missed_witnesses += 1
     ok = mismatches == 0
     lines = [

@@ -65,7 +65,8 @@ class FactoredSet:
     They hold histories and splice components per domain (``structure``)
     and, once asked for, one integer mass per element: its characteristic
     monomial at the one point where ``polynomial`` decides the
-    orthogonality identity.
+    orthogonality identity.  ``probability`` keeps that point's weights,
+    normalized, as the one witness distribution of every dependent triple.
     """
 
     __slots__ = (
@@ -77,6 +78,7 @@ class FactoredSet:
         "_history_cache",
         "_component_cache",
         "_generic_masses",
+        "_generic_witness",
     )
 
     def __init__(self, ground: GroundSet, factors: Iterable[Partition]):
@@ -109,6 +111,7 @@ class FactoredSet:
         self._history_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
         self._component_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._generic_masses: list[int] | None = None
+        self._generic_witness = None  # a probability.FactoredDistribution
 
     # -- basics -------------------------------------------------------------
 

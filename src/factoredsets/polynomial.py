@@ -246,12 +246,16 @@ def _generic_rows(block_counts: Sequence[int], t: int) -> list[tuple[int, ...]]:
     return rows
 
 
+def _generic_point(fs: FactoredSet) -> list[tuple[int, ...]]:
+    """The weight rows of ``fs``'s generic point: ``t = n + 1`` for size ``n``."""
+    return _generic_rows([p.block_count for p in fs.factors], fs.size + 1)
+
+
 def _generic_masses(fs: FactoredSet) -> list[int]:
     """Every element's characteristic monomial at the generic point, cached on ``fs``."""
     masses = fs._generic_masses
     if masses is None:
-        rows = _generic_rows([p.block_count for p in fs.factors], fs.size + 1)
-        masses = fs._generic_masses = _masses(rows, fs.coords)
+        masses = fs._generic_masses = _masses(_generic_point(fs), fs.coords)
     return masses
 
 

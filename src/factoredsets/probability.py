@@ -13,22 +13,26 @@ public API takes and returns.
 
 ``fundamental_theorem_check`` cross-examines one triple of partitions three
 ways: the splice-based orthogonality verdict, the exact polynomial identity,
-and sampled product distributions.  Orthogonal triples must be independent
-under every sampled distribution; non-orthogonal triples must fail the
-polynomial identity, with a sampled witness distribution violating
-independence as corroboration.  The polynomial verdict is authoritative for
-the negative direction since a finite sample can miss a witness; it is
-decided exactly at one integer point, the same block-triple identity with
+and sampled product distributions.  The polynomial identity is decided
+exactly at one generic integer point, the same block-triple identity with
 each element's characteristic monomial evaluated there as its mass (see
-``polynomial.cond_orth_by_divisibility``).
+``polynomial.cond_orth_by_divisibility``).  Those masses are a product of
+per-factor weights, so the point, normalized, is a distribution on the set,
+and independence fails under it exactly when the polynomial identity fails.
+It is the witness, exact and generic: one distribution per factored set that
+violates independence for every dependent triple on the set.  The sampled
+trials only corroborate: orthogonal triples must be independent under every
+one of them, and a dependent triple that no trial catches is a sampling
+miss, not a disagreement.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import index
 from typing import Iterable, Mapping, Sequence
 
 from .factored import FactoredSet
@@ -38,7 +42,7 @@ from .partitions import (
     block_triple_identity,
     require_full,
 )
-from .polynomial import VarId, _masses, cond_orth_by_divisibility
+from .polynomial import VarId, _generic_point, _masses, cond_orth_by_divisibility
 from .structure import cond_orthogonal
 
 DEFAULT_SEED = 1729
@@ -154,11 +158,34 @@ def conditional_independence_holds(
 
 
 def _draw_rows(fs: FactoredSet, rng: random.Random, max_weight: int) -> _IntRows:
-    """Uniform integers in ``[1, max_weight]``, factor by factor, block by block."""
-    return tuple(
-        tuple(rng.randint(1, max_weight) for _ in range(p.block_count))
-        for p in fs.factors
-    )
+    """Uniform integers in ``[1, max_weight]``, factor by factor, block by block.
+
+    Each draw is the rejection loop of ``random.Random.randint(1, max_weight)``
+    on CPython 3.10-3.13: ``k = max_weight.bit_length()`` random bits, drawn
+    again while they reach ``max_weight``, plus one.  So the stream is the
+    same as ``randint``'s, without ``randrange``'s per-call argument checks,
+    for any generator whose ``randint`` goes through ``getrandbits``.  The
+    bound is checked once, first: a ``max_weight`` of 0 would never leave
+    the loop.
+    """
+    try:
+        max_weight = index(max_weight)
+    except TypeError:
+        raise ValidationError(f"max_weight {max_weight!r} is not an integer") from None
+    if max_weight < 1:
+        raise ValidationError(f"max_weight must be at least 1, got {max_weight}")
+    bits = rng.getrandbits
+    k = max_weight.bit_length()
+    rows = []
+    for p in fs.factors:
+        row = []
+        for _ in range(p.block_count):
+            r = bits(k)
+            while r >= max_weight:
+                r = bits(k)
+            row.append(r + 1)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def _normalized(fs: FactoredSet, rows: _IntRows) -> FactoredDistribution:
@@ -181,15 +208,30 @@ def random_distribution(
     return _normalized(fs, _draw_rows(fs, rng, max_weight))
 
 
+def _generic_witness(fs: FactoredSet) -> FactoredDistribution:
+    """The generic point normalized, built and validated once per ``fs``."""
+    witness = fs._generic_witness
+    if witness is None:
+        witness = fs._generic_witness = _normalized(fs, _generic_point(fs))
+    return witness
+
+
 @dataclass(frozen=True, slots=True)
 class FundamentalTheoremReport:
-    """Three-way comparison of one partition triple, with sampling evidence."""
+    """Three-way comparison of one partition triple, with sampling evidence.
+
+    ``witness`` is exact and generic: the set's generic distribution when
+    the polynomial identity fails, ``None`` when it holds.  It is one object
+    for every dependent triple of a set.  The trial counts only corroborate.
+    The witness's weights can run to thousands of digits, more than ``int``
+    prints by default, so the repr leaves it out.
+    """
 
     orthogonal: bool
     polynomial_identity: bool
     trials: int
     independent_trials: int
-    witness: FactoredDistribution | None
+    witness: FactoredDistribution | None = field(repr=False)
     seed: int
 
     @property
@@ -214,29 +256,33 @@ def fundamental_theorem_check(
     """Confront orthogonality, the polynomial identity, and sampled distributions.
 
     The polynomial identity is decided exactly by evaluating every
-    characteristic monomial at one integer point.  Each trial draws what
+    characteristic monomial at one generic integer point.  When it fails,
+    that point normalized is the witness: exact and generic, it violates
+    independence for every dependent triple on ``fs``, so no sample is
+    needed to find one.  The trials only corroborate.  Each draws what
     ``random_distribution`` draws and decides independence on the raw
-    integer rows (each row is its normalized weights times its total); only
-    the first failing trial is normalized, as the witness.
+    integer rows (each row is its normalized weights times its total).
     """
+    try:
+        trials = index(trials)
+    except TypeError:
+        raise ValidationError(f"trials {trials!r} is not an integer") from None
     if trials < 1:
         raise ValidationError("at least one trial is required")
     orth = cond_orthogonal(fs, x, y, z)
     poly_ok = cond_orth_by_divisibility(fs, x, y, z)
     rng = random.Random(seed)
-    independent = 0
-    witness = None
-    for _ in range(trials):
-        rows = _draw_rows(fs, rng, _WEIGHT_RANGE)
-        if block_triple_identity(x, y, z, _masses(rows, fs.coords)):
-            independent += 1
-        elif witness is None:
-            witness = _normalized(fs, rows)
+    independent = sum(
+        block_triple_identity(
+            x, y, z, _masses(_draw_rows(fs, rng, _WEIGHT_RANGE), fs.coords)
+        )
+        for _ in range(trials)
+    )
     return FundamentalTheoremReport(
         orthogonal=orth,
         polynomial_identity=poly_ok,
         trials=trials,
         independent_trials=independent,
-        witness=witness,
+        witness=None if poly_ok else _generic_witness(fs),
         seed=seed,
     )

@@ -882,7 +882,7 @@ def _materialising_sweep(argv, max_size, sample, seed, trials, pick=_sample_the_
                 report = fundamental_theorem_check(fs, x, y, z, trials=trials, seed=s)
                 checked.append((fs, x, y, z, s))
                 mismatches += not report.verdicts_agree
-                missed += not report.orthogonal and not report.witness_found
+                missed += not report.orthogonal and report.independent_trials == report.trials
     results = {
         "max_size": max_size,
         "trials": trials,

@@ -24,6 +24,8 @@ from factoredsets import (
     random_distribution,
     trivial_factorization,
 )
+from factoredsets import polynomial
+from factoredsets.probability import _draw_rows
 from conftest import mixed_random_partition, random_factored_set, random_subset
 
 H = Fraction(1, 2)
@@ -396,6 +398,98 @@ class TestFundamentalTheoremCheck:
         b = fundamental_theorem_check(ex1.fs, ex1.V, ex1.V, ind, trials=5, seed=99)
         assert a.witness.weights == b.witness.weights
 
+    @pytest.mark.parametrize("trials", [2.0, "2", None])
+    def test_trials_must_be_an_integer(self, ex1, trials):
+        ind = Partition.indiscrete(ex1.fs.ground)
+        with pytest.raises(ValidationError, match="not an integer"):
+            fundamental_theorem_check(ex1.fs, ex1.V, ex1.V, ind, trials=trials)
+
+    def test_repr_leaves_out_a_witness_too_long_to_print(self):
+        # One factor of 48 blocks: the generic weights reach about 25,000
+        # bits, past the digits ``int`` prints by default.
+        fs = trivial_factorization(GroundSet(48))
+        discrete = Partition.discrete(fs.ground)
+        ind = Partition.indiscrete(fs.ground)
+        report = fundamental_theorem_check(fs, discrete, discrete, ind, trials=1)
+        assert report.witness_found
+        assert max(w.numerator for w in report.witness.weights[0]).bit_length() > 20000
+        text = repr(report)
+        assert "witness" not in text
+        assert text.startswith("FundamentalTheoremReport(orthogonal=False, ")
+
+
+class _NoDraws(random.Random):
+    """A generator that fails the test on its first draw."""
+
+    def getrandbits(self, k):
+        raise AssertionError("drew before the bound was checked")
+
+
+class TestMaxWeightIsCheckedBeforeAnyDraw:
+    # A max_weight of 0 would redraw forever: ``getrandbits(0)`` is 0.  The
+    # generator here refuses every draw, so no case can loop.
+
+    @pytest.mark.parametrize("max_weight", [0, -3])
+    def test_below_one_is_refused(self, ex1, max_weight):
+        with pytest.raises(ValidationError, match="at least 1"):
+            random_distribution(ex1.fs, _NoDraws(1), max_weight)
+        with pytest.raises(ValidationError, match="at least 1"):
+            _draw_rows(ex1.fs, _NoDraws(1), max_weight)
+
+    @pytest.mark.parametrize("max_weight", [97.0, "97", None])
+    def test_non_integers_are_refused(self, ex1, max_weight):
+        with pytest.raises(ValidationError, match="not an integer"):
+            random_distribution(ex1.fs, _NoDraws(1), max_weight)
+        with pytest.raises(ValidationError, match="not an integer"):
+            _draw_rows(ex1.fs, _NoDraws(1), max_weight)
+
+
+def _generic_distribution(fs):
+    """The generic point's rows, each divided by its total in Fractions."""
+    rows = polynomial._generic_rows([p.block_count for p in fs.factors], fs.size + 1)
+    return FactoredDistribution(
+        fs, tuple(tuple(Fraction(w, sum(row)) for w in row) for row in rows)
+    )
+
+
+class TestGenericWitness:
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        """Every triple of sizes 2-4 with its report, one trial each."""
+        rng = random.Random(101)
+        out = []
+        for n in (2, 3, 4):
+            for fs in enumerate_factorizations(n):
+                parts = list(iter_partitions(fs.ground))
+                for x, y, z in itertools.product(parts, repeat=3):
+                    report = fundamental_theorem_check(
+                        fs, x, y, z, trials=1, seed=rng.randrange(1 << 30)
+                    )
+                    out.append((fs, x, y, z, report))
+        return out
+
+    def test_exists_exactly_when_the_identity_fails(self, sweep):
+        assert len(sweep) == 13633
+        for _, _, _, _, report in sweep:
+            assert report.witness_found is not report.polynomial_identity
+        assert sum(r.witness_found for *_, r in sweep) == 13633 - 5895
+
+    def test_violates_independence(self, sweep):
+        for fs, x, y, z, report in sweep:
+            if report.witness_found:
+                assert not conditional_independence_holds(fs, report.witness, x, y, z)
+
+    def test_one_generic_object_per_set(self, sweep):
+        witness = {}
+        for fs, _, _, _, report in sweep:
+            if report.witness_found:
+                assert witness.setdefault(fs, report.witness) is report.witness
+        assert len(witness) == sum(
+            1 for n in (2, 3, 4) for _ in enumerate_factorizations(n)
+        )
+        for fs, w in witness.items():
+            assert w == _generic_distribution(fs)
+
 
 # -- the Fraction reference for the sampled trials ----------------------------
 #
@@ -404,6 +498,7 @@ class TestFundamentalTheoremCheck:
 
 
 def _reference_random_distribution(fs, rng, max_weight=97):
+    # ``randint`` itself: ``_draw_rows`` reproduces its stream with ``getrandbits``.
     rows = []
     for p in fs.factors:
         raw = [rng.randint(1, max_weight) for _ in range(p.block_count)]
@@ -431,21 +526,28 @@ def _reference_independence(fs, dist, x, y, z):
 
 
 def _reference_check(fs, x, y, z, trials, seed):
+    """The report expected: Fraction trials, the generic distribution as witness.
+
+    The first failing trial, the witness before the generic one, exists
+    exactly when some trial was not independent.
+    """
     rng = random.Random(seed)
     independent = 0
-    witness = None
+    first_failing = None
     for _ in range(trials):
         dist = _reference_random_distribution(fs, rng)
         if _reference_independence(fs, dist, x, y, z):
             independent += 1
-        elif witness is None:
-            witness = dist
+        elif first_failing is None:
+            first_failing = dist
+    assert (first_failing is not None) == (independent < trials)
+    poly_ok = cond_orth_by_divisibility(fs, x, y, z)
     return FundamentalTheoremReport(
         orthogonal=cond_orthogonal(fs, x, y, z),
-        polynomial_identity=cond_orth_by_divisibility(fs, x, y, z),
+        polynomial_identity=poly_ok,
         trials=trials,
         independent_trials=independent,
-        witness=witness,
+        witness=None if poly_ok else _generic_distribution(fs),
         seed=seed,
     )
 
@@ -483,9 +585,15 @@ class TestIntegerRouteAgainstFractionReference:
         assert witnesses > 0
 
     def test_random_distribution_is_the_reference_draw(self):
-        rng = random.Random(97)
-        for _ in range(40):
-            fs = random_factored_set(rng, min_n=1, max_n=12)
-            seed = rng.randrange(1 << 30)
-            got = random_distribution(fs, random.Random(seed))
-            assert got == _reference_random_distribution(fs, random.Random(seed))
+        # Powers of two and their neighbours: where ``getrandbits`` needs one
+        # bit more, and where it rejects the most.
+        for max_weight in (1, 2, 63, 64, 65, 97, 128, 1000):
+            rng = random.Random(97)
+            for _ in range(40):
+                fs = random_factored_set(rng, min_n=1, max_n=12)
+                seed = rng.randrange(1 << 30)
+                got = random_distribution(fs, random.Random(seed), max_weight)
+                expected = _reference_random_distribution(
+                    fs, random.Random(seed), max_weight
+                )
+                assert got == expected, max_weight
