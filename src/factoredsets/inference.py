@@ -19,24 +19,31 @@ The search keeps the lexicographically least labeling of each orbit, so
 each isomorphism orbit of models is visited exactly once; every verdict
 checked is invariant under relabeling.  A depth-first walk in
 lexicographic order decides this alone (orderly generation, after Read and
-McKay): per depth it carries the automorphisms still tied with the prefix,
-skips a subtree once an image is smaller, and drops an automorphism once
-its image is larger.  A single discrete factor has every ground
-permutation as automorphism, and its lex-least labelings are the sorted
-ones, which are exactly those no larger than their image under each
-adjacent transposition, so there the walk compares against those ``n - 1``.
+McKay): each automorphism still tied with the prefix waits at the depth
+where its next comparison can first be made, so placing a label touches
+only the automorphisms filed under that depth; the walk skips a subtree
+once an image is smaller and drops an automorphism once its image is
+larger.  A single discrete factor has every ground permutation as
+automorphism, and its lex-least labelings are the sorted ones, which are
+exactly those no larger than their image under each adjacent
+transposition, so there the walk compares against those ``n - 1``.
 
 On a product set the history of a full partition is the set of
 coordinates it depends on: coordinate ``j`` belongs to it exactly when two
 elements one step apart along ``j`` lie in different blocks.  So the walk
-reads the history of every name asserted ``| _`` off the placed prefix, one
-bit per grid coordinate: placing position ``i`` compares its block with the
-block of ``i - stride_j`` for each coordinate ``j`` where ``i``'s digit is
-above 0.  That neighbour is already placed, and every pair one step apart
-is compared once both are placed, so a set bit stays set in every
-extension and the masks are exact histories at full length.  The walk
-skips a subtree as soon as the masks of an asserted ``orthogonal A B | _``
-meet, and decides every ``| _`` assertion from ints at full length.
+reads the history of every name asserted ``| _``, and of every name a
+query watches, off the placed prefix, one bit per grid coordinate: placing
+position ``i`` compares its block with the block of ``i - stride_j`` for
+each coordinate ``j`` where ``i``'s digit is above 0.  That neighbour is
+already placed, and every pair one step apart is compared once both are
+placed, so a set bit stays set in every extension and the masks are exact
+histories at full length.  The walk skips a subtree as soon as the masks
+of an asserted ``orthogonal A B | _`` meet, decides every ``| _``
+assertion from ints at full length, and yields the masks with each
+labeling.  ``infer_before`` watches its two names and decides whether
+``h(X)`` is contained in ``h(Y)`` from their masks; coordinates are not the
+grid ``FactoredSet``'s factor order, but containment and equality do not
+depend on the order.
 
 The walk is the only place the search decides a ``| _`` assertion.  Each
 conditioned one runs per yielded labeling on integer label tuples: a name's
@@ -44,8 +51,10 @@ row of block ids over the observations pulls it back with one lookup per
 element, and the triple holds when the histories of its first two names,
 restricted to each block of its third, are disjoint block by block.  They
 are read through ``structure.block_histories`` from the grid's history
-cache.  ``models_database`` decides a given model by
-``structure.cond_orthogonal`` on the pull-backs.
+cache.  The search builds a ``Model`` only at its edge: ``search_models``
+(and so ``is_consistent_up_to_bound``) for each model it yields,
+``infer_before`` for its counterexample alone.  ``models_database``
+decides a given model by ``structure.cond_orthogonal`` on the pull-backs.
 """
 
 from __future__ import annotations
@@ -72,7 +81,8 @@ from .partitions import (
     require_full,
     resolve_name,
 )
-from .structure import Labels, block_histories, cond_orthogonal, history
+# Re-exported: callers reach ``history`` as ``inference.history`` too.
+from .structure import Labels, block_histories, cond_orthogonal, history  # noqa: F401
 
 # (expected orthogonal, names, resolved partitions) of one assertion.
 ResolvedTriple = tuple[bool, tuple[str, str, str], tuple[Partition, Partition, Partition]]
@@ -272,6 +282,27 @@ def _walk_automorphisms(n: int, ks: tuple[int, ...]) -> tuple[tuple[int, ...], .
     return _grid_automorphisms(n, ks)[1:]
 
 
+@lru_cache(maxsize=None)
+def _walk_chains(n: int, ks: tuple[int, ...]) -> tuple[tuple, ...]:
+    """Per walk automorphism, its comparisons as a chain of nodes.
+
+    A node ``(j, p[j], depth, next)`` compares ``f[j]`` with ``f[p[j]]``; its
+    depth ``max(j, p[j])`` is the first at which both are placed.  Nodes
+    follow the moved positions ``j`` ascending, leaving out each ``j`` whose
+    pair ``(p[j], j)`` an earlier node already compared: that is ``p[j] < j``
+    with ``p[p[j]] == j``, and the walk reaches ``j`` only once it was equal.
+    """
+    chains = []
+    for p in _walk_automorphisms(n, ks):
+        node = None
+        for j in reversed(range(n)):
+            pj = p[j]
+            if pj > j or pj < j and p[pj] != j:
+                node = (j, pj, max(j, pj), node)
+        chains.append(node)
+    return tuple(chains)
+
+
 def _grid_labelings(
     n: int,
     ks: tuple[int, ...],
@@ -280,23 +311,30 @@ def _grid_labelings(
     disjoint: Sequence[tuple[int, int]] = (),
     meeting: Sequence[tuple[int, int]] = (),
     deadline: float | None = None,
-) -> Iterator[tuple[int, ...] | None]:
+) -> Iterator[tuple[tuple[int, ...], int] | None]:
     """The labelings no larger than their image under any of
-    ``_walk_automorphisms(n, ks)``, in order.
+    ``_walk_automorphisms(n, ks)``, in order, each with its history masks.
 
     Labels are tried in ascending order at each position.  Each automorphism
-    ``p`` tied with the prefix ``f`` compares ``f[j]`` with ``f[p[j]]`` for
-    ``j`` ascending while both are placed, resuming where its comparison
-    stopped: a greater ``f[j]`` skips the subtree, a smaller one drops ``p``
-    for the subtree, and equal pairs keep ``p`` tied.  At full length every
-    position is placed, so a labeling that survives is canonical.
+    ``p`` still tied with the prefix ``f`` waits, in ``waiting[depth]``, at
+    the first pair ``(f[j], f[p[j]])``, ``j`` ascending and moved by ``p``,
+    that the prefix has not compared, filed under the depth at which both
+    are placed.  Placing ``f[i]`` takes only ``waiting[i]``: equal pairs
+    advance ``p`` to its next pair, compared at once if it is placed and
+    re-filed at its depth if not; a greater ``f[j]`` skips the subtree, a
+    smaller one drops ``p``, and so does a last pair found equal.  The
+    re-filings made at depth ``i`` are popped before the next label at
+    ``i`` and on backtracking.  At full length every position is placed, so
+    a labeling that survives is canonical.
 
     The walk keeps the history of every row's pull-back, bit ``j`` for
-    coordinate ``j``, read off the prefix as the module docstring says.  A
-    subtree is skipped once the masks of a ``disjoint`` pair of rows meet,
-    and a full labeling is kept only if the masks of every ``meeting`` pair
-    meet.  With a ``deadline`` the walk reads the clock once per placed
-    label and yields ``None`` once it has passed.
+    coordinate ``j``, read off the prefix as the module docstring says; row
+    ``k``'s mask is bits ``k*d .. k*d + d - 1`` of the packed int ``h``
+    yielded with each labeling, ``d = len(ks)``.  A subtree is skipped once
+    the masks of a ``disjoint`` pair of rows meet, and a full labeling is
+    kept only if the masks of every ``meeting`` pair meet.  With a
+    ``deadline`` the walk reads the clock once per placed label and yields
+    ``None`` once it has passed.
     """
     d = len(ks)
     low = (1 << d) - 1
@@ -322,11 +360,17 @@ def _grid_labelings(
         [(i - strides[j], j) for j in range(d) if i // strides[j] % ks[j]]
         for i in range(n)
     ]
+    waiting: list[list[tuple]] = [[] for _ in range(n)]
+    for chain in _walk_chains(n, ks):
+        waiting[chain[2]].append(chain)
+    filed: list[list[int]] = [[] for _ in range(n)]  # per depth, lists appended to
     f = [-1] * n
     masks = [0] * (n + 1)
-    tied = [[(p, 0) for p in _walk_automorphisms(n, ks)]] + [[]] * n
     i = 0
     while i >= 0:
+        undo = filed[i]
+        while undo:
+            waiting[undo.pop()].pop()
         f[i] += 1
         if f[i] == omega_n:
             f[i] = -1
@@ -343,19 +387,22 @@ def _grid_labelings(
             continue
         if i + 1 == n and not all(h >> a & h >> b & low for a, b in meeting_pairs):
             continue
-        still = []
-        for p, j in tied[i]:
-            while j <= i and p[j] <= i and f[j] == f[p[j]]:
-                j += 1
-            if j > i or p[j] > i:
-                still.append((p, j))
-            elif f[j] > f[p[j]]:
-                break
+        for j, pj, _, node in waiting[i]:
+            while f[j] == f[pj]:
+                if node is None:
+                    break
+                if node[2] > i:
+                    waiting[node[2]].append(node)
+                    undo.append(node[2])
+                    break
+                j, pj, _, node = node
+            else:  # the pair differs: a greater ``f[j]`` breaks the for loop
+                if f[j] > f[pj]:
+                    break
         else:
             if i + 1 == n:
-                yield tuple(f)
+                yield tuple(f), h
             else:
-                tied[i + 1] = still
                 masks[i + 1] = h
                 i += 1
 
@@ -386,6 +433,55 @@ def _conditioned_hold(
     return True
 
 
+def _masked_names(
+    triples: Sequence[ResolvedTriple], watched: Sequence[str]
+) -> list[str]:
+    """The names the walk keeps masks for: those asserted ``| _``, then ``watched``."""
+    asserted = [n for _, names, _ in triples if names[2] == "_" for n in names[:2]]
+    return list(dict.fromkeys(asserted + list(watched)))
+
+
+def _search(
+    db: OrthogonalityDatabase, bounds: SearchBounds, watched: Sequence[str] = ()
+) -> Iterator[tuple[FactoredSet, tuple[int, ...], int] | Truncation]:
+    """``search_models``'s stream as ``(grid, labeling, h)``, no ``Model`` built.
+
+    ``h`` packs the walk's history masks in grid coordinates, one row per
+    name of ``_masked_names(db.resolved_triples(), watched)`` in order.
+    """
+    deadline = (
+        None if bounds.time_budget is None else time.monotonic() + bounds.time_budget
+    )
+    triples = db.resolved_triples()
+    omega_n = db.omega.n
+    # Resolved partitions are full: ``block_ids[w]`` is the block of ``w``.
+    rows = {n: p.block_ids for _, names, parts in triples for n, p in zip(names, parts)}
+    conditioned = [(e, names) for e, names, _ in triples if names[2] != "_"]
+    unconditional = [(e, names[:2]) for e, names, _ in triples if names[2] == "_"]
+    masked = _masked_names(triples, watched)
+    masked_rows = [db.resolve(name).block_ids for name in masked]
+    at = masked.index
+    disjoint = [(at(x), at(y)) for e, (x, y) in unconditional if e]
+    meeting = [(at(x), at(y)) for e, (x, y) in unconditional if not e]
+    for n in range(1, bounds.max_size + 1):
+        for ks in factor_size_multisets(n):
+            if bounds.max_dim is not None and len(ks) > bounds.max_dim:
+                continue
+            fs = grid_factored_set(n, ks)
+            walk = _grid_labelings(
+                n, ks, omega_n, masked_rows, disjoint, meeting, deadline
+            )
+            for item in walk:
+                if item is None:
+                    yield Truncation(n)
+                    return
+                f, h = item
+                if bounds.surjective_only and len(set(f)) != omega_n:
+                    continue
+                if _conditioned_hold(fs, rows, conditioned, f):
+                    yield fs, f, h
+
+
 def search_models(
     db: OrthogonalityDatabase, bounds: SearchBounds
 ) -> Iterator[Model | Truncation]:
@@ -402,39 +498,16 @@ def search_models(
     assertion, and skips a subtree once an asserted ``orthogonal A B | _``
     fails.  With a time budget it reads the clock once per placed label.
     Each labeling it yields goes through the surjectivity filter, then
-    ``_conditioned_hold``; only one that passes becomes a ``Model``.  Both
-    checks are compiled once per database.
+    ``_conditioned_hold``; both checks are compiled once per database, in
+    ``_search``, whose items this wraps: each labeling that passes becomes
+    a ``Model`` here.
     """
-    deadline = (
-        None if bounds.time_budget is None else time.monotonic() + bounds.time_budget
-    )
-    triples = db.resolved_triples()
-    omega_n = db.omega.n
-    # Resolved partitions are full: ``block_ids[w]`` is the block of ``w``.
-    rows = {n: p.block_ids for _, names, parts in triples for n, p in zip(names, parts)}
-    conditioned = [(e, names) for e, names, _ in triples if names[2] != "_"]
-    unconditional = [(e, names[:2]) for e, names, _ in triples if names[2] == "_"]
-    masked = list(dict.fromkeys(name for _, pair in unconditional for name in pair))
-    masked_rows = [rows[name] for name in masked]
-    at = masked.index
-    disjoint = [(at(x), at(y)) for e, (x, y) in unconditional if e]
-    meeting = [(at(x), at(y)) for e, (x, y) in unconditional if not e]
-    for n in range(1, bounds.max_size + 1):
-        for ks in factor_size_multisets(n):
-            if bounds.max_dim is not None and len(ks) > bounds.max_dim:
-                continue
-            fs = grid_factored_set(n, ks)
-            walk = _grid_labelings(
-                n, ks, omega_n, masked_rows, disjoint, meeting, deadline
-            )
-            for f in walk:
-                if f is None:
-                    yield Truncation(n)
-                    return
-                if bounds.surjective_only and len(set(f)) != omega_n:
-                    continue
-                if _conditioned_hold(fs, rows, conditioned, f):
-                    yield Model(fs, f, db.omega)
+    for item in _search(db, bounds):
+        if isinstance(item, Truncation):
+            yield item
+            return
+        fs, f, _ = item
+        yield Model(fs, f, db.omega)
 
 
 @dataclass(frozen=True)
@@ -471,27 +544,37 @@ def infer_before(
     *,
     strict: bool = True,
 ) -> InferenceVerdict:
-    """Quantify the (strict) before-relation over every model within bounds."""
-    x = db.resolve(first)
-    y = db.resolve(second)
+    """Quantify the (strict) before-relation over every model within bounds.
+
+    The search walks with the two names' rows watched, so each model's
+    histories of ``first`` and ``second`` are two slices of the walk's
+    masks.  Their bits are grid coordinates rather than factor indices of
+    the grid's ``FactoredSet``, a bijection that keeps containment and
+    equality.  Only a counterexample is built into a ``Model``.
+    """
+    db.resolve(first)  # an unknown name raises before any search
+    db.resolve(second)
+    at = _masked_names(db.resolved_triples(), (first, second)).index
+    kx, ky = at(first), at(second)
     checked = 0
     truncation = None
-    for item in search_models(db, bounds):
+    for item in _search(db, bounds, (first, second)):
         if isinstance(item, Truncation):
             truncation = item
             break
         checked += 1
-        fs = item.factored
-        hx = history(fs, pullback(item, x))
-        hy = history(fs, pullback(item, y))
-        holds = (hx & hy == hx) and (not strict or hx != hy)
-        if not holds:
+        fs, f, h = item
+        d = fs.dim
+        low = (1 << d) - 1
+        hx = h >> kx * d & low
+        hy = h >> ky * d & low
+        if hx & hy != hx or strict and hx == hy:
             return InferenceVerdict(
                 kind="refuted",
                 strict=strict,
                 bounds=bounds,
                 models_checked=checked,
-                counterexample=item,
+                counterexample=Model(fs, f, db.omega),
             )
     if truncation is not None and truncation.size == 1:
         kind = "inconclusive"

@@ -86,6 +86,12 @@ class FactoredDistribution:
             if sum(scaled) != scale:
                 raise ValidationError(f"factor {j} weights must sum to 1")
 
+    def __repr__(self) -> str:
+        # A generic witness's weights can run to thousands of digits, more
+        # than ``int`` prints by default, so the repr shows only the shape.
+        counts = tuple(map(len, self.weights))
+        return f"FactoredDistribution(n={self.fs.size}, block_counts={counts})"
+
     @classmethod
     def uniform(cls, fs: FactoredSet) -> "FactoredDistribution":
         return _normalized(fs, tuple((1,) * p.block_count for p in fs.factors))

@@ -511,6 +511,15 @@ class TestInferBefore:
         loose = infer_before(ex1.db, "X", "X", SearchBounds(max_size=3), strict=False)
         assert loose.kind == "holds-up-to-bound"
 
+    @pytest.mark.parametrize("pair", [("W", "X"), ("X", "W")])
+    def test_unknown_name_raises_before_any_search(self, ex1, monkeypatch, pair):
+        def no_search(*args):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(inference, "_search", no_search)
+        with pytest.raises(ValidationError, match="unknown partition name"):
+            infer_before(ex1.db, *pair, SearchBounds(max_size=3))
+
     def test_vacuous_when_nothing_models(self):
         db = _two_bit_db(
             orthogonal=frozenset(), dependent=frozenset({("_", "_", "_")})
@@ -895,6 +904,59 @@ class TestSearchOracle:
                     )
 
 
+def _old_infer_before(db, models, first, second, strict):
+    """``infer_before`` before the walk watched its names, over a model stream.
+
+    ``models`` is the ``search_models`` stream for the bounds; each model's
+    two names are pulled back and their histories compared.  Returns the
+    kind, the number of models checked and the counterexample.
+    """
+    x = db.resolve(first)
+    y = db.resolve(second)
+    checked = 0
+    for model in models:
+        checked += 1
+        fs = model.factored
+        hx = history(fs, pullback(model, x))
+        hy = history(fs, pullback(model, y))
+        if not ((hx & hy == hx) and (not strict or hx != hy)):
+            return "refuted", checked, model
+    return ("vacuous" if checked == 0 else "holds-up-to-bound"), checked, None
+
+
+INFER_ORACLE_CASES = [
+    ("ex1", ORACLE_DBS["ex1"], SearchBounds(max_size=9)),
+    ("ex2", ORACLE_DBS["ex2"], SearchBounds(max_size=8)),
+    ("ex1-dim-1", ORACLE_DBS["ex1"], SearchBounds(max_size=9, max_dim=1)),
+    (
+        "ex1-surjective",
+        ORACLE_DBS["ex1"],
+        SearchBounds(max_size=9, surjective_only=True),
+    ),
+] + [(name, db, SearchBounds(max_size=n)) for name, db, n in PLANTED_DBS]
+
+
+class TestInferOracle:
+    """``infer_before`` from the walk's masks against pull-backs and ``history``."""
+
+    @pytest.mark.parametrize(
+        "name,db,bounds", INFER_ORACLE_CASES, ids=[c[0] for c in INFER_ORACLE_CASES]
+    )
+    def test_same_verdicts_as_pullback_histories(self, name, db, bounds):
+        models = list(search_models(db, bounds))
+        names = [*sorted(db.partitions), "_", "!"]
+        kinds = set()
+        for first, second in itertools.product(names, repeat=2):
+            for strict in (True, False):
+                verdict = infer_before(db, first, second, bounds, strict=strict)
+                expected = _old_infer_before(db, models, first, second, strict)
+                assert (
+                    verdict.kind, verdict.models_checked, verdict.counterexample
+                ) == expected, (first, second, strict)
+                kinds.add(verdict.kind)
+        assert "refuted" in kinds
+
+
 @lru_cache(maxsize=None)
 def _product_canonical_labelings(n, ks, omega_n):
     """Every labeling in product order, kept when no automorphism image is smaller."""
@@ -966,24 +1028,39 @@ class TestWalkCountOracle:
                 orbits, rest = divmod(sum(omega_n**c for c in cycles), len(auts))
                 assert rest == 0
                 walk = inference._grid_labelings(n, ks, omega_n)
-                assert sum(1 for _ in walk) == orbits, (n, ks, omega_n)
+                assert sum(1 for _f, _h in walk) == orbits, (n, ks, omega_n)
 
     def test_adjacent_transpositions_leave_the_sorted_labelings(self):
         for n in range(2, 8):
             for omega_n in range(1, 6):
-                walked = list(inference._grid_labelings(n, (n,), omega_n))
+                walked = [f for f, _ in inference._grid_labelings(n, (n,), omega_n)]
                 assert walked == list(
                     itertools.combinations_with_replacement(range(omega_n), n)
                 ), (n, omega_n)
 
 
+def _grid_to_factor_bits(fs, n, ks):
+    """Per grid coordinate, the bit of the factor of ``fs`` that is that coordinate."""
+    strides = inference.mixed_radix_strides(ks)
+    coordinates = [
+        Partition.from_block_of(fs.ground, {s: s // stride % k for s in range(n)})
+        for stride, k in zip(strides, ks)
+    ]
+    return [1 << fs.factors.index(c) for c in coordinates]
+
+
 def _check_pruned_walk(db, max_size):
     """Per grid, the pruned walk against the unpruned one kept by the old ``| _`` verdicts.
 
+    Every row's slice of each kept labeling's masks, mapped from grid
+    coordinates to factor bits, is the history of that name's pull-back; a
+    watched ``!`` row, asserted nowhere ``| _``, comes after the asserted ones.
     Returns the number of unpruned labelings checked.
     """
     unconditional = [t for t in db.resolved_triples() if t[1][2] == "_"]
-    masked = list(dict.fromkeys(x for _, names, _ in unconditional for x in names[:2]))
+    asserted = [x for _, names, _ in unconditional for x in names[:2]]
+    assert "!" not in asserted
+    masked = list(dict.fromkeys(asserted + ["!"]))
     rows = [db.resolve(x).block_ids for x in masked]
     pairs = {True: [], False: []}
     for expected, (x, y, _), _ in unconditional:
@@ -993,15 +1070,25 @@ def _check_pruned_walk(db, max_size):
         for ks in inference.factor_size_multisets(n):
             fs = grid_factored_set(n, ks)
             kept = []
-            for f in inference._grid_labelings(n, ks, db.omega.n):
+            for f, _ in inference._grid_labelings(n, ks, db.omega.n):
                 old = _old_verdicts(Model(fs, f, db.omega), unconditional)
                 if all(e == a for e, _, a in old):
                     kept.append(f)
                 checked += 1
-            pruned = inference._grid_labelings(
+            pruned = list(inference._grid_labelings(
                 n, ks, db.omega.n, rows, pairs[True], pairs[False]
-            )
-            assert list(pruned) == kept, (n, ks)
+            ))
+            assert [f for f, _ in pruned] == kept, (n, ks)
+            d = len(ks)
+            bits = _grid_to_factor_bits(fs, n, ks)
+            for f, h in pruned:
+                model = Model(fs, f, db.omega)
+                for k, name in enumerate(masked):
+                    grid_mask = h >> k * d & ((1 << d) - 1)
+                    mask = sum(b for j, b in enumerate(bits) if grid_mask >> j & 1)
+                    assert mask == history(fs, pullback(model, db.resolve(name))), (
+                        n, ks, f, name
+                    )
     return checked
 
 
@@ -1064,7 +1151,7 @@ class TestRestrictionTableWalkOracle:
         ]
         assert {(12, (2, 2, 3)), (12, (2, 6)), (12, (3, 4))} <= set(grids)
         for n, ks in grids:
-            walked = list(inference._grid_labelings(n, ks, 3))
+            walked = [f for f, _ in inference._grid_labelings(n, ks, 3)]
             assert walked == list(
                 _restriction_table_walk(3, _restriction_tables(n, ks))
             ), (n, ks)

@@ -417,6 +417,16 @@ class TestFundamentalTheoremCheck:
         assert "witness" not in text
         assert text.startswith("FundamentalTheoremReport(orthogonal=False, ")
 
+    def test_witness_repr_shows_its_shape_at_size_48(self, ex1):
+        fs = trivial_factorization(GroundSet(48))
+        discrete = Partition.discrete(fs.ground)
+        ind = Partition.indiscrete(fs.ground)
+        report = fundamental_theorem_check(fs, discrete, discrete, ind, trials=1)
+        assert repr(report.witness) == "FactoredDistribution(n=48, block_counts=(48,))"
+        assert repr(FactoredDistribution.uniform(ex1.fs)) == (
+            "FactoredDistribution(n=4, block_counts=(2, 2))"
+        )
+
 
 class _NoDraws(random.Random):
     """A generator that fails the test on its first draw."""
