@@ -352,6 +352,7 @@ def _cmd_infer(args) -> tuple[int, dict, list[str]]:
         db, first, second, bounds, strict=not args.non_strict
     )
     relation = "strictly-before" if verdict.strict else "before-or-equal"
+    within = bounds.describe(verdict.truncation)  # the qualifier without "models with"
     if verdict.kind == "holds-up-to-bound":
         line = (
             f"{relation} (holds for all {verdict.qualifier}; "
@@ -362,14 +363,14 @@ def _cmd_infer(args) -> tuple[int, dict, list[str]]:
         size = verdict.counterexample.factored.size
         line = (
             f"refuted (a model of size {size} violates {relation}; "
-            f"{verdict.models_checked} models checked within {verdict.qualifier})"
+            f"{verdict.models_checked} models checked within {within})"
         )
         code = 1
     elif verdict.kind == "inconclusive":
         line = f"inconclusive (no size searched completely: {verdict.qualifier})"
         code = 1
     else:
-        line = f"vacuous (no models found within {verdict.qualifier})"
+        line = f"vacuous (no models found within {within})"
         code = 1
     payload = {
         "before": [first, second],

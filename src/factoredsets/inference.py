@@ -45,6 +45,15 @@ labeling.  ``infer_before`` watches its two names and decides whether
 grid ``FactoredSet``'s factor order, but containment and equality do not
 depend on the order.
 
+A grid of dimension ``d`` gives every history ``d`` bits, so the ``| _``
+assertions also bound the dimension of any model from below: each asserted
+``dependent A B | _`` needs a coordinate in both histories, and two such
+pairs can share one only if their names together hold no asserted
+``orthogonal`` pair.  The search computes that floor exactly, once per
+database, and walks only the grids whose dimension reaches it (and, for
+surjective labelings only, whose size reaches the observation space's);
+a database whose ``| _`` assertions no masks can meet walks no grid.
+
 The walk is the only place the search decides a ``| _`` assertion.  Each
 conditioned one runs per yielded labeling on integer label tuples: a name's
 row of block ids over the observations pulls it back with one lookup per
@@ -204,10 +213,11 @@ class SearchBounds:
     time_budget: float | None = None
 
     def __post_init__(self) -> None:
-        dim = 0 if self.max_dim is None else self.max_dim
-        for name, value in (("max_size", self.max_size), ("max_dim", dim)):
+        # Stored as plain ints, so ``True`` is described as 1, not "True".
+        ints = ("max_size",) if self.max_dim is None else ("max_size", "max_dim")
+        for name in ints:
             try:
-                index(value)
+                object.__setattr__(self, name, index(getattr(self, name)))
             except TypeError:
                 raise ValidationError(f"{name} must be an integer") from None
         if self.max_size < 1:
@@ -303,6 +313,71 @@ def _walk_chains(n: int, ks: tuple[int, ...]) -> tuple[tuple, ...]:
     return tuple(chains)
 
 
+def _apart_table(
+    rows: Sequence[Sequence[int]], omega_n: int, d: int
+) -> list[list[int]]:
+    """``apart[v][u]`` sets bit ``k*d`` for each row ``k`` with labels ``v``
+    and ``u`` in different blocks; shifted by ``j``, it sets those rows'
+    coordinate ``j`` in the walk's packed masks."""
+    labels = range(omega_n)
+    shifts = [k * d for k in range(len(rows))]
+    return [
+        [
+            sum(1 << k for k, row in zip(shifts, rows) if row[v] != row[u])
+            for u in labels
+        ]
+        for v in labels
+    ]
+
+
+def _dimension_floor(
+    disjoint: Sequence[tuple[int, int]],
+    meeting: Sequence[tuple[int, int]],
+    cap: int,
+) -> int | None:
+    """The least ``d <= cap`` for which ``d``-bit masks, one per row, can
+    keep every ``disjoint`` pair apart and make every ``meeting`` pair meet;
+    ``None`` if no ``d <= cap`` can.  A pair ``(k, k)`` reads "mask ``k`` is
+    empty" when disjoint and "mask ``k`` is not" when meeting.
+
+    Each meeting pair needs a coordinate both its masks hold.  Disjointness
+    is pairwise, so meeting pairs can share one coordinate exactly when
+    their rows together hold no disjoint pair: the floor is the chromatic
+    number of the graph joining meeting pairs that cannot share, and a
+    meeting pair whose own rows hold a disjoint pair meets in no dimension.
+    The colouring is exact, by backtracking, since a bound from a greedy
+    colouring could lie above the floor and skip a grid holding a model.
+    """
+    apart = {frozenset(pair) for pair in disjoint}
+
+    def clash(group: frozenset[int]) -> bool:
+        return any(frozenset((u, v)) in apart for u in group for v in group)
+
+    groups = list(dict.fromkeys(frozenset(pair) for pair in meeting))
+    if any(map(clash, groups)):
+        return None
+    # Per meeting pair, the earlier ones it cannot share a coordinate with.
+    conflicts = [
+        [u for u in range(v) if clash(groups[u] | groups[v])]
+        for v in range(len(groups))
+    ]
+    colour = [0] * len(groups)
+
+    def colourable(v: int, colours: int, used: int) -> bool:
+        """Whether pairs ``v..`` take colours below ``colours``, ``used`` so
+        far; a pair opens at most one new colour, as colours are symmetric."""
+        if v == len(groups):
+            return True
+        for c in range(min(colours, used + 1)):
+            if all(colour[u] != c for u in conflicts[v]):
+                colour[v] = c
+                if colourable(v + 1, colours, max(used, c + 1)):
+                    return True
+        return False
+
+    return next((d for d in range(cap + 1) if colourable(0, d, 0)), None)
+
+
 def _grid_labelings(
     n: int,
     ks: tuple[int, ...],
@@ -311,6 +386,7 @@ def _grid_labelings(
     disjoint: Sequence[tuple[int, int]] = (),
     meeting: Sequence[tuple[int, int]] = (),
     deadline: float | None = None,
+    apart: Sequence[Sequence[int]] | None = None,
 ) -> Iterator[tuple[tuple[int, ...], int] | None]:
     """The labelings no larger than their image under any of
     ``_walk_automorphisms(n, ks)``, in order, each with its history masks.
@@ -334,26 +410,18 @@ def _grid_labelings(
     the masks of a ``disjoint`` pair of rows meet, and a full labeling is
     kept only if the masks of every ``meeting`` pair meet.  With a
     ``deadline`` the walk reads the clock once per placed label and yields
-    ``None`` once it has passed.
+    ``None`` once it has passed.  ``apart`` is ``_apart_table(rows,
+    omega_n, len(ks))``, built here when not given.
     """
     d = len(ks)
     low = (1 << d) - 1
     strides = mixed_radix_strides(ks)
     # ``masks[i]`` packs the masks of the prefix ``f[:i]`` into one int, row
     # k's at bits k*d .. k*d + d - 1.
-    shifts = [k * d for k in range(len(rows))]
-    apart_pairs = [(shifts[a], shifts[b]) for a, b in disjoint]
-    meeting_pairs = [(shifts[a], shifts[b]) for a, b in meeting]
-    # apart[v][u] sets bit k*d for each row k with labels v and u in
-    # different blocks; shifted by j, it sets those rows' coordinate j.
-    labels = range(omega_n)
-    apart = [
-        [
-            sum(1 << k for k, row in zip(shifts, rows) if row[v] != row[u])
-            for u in labels
-        ]
-        for v in labels
-    ]
+    apart_pairs = [(a * d, b * d) for a, b in disjoint]
+    meeting_pairs = [(a * d, b * d) for a, b in meeting]
+    if apart is None:
+        apart = _apart_table(rows, omega_n, d)
     # Per position, its neighbour one step down along each coordinate where
     # its digit is above 0, with that coordinate.
     steps = [
@@ -448,6 +516,16 @@ def _search(
 
     ``h`` packs the walk's history masks in grid coordinates, one row per
     name of ``_masked_names(db.resolved_triples(), watched)`` in order.
+
+    A grid of dimension ``d`` gives every name a ``d``-bit history, so the
+    ``| _`` assertions set a floor on the dimension of any model
+    (``_dimension_floor``; a one-block name's history is always empty).  The
+    search walks a grid only if its dimension reaches the floor and, for
+    surjective labelings only, if it has at least as many elements as the
+    observation space.  Any other grid within the bounds is entered all
+    the same, and with a time budget reads the clock once, as the walk's
+    first label would, so a spent budget truncates in the same size.  The
+    walk's ``apart`` table is built once per dimension.
     """
     deadline = (
         None if bounds.time_budget is None else time.monotonic() + bounds.time_budget
@@ -459,17 +537,35 @@ def _search(
     conditioned = [(e, names) for e, names, _ in triples if names[2] != "_"]
     unconditional = [(e, names[:2]) for e, names, _ in triples if names[2] == "_"]
     masked = _masked_names(triples, watched)
-    masked_rows = [db.resolve(name).block_ids for name in masked]
+    masked_parts = [db.resolve(name) for name in masked]
+    masked_rows = [p.block_ids for p in masked_parts]
     at = masked.index
     disjoint = [(at(x), at(y)) for e, (x, y) in unconditional if e]
     meeting = [(at(x), at(y)) for e, (x, y) in unconditional if not e]
+    # Every factor has at least two blocks, so no grid has more than
+    # log2(max_size) dimensions.
+    cap = bounds.max_size.bit_length() - 1
+    if bounds.max_dim is not None:
+        cap = min(cap, bounds.max_dim)
+    empty = [(k, k) for k, p in enumerate(masked_parts) if p.block_count == 1]
+    floor = _dimension_floor(disjoint + empty, meeting, cap)
+    aparts: dict[int, list[list[int]]] = {}
     for n in range(1, bounds.max_size + 1):
         for ks in factor_size_multisets(n):
-            if bounds.max_dim is not None and len(ks) > bounds.max_dim:
+            d = len(ks)
+            if bounds.max_dim is not None and d > bounds.max_dim:
                 continue
             fs = grid_factored_set(n, ks)
+            if floor is None or d < floor or bounds.surjective_only and n < omega_n:
+                # No model here: one clock read stands for the walk's first.
+                if deadline is not None and time.monotonic() > deadline:
+                    yield Truncation(n)
+                    return
+                continue
+            if d not in aparts:
+                aparts[d] = _apart_table(masked_rows, omega_n, d)
             walk = _grid_labelings(
-                n, ks, omega_n, masked_rows, disjoint, meeting, deadline
+                n, ks, omega_n, masked_rows, disjoint, meeting, deadline, aparts[d]
             )
             for item in walk:
                 if item is None:
@@ -496,7 +592,10 @@ def search_models(
     image under every non-identity grid automorphism (under every adjacent
     transposition, for a single discrete factor) that meet every ``| _``
     assertion, and skips a subtree once an asserted ``orthogonal A B | _``
-    fails.  With a time budget it reads the clock once per placed label.
+    fails.  Grids that cannot hold a model, below the dimension floor of the
+    ``| _`` assertions or, for surjective labelings only, smaller than the
+    observation space, are not walked.  With a time budget the walk reads
+    the clock once per placed label, and a grid not walked reads it once.
     Each labeling it yields goes through the surjectivity filter, then
     ``_conditioned_hold``; both checks are compiled once per database, in
     ``_search``, whose items this wraps: each labeling that passes becomes

@@ -302,7 +302,20 @@ class TestInferenceCommands:
             capsys, "infer", "--db", DB1, "--before", "Y", "X", "--max-size", "4"
         )
         assert code == 1
-        assert "refuted" in out
+        assert out == (
+            "refuted (a model of size 2 violates strictly-before; "
+            "1 models checked within size <= 4)\n"
+        )
+
+    def test_infer_vacuous_names_its_bounds_once(self, capsys):
+        argv = ("infer", "--db", DB2, "--before", "X", "Y", "--max-size", "3",
+                "--max-dim", "0")
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert out == "vacuous (no models found within size <= 3, dim <= 0)\n"
+        code, out, _ = run(capsys, "--format", "structured", *argv)
+        assert code == 1
+        assert json.loads(out)["results"]["bound"] == "models with size <= 3, dim <= 0"
 
     def test_infer_never_prints_unqualified_holds(self, capsys):
         _, out, _ = run(

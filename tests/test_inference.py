@@ -300,6 +300,12 @@ class TestSearchBounds:
         bounds = SearchBounds(max_size=3, max_dim=0, time_budget=0.0)
         assert bounds.describe(None) == "size <= 3, dim <= 0"
 
+    def test_bools_are_stored_as_ints(self):
+        bounds = SearchBounds(max_size=True, max_dim=False)
+        assert (type(bounds.max_size), type(bounds.max_dim)) == (int, int)
+        assert bounds.describe(None) == "size <= 1, dim <= 0"
+        assert bounds == SearchBounds(max_size=1, max_dim=0)
+
 
 class TestSearch:
     def test_yielded_models_all_pass(self, ex1):
@@ -381,10 +387,9 @@ class TestSearch:
         self, request, monkeypatch, example, size
     ):
         # With surjective labelings required and fewer elements than the
-        # database has observations, every labeling of the size is rejected,
-        # so no model is ever checked there.  The budget runs out as the
-        # search enters the size (ex1: single-factor combinations; ex2: the
-        # 2x2 grid's product walk) and the next labeling looked at stops it.
+        # database has observations, no labeling of the size can be a model,
+        # so no grid of it is walked.  The budget runs out as the search
+        # enters the size, and the one clock read of its first grid stops it.
         db = request.getfixturevalue(example).db
         assert db.omega.n > size
         now = [0.0]
@@ -1230,3 +1235,190 @@ class TestGridCheckOracle:
             satisfied = all(e == a for e, _, a in old[f])
             assert report.ok == satisfied
             assert _search_accepts(name, n, ks, f) == satisfied
+
+
+# -- differential oracle: the dimension floor against walking every grid
+
+
+def _walk_every_grid(db, bounds, watched=()):
+    """``inference._search`` before the dimension floor: every grid within
+    the bounds is walked, whatever its dimension or size, no time budget."""
+    triples = db.resolved_triples()
+    omega_n = db.omega.n
+    rows = {n: p.block_ids for _, names, parts in triples for n, p in zip(names, parts)}
+    conditioned = [(e, names) for e, names, _ in triples if names[2] != "_"]
+    unconditional = [(e, names[:2]) for e, names, _ in triples if names[2] == "_"]
+    masked = inference._masked_names(triples, watched)
+    masked_rows = [db.resolve(name).block_ids for name in masked]
+    at = masked.index
+    disjoint = [(at(x), at(y)) for e, (x, y) in unconditional if e]
+    meeting = [(at(x), at(y)) for e, (x, y) in unconditional if not e]
+    for n in range(1, bounds.max_size + 1):
+        for ks in inference.factor_size_multisets(n):
+            if bounds.max_dim is not None and len(ks) > bounds.max_dim:
+                continue
+            fs = grid_factored_set(n, ks)
+            walk = inference._grid_labelings(
+                n, ks, omega_n, masked_rows, disjoint, meeting
+            )
+            for f, h in walk:
+                if bounds.surjective_only and len(set(f)) != omega_n:
+                    continue
+                if inference._conditioned_hold(fs, rows, conditioned, f):
+                    yield fs, f, h
+
+
+def _three_bit_db():
+    """Three pairwise orthogonal bits of 8 worlds, each dependent on itself."""
+    omega = GroundSet(8)
+    bits = {
+        name: Partition.from_block_of(omega, {w: w >> j & 1 for w in range(8)})
+        for j, name in enumerate("ABC")
+    }
+    return OrthogonalityDatabase(
+        omega,
+        bits,
+        frozenset((a, b, "_") for a, b in itertools.combinations("ABC", 2)),
+        frozenset((a, a, "_") for a in "ABC"),
+    )
+
+
+# (name, database, max_size, floor at that size)
+FLOOR_DBS = [
+    ("ex1", ORACLE_DBS["ex1"], 9, 1),
+    ("ex2", ORACLE_DBS["ex2"], 7, 2),
+    # No ``dependent A B | _``: every grid is walked.
+    (
+        "floor-0",
+        _two_bit_db(dependent=frozenset({("V", "Y", "X")})),
+        6,
+        0,
+    ),
+    # Two meeting pairs that can share a coordinate: one factor suffices.
+    (
+        "floor-1-shared",
+        _two_bit_db(dependent=frozenset({("V", "V", "_"), ("Y", "Y", "_")})),
+        8,
+        1,
+    ),
+    (
+        "floor-2",
+        _two_bit_db(dependent=frozenset({("X", "X", "_"), ("V", "V", "_")})),
+        8,
+        2,
+    ),
+    ("floor-3", _three_bit_db(), 8, 3),
+    # Three dimensions do not fit in 7 elements.
+    ("floor-3-above-the-cap", _three_bit_db(), 7, None),
+    # X is orthogonal to itself, so its history is empty and meets nothing.
+    (
+        "self-orthogonal-meeting",
+        _two_bit_db(
+            orthogonal=frozenset({("X", "X", "_")}),
+            dependent=frozenset({("X", "V", "_")}),
+        ),
+        6,
+        None,
+    ),
+    # The one-block partition's history is always empty.
+    ("one-block-meeting", _two_bit_db(dependent=frozenset({("_", "V", "_")})), 6, None),
+]
+FLOOR_ORACLE_DBS = [(name, db, n) for name, db, n, _ in FLOOR_DBS] + PLANTED_DBS
+
+
+def _floor(db, max_size):
+    """The floor ``_search`` computes for ``db`` at ``max_size``."""
+    triples = db.resolved_triples()
+    masked = inference._masked_names(triples, ())
+    pairs = {True: [], False: []}
+    for expected, (x, y, z), _ in triples:
+        if z == "_":
+            pairs[expected].append((masked.index(x), masked.index(y)))
+    empty = [
+        (k, k) for k, name in enumerate(masked) if db.resolve(name).block_count == 1
+    ]
+    cap = max_size.bit_length() - 1
+    return inference._dimension_floor(pairs[True] + empty, pairs[False], cap)
+
+
+def _brute_floor(rows, disjoint, meeting, cap):
+    """The least ``d <= cap`` with ``d``-bit masks meeting every pair, by trying all."""
+    for d in range(cap + 1):
+        for masks in itertools.product(range(1 << d), repeat=rows):
+            if all(not masks[a] & masks[b] for a, b in disjoint) and all(
+                masks[a] & masks[b] for a, b in meeting
+            ):
+                return d
+    return None
+
+
+class TestDimensionFloor:
+    """Skipping the grids below the floor changes nothing the search yields."""
+
+    @pytest.mark.parametrize(
+        "name,db,max_size", FLOOR_ORACLE_DBS, ids=[c[0] for c in FLOOR_ORACLE_DBS]
+    )
+    @pytest.mark.parametrize("surjective_only", [False, True])
+    def test_same_stream_as_walking_every_grid(
+        self, name, db, max_size, surjective_only
+    ):
+        bounds = SearchBounds(max_size=max_size, surjective_only=surjective_only)
+        watched = sorted(db.partitions)[:2]
+        expected = list(_walk_every_grid(db, bounds, watched))
+        assert list(inference._search(db, bounds, watched)) == expected
+
+    @pytest.mark.parametrize("name,db,max_size,floor", FLOOR_DBS, ids=[c[0] for c in FLOOR_DBS])
+    def test_floor(self, name, db, max_size, floor):
+        assert _floor(db, max_size) == floor
+
+    def test_matches_brute_force(self):
+        rng = random.Random(24)
+        seen = set()
+        for _ in range(300):
+            rows = rng.randint(1, 4)
+            disjoint, meeting = [], []
+            for a in range(rows):
+                for b in range(a, rows):
+                    pair = (a, b) if rng.random() < 0.5 else (b, a)
+                    draw = rng.random()
+                    if draw < 0.45 or 0.75 <= draw < 0.8:
+                        disjoint.append(pair)
+                    if 0.45 <= draw < 0.8:
+                        meeting.append(pair)
+            floor = inference._dimension_floor(disjoint, meeting, 3)
+            assert floor == _brute_floor(rows, disjoint, meeting, 3), (disjoint, meeting)
+            seen.add(floor)
+        assert seen == {0, 1, 2, 3, None}
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_ex2_truncates_in_the_size_it_enters(self, ex2, expire_budget_in_size, size):
+        # ex2's floor is 2, so no grid of sizes 1 to 3 is walked: each reads
+        # the clock once instead.
+        expire_budget_in_size(size)
+        verdict = infer_before(
+            ex2.db, "X", "Z", SearchBounds(max_size=6, time_budget=1.0)
+        )
+        assert verdict.truncation == Truncation(size)
+        assert verdict.kind == ("inconclusive" if size == 1 else "vacuous")
+
+    def test_below_the_floor_nothing_is_walked(self, ex2, monkeypatch):
+        def no_walk(*args):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(inference, "_grid_labelings", no_walk)
+        verdict = infer_before(ex2.db, "X", "Y", SearchBounds(max_size=9, max_dim=1))
+        assert verdict.kind == "vacuous"
+        assert verdict.models_checked == 0
+
+    def test_one_apart_table_per_walked_dimension(self, ex2, monkeypatch):
+        built = []
+        table = inference._apart_table
+
+        def spy(rows, omega_n, d):
+            built.append(d)
+            return table(rows, omega_n, d)
+
+        monkeypatch.setattr(inference, "_apart_table", spy)
+        verdict = infer_before(ex2.db, "X", "Y", SearchBounds(max_size=8))
+        assert verdict.models_checked == 5
+        assert built == [2, 3]
