@@ -167,6 +167,11 @@ class FactoredSet:
         result is the factorization property itself.
         """
         if isinstance(assignment, Mapping):
+            for p in self.factors:
+                if p not in assignment:
+                    raise ValidationError(
+                        f"assignment names no element for factor {format_partition(p)}"
+                    )
             assignment = [assignment[p] for p in self.factors]
         if len(assignment) != self.dim:
             raise ValidationError("assignment must name one element per factor")
@@ -178,8 +183,9 @@ class FactoredSet:
 
     def chimera_pair(self, mask: int, s: int, t: int) -> int:
         """Element taking its blocks from ``s`` inside ``mask`` and from ``t`` outside."""
-        spliced = list(self.coords[t])
-        cs = self.coords[s]
+        check = self.ground.check_index
+        spliced = list(self.coords[check(t)])
+        cs = self.coords[check(s)]
         for j in self.mask_indices(mask):
             spliced[j] = cs[j]
         return self._element[tuple(spliced)]

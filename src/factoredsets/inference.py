@@ -37,13 +37,13 @@ position ``i`` compares its block with the block of ``i - stride_j`` for
 each coordinate ``j`` where ``i``'s digit is above 0.  That neighbour is
 already placed, and every pair one step apart is compared once both are
 placed, so a set bit stays set in every extension and the masks are exact
-histories at full length.  The walk skips a subtree as soon as the masks
-of an asserted ``orthogonal A B | _`` meet, decides every ``| _``
-assertion from ints at full length, and yields the masks with each
-labeling.  ``infer_before`` watches its two names and decides whether
-``h(X)`` is contained in ``h(Y)`` from their masks; coordinates are not the
-grid ``FactoredSet``'s factor order, but containment and equality do not
-depend on the order.
+histories at full length.  The walk is the only place the search decides
+a ``| _`` assertion: it skips a subtree as soon as the masks of an
+asserted ``orthogonal A B | _`` meet and decides the rest from ints at
+full length.  ``infer_before`` decides whether
+``h(X)`` is contained in ``h(Y)`` from the masks of its two names; their
+bits are grid coordinates, not the grid ``FactoredSet``'s factor order,
+but containment and equality do not depend on the order.
 
 A grid of dimension ``d`` gives every history ``d`` bits, so the ``| _``
 assertions also bound the dimension of any model from below: each asserted
@@ -54,13 +54,12 @@ database, and walks only the grids whose dimension reaches it (and, for
 surjective labelings only, whose size reaches the observation space's);
 a database whose ``| _`` assertions no masks can meet walks no grid.
 
-The walk is the only place the search decides a ``| _`` assertion.  Each
-conditioned one runs per yielded labeling on integer label tuples: a name's
-row of block ids over the observations pulls it back with one lookup per
-element, and the triple holds when the histories of its first two names,
-restricted to each block of its third, are disjoint block by block.  They
-are read through ``structure.block_histories`` from the grid's history
-cache.  The search builds a ``Model`` only at its edge: ``search_models``
+Each conditioned assertion runs per yielded labeling on integer label
+tuples: a name's row of block ids over the observations pulls it back with
+one lookup per element, and the triple holds when the histories of its
+first two names, restricted to each block of its third, are disjoint block
+by block.  They are read through ``structure.block_histories`` from the
+grid's history cache.  The search builds a ``Model`` only at its edge: ``search_models``
 (and so ``is_consistent_up_to_bound``) for each model it yields,
 ``infer_before`` for its counterexample alone.  ``models_database``
 decides a given model by ``structure.cond_orthogonal`` on the pull-backs.
@@ -264,7 +263,7 @@ def _grid_automorphisms(n: int, ks: tuple[int, ...]) -> tuple[tuple[int, ...], .
     """
     d = len(ks)
     strides = mixed_radix_strides(ks)
-    digits = grid_factored_set(n, ks).coords
+    digits = list(itertools.product(*map(range, ks)))  # element s has digits[s]
     perms = []
     for sigma in itertools.permutations(range(d)):
         if any(ks[sigma[j]] != ks[j] for j in range(d)):
@@ -282,28 +281,24 @@ def _grid_automorphisms(n: int, ks: tuple[int, ...]) -> tuple[tuple[int, ...], .
 
 
 @lru_cache(maxsize=None)
-def _walk_automorphisms(n: int, ks: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The non-identity grid automorphisms, or on one factor the ``n - 1``
-    adjacent transpositions, which leave exactly the sorted labelings."""
-    if ks == (n,):
-        return tuple(
-            tuple(range(j)) + (j + 1, j) + tuple(range(j + 2, n)) for j in range(n - 1)
-        )
-    return _grid_automorphisms(n, ks)[1:]
-
-
-@lru_cache(maxsize=None)
 def _walk_chains(n: int, ks: tuple[int, ...]) -> tuple[tuple, ...]:
-    """Per walk automorphism, its comparisons as a chain of nodes.
+    """Per automorphism the walk compares against, its comparisons as a chain.
 
-    A node ``(j, p[j], depth, next)`` compares ``f[j]`` with ``f[p[j]]``; its
-    depth ``max(j, p[j])`` is the first at which both are placed.  Nodes
-    follow the moved positions ``j`` ascending, leaving out each ``j`` whose
-    pair ``(p[j], j)`` an earlier node already compared: that is ``p[j] < j``
-    with ``p[p[j]] == j``, and the walk reaches ``j`` only once it was equal.
+    Those automorphisms are the non-identity grid automorphisms, or on one
+    factor the ``n - 1`` adjacent transpositions, which leave exactly the
+    sorted labelings.  A node ``(j, p[j], depth, next)`` compares ``f[j]``
+    with ``f[p[j]]``; its depth ``max(j, p[j])`` is the first at which both
+    are placed.  Nodes follow the moved positions ``j`` ascending, leaving
+    out each ``j`` whose pair ``(p[j], j)`` an earlier node already
+    compared: that is ``p[j] < j`` with ``p[p[j]] == j``, and the walk
+    reaches ``j`` only once it was equal.
     """
+    if ks == (n,):
+        auts = [[*range(j), j + 1, j, *range(j + 2, n)] for j in range(n - 1)]
+    else:
+        auts = _grid_automorphisms(n, ks)[1:]
     chains = []
-    for p in _walk_automorphisms(n, ks):
+    for p in auts:
         node = None
         for j in reversed(range(n)):
             pj = p[j]
@@ -314,13 +309,13 @@ def _walk_chains(n: int, ks: tuple[int, ...]) -> tuple[tuple, ...]:
 
 
 def _apart_table(
-    rows: Sequence[Sequence[int]], omega_n: int, d: int
+    rows: Sequence[Sequence[int]], omega_n: int, stride: int
 ) -> list[list[int]]:
-    """``apart[v][u]`` sets bit ``k*d`` for each row ``k`` with labels ``v``
-    and ``u`` in different blocks; shifted by ``j``, it sets those rows'
-    coordinate ``j`` in the walk's packed masks."""
+    """``apart[v][u]`` sets bit ``k*stride`` for each row ``k`` with labels
+    ``v`` and ``u`` in different blocks; shifted by ``j``, it sets those
+    rows' coordinate ``j`` in the walk's packed masks."""
     labels = range(omega_n)
-    shifts = [k * d for k in range(len(rows))]
+    shifts = [k * stride for k in range(len(rows))]
     return [
         [
             sum(1 << k for k, row in zip(shifts, rows) if row[v] != row[u])
@@ -382,14 +377,13 @@ def _grid_labelings(
     n: int,
     ks: tuple[int, ...],
     omega_n: int,
-    rows: Sequence[Sequence[int]] = (),
+    apart: Sequence[Sequence[int]],
     disjoint: Sequence[tuple[int, int]] = (),
     meeting: Sequence[tuple[int, int]] = (),
     deadline: float | None = None,
-    apart: Sequence[Sequence[int]] | None = None,
 ) -> Iterator[tuple[tuple[int, ...], int] | None]:
-    """The labelings no larger than their image under any of
-    ``_walk_automorphisms(n, ks)``, in order, each with its history masks.
+    """The labelings no larger than their image under any automorphism of
+    ``_walk_chains(n, ks)``, in order, each with its history masks.
 
     Labels are tried in ascending order at each position.  Each automorphism
     ``p`` still tied with the prefix ``f`` waits, in ``waiting[depth]``, at
@@ -403,25 +397,18 @@ def _grid_labelings(
     ``i`` and on backtracking.  At full length every position is placed, so
     a labeling that survives is canonical.
 
-    The walk keeps the history of every row's pull-back, bit ``j`` for
-    coordinate ``j``, read off the prefix as the module docstring says; row
-    ``k``'s mask is bits ``k*d .. k*d + d - 1`` of the packed int ``h``
-    yielded with each labeling, ``d = len(ks)``.  A subtree is skipped once
-    the masks of a ``disjoint`` pair of rows meet, and a full labeling is
-    kept only if the masks of every ``meeting`` pair meet.  With a
-    ``deadline`` the walk reads the clock once per placed label and yields
-    ``None`` once it has passed.  ``apart`` is ``_apart_table(rows,
-    omega_n, len(ks))``, built here when not given.
+    ``apart`` is an ``_apart_table`` with rows at a stride of at least
+    ``d = len(ks)`` bits; the int ``h`` yielded with each labeling holds
+    row ``k``'s history at bits ``k*stride + j``, ``j < d``, and none above.
+    ``disjoint`` and ``meeting`` pair such row offsets ``k*stride``: a
+    subtree is skipped once the masks of a ``disjoint`` pair meet, and a
+    full labeling is kept only if the masks of every ``meeting`` pair meet.
+    With a ``deadline`` the walk reads the clock once per placed label and
+    yields ``None`` once it has passed.
     """
     d = len(ks)
     low = (1 << d) - 1
     strides = mixed_radix_strides(ks)
-    # ``masks[i]`` packs the masks of the prefix ``f[:i]`` into one int, row
-    # k's at bits k*d .. k*d + d - 1.
-    apart_pairs = [(a * d, b * d) for a, b in disjoint]
-    meeting_pairs = [(a * d, b * d) for a, b in meeting]
-    if apart is None:
-        apart = _apart_table(rows, omega_n, d)
     # Per position, its neighbour one step down along each coordinate where
     # its digit is above 0, with that coordinate.
     steps = [
@@ -433,7 +420,7 @@ def _grid_labelings(
         waiting[chain[2]].append(chain)
     filed: list[list[int]] = [[] for _ in range(n)]  # per depth, lists appended to
     f = [-1] * n
-    masks = [0] * (n + 1)
+    masks = [0] * (n + 1)  # ``masks[i]``: the packed masks of the prefix ``f[:i]``
     i = 0
     while i >= 0:
         undo = filed[i]
@@ -451,9 +438,9 @@ def _grid_labelings(
         differs = apart[f[i]]
         for s, j in steps[i]:
             h |= differs[f[s]] << j
-        if h != masks[i] and any(h >> a & h >> b & low for a, b in apart_pairs):
+        if h != masks[i] and any(h >> a & h >> b & low for a, b in disjoint):
             continue
-        if i + 1 == n and not all(h >> a & h >> b & low for a, b in meeting_pairs):
+        if i + 1 == n and not all(h >> a & h >> b & low for a, b in meeting):
             continue
         for j, pj, _, node in waiting[i]:
             while f[j] == f[pj]:
@@ -501,31 +488,19 @@ def _conditioned_hold(
     return True
 
 
-def _masked_names(
-    triples: Sequence[ResolvedTriple], watched: Sequence[str]
-) -> list[str]:
-    """The names the walk keeps masks for: those asserted ``| _``, then ``watched``."""
-    asserted = [n for _, names, _ in triples if names[2] == "_" for n in names[:2]]
-    return list(dict.fromkeys(asserted + list(watched)))
-
-
 def _search(
     db: OrthogonalityDatabase, bounds: SearchBounds, watched: Sequence[str] = ()
-) -> Iterator[tuple[FactoredSet, tuple[int, ...], int] | Truncation]:
-    """``search_models``'s stream as ``(grid, labeling, h)``, no ``Model`` built.
+) -> Iterator[tuple[FactoredSet, tuple[int, ...], tuple[int, ...]] | Truncation]:
+    """``search_models``'s stream as ``(grid, labeling, masks)``, no ``Model`` built.
 
-    ``h`` packs the walk's history masks in grid coordinates, one row per
-    name of ``_masked_names(db.resolved_triples(), watched)`` in order.
-
-    A grid of dimension ``d`` gives every name a ``d``-bit history, so the
-    ``| _`` assertions set a floor on the dimension of any model
-    (``_dimension_floor``; a one-block name's history is always empty).  The
-    search walks a grid only if its dimension reaches the floor and, for
-    surjective labelings only, if it has at least as many elements as the
-    observation space.  Any other grid within the bounds is entered all
-    the same, and with a time budget reads the clock once, as the walk's
-    first label would, so a spent budget truncates in the same size.  The
-    walk's ``apart`` table is built once per dimension.
+    ``masks`` holds the history of each ``watched`` name in grid coordinates.
+    This is the one place that lays out the walk's masks: a row per name
+    asserted ``| _``, then per ``watched`` name not among them, each
+    ``cap`` bits wide, where ``cap`` bounds the dimension of every grid
+    within the bounds, so one ``_apart_table`` serves the whole search.  A
+    grid the search does not walk is not built either; with a time budget
+    it reads the clock once, as the walk's first label would, so a spent
+    budget truncates in the same size.
     """
     deadline = (
         None if bounds.time_budget is None else time.monotonic() + bounds.time_budget
@@ -534,39 +509,40 @@ def _search(
     omega_n = db.omega.n
     # Resolved partitions are full: ``block_ids[w]`` is the block of ``w``.
     rows = {n: p.block_ids for _, names, parts in triples for n, p in zip(names, parts)}
+    rows |= {n: db.resolve(n).block_ids for n in watched if n not in rows}
     conditioned = [(e, names) for e, names, _ in triples if names[2] != "_"]
     unconditional = [(e, names[:2]) for e, names, _ in triples if names[2] == "_"]
-    masked = _masked_names(triples, watched)
-    masked_parts = [db.resolve(name) for name in masked]
-    masked_rows = [p.block_ids for p in masked_parts]
+    asserted = [n for _, pair in unconditional for n in pair]
+    masked = list(dict.fromkeys(asserted + list(watched)))
     at = masked.index
     disjoint = [(at(x), at(y)) for e, (x, y) in unconditional if e]
     meeting = [(at(x), at(y)) for e, (x, y) in unconditional if not e]
     # Every factor has at least two blocks, so no grid has more than
-    # log2(max_size) dimensions.
+    # log2(max_size) dimensions: only ``max_dim`` can rule one out.
     cap = bounds.max_size.bit_length() - 1
     if bounds.max_dim is not None:
         cap = min(cap, bounds.max_dim)
-    empty = [(k, k) for k, p in enumerate(masked_parts) if p.block_count == 1]
+    # A one-block name's row is all zeros, and its history always empty.
+    empty = [(k, k) for k, name in enumerate(masked) if not any(rows[name])]
     floor = _dimension_floor(disjoint + empty, meeting, cap)
-    aparts: dict[int, list[list[int]]] = {}
+    apart = _apart_table([rows[name] for name in masked], omega_n, cap)
+    disjoint = [(a * cap, b * cap) for a, b in disjoint]
+    meeting = [(a * cap, b * cap) for a, b in meeting]
+    field = (1 << cap) - 1
+    shifts = [at(name) * cap for name in watched]
     for n in range(1, bounds.max_size + 1):
         for ks in factor_size_multisets(n):
             d = len(ks)
-            if bounds.max_dim is not None and d > bounds.max_dim:
+            if d > cap:
                 continue
-            fs = grid_factored_set(n, ks)
             if floor is None or d < floor or bounds.surjective_only and n < omega_n:
                 # No model here: one clock read stands for the walk's first.
                 if deadline is not None and time.monotonic() > deadline:
                     yield Truncation(n)
                     return
                 continue
-            if d not in aparts:
-                aparts[d] = _apart_table(masked_rows, omega_n, d)
-            walk = _grid_labelings(
-                n, ks, omega_n, masked_rows, disjoint, meeting, deadline, aparts[d]
-            )
+            fs = grid_factored_set(n, ks)
+            walk = _grid_labelings(n, ks, omega_n, apart, disjoint, meeting, deadline)
             for item in walk:
                 if item is None:
                     yield Truncation(n)
@@ -575,7 +551,7 @@ def _search(
                 if bounds.surjective_only and len(set(f)) != omega_n:
                     continue
                 if _conditioned_hold(fs, rows, conditioned, f):
-                    yield fs, f, h
+                    yield fs, f, tuple(h >> s & field for s in shifts)
 
 
 def search_models(
@@ -586,20 +562,8 @@ def search_models(
     The stream is deterministic: sizes ascend, block-count multisets follow
     the divisor enumeration, labelings are lexicographic.  A trailing
     ``Truncation`` item signals an exhausted time budget and names the size
-    it stopped in.
-
-    On every grid the walk yields exactly the labelings no larger than their
-    image under every non-identity grid automorphism (under every adjacent
-    transposition, for a single discrete factor) that meet every ``| _``
-    assertion, and skips a subtree once an asserted ``orthogonal A B | _``
-    fails.  Grids that cannot hold a model, below the dimension floor of the
-    ``| _`` assertions or, for surjective labelings only, smaller than the
-    observation space, are not walked.  With a time budget the walk reads
-    the clock once per placed label, and a grid not walked reads it once.
-    Each labeling it yields goes through the surjectivity filter, then
-    ``_conditioned_hold``; both checks are compiled once per database, in
-    ``_search``, whose items this wraps: each labeling that passes becomes
-    a ``Model`` here.
+    it stopped in.  ``_search`` finds the models; each becomes a ``Model``
+    here.
     """
     for item in _search(db, bounds):
         if isinstance(item, Truncation):
@@ -645,49 +609,32 @@ def infer_before(
 ) -> InferenceVerdict:
     """Quantify the (strict) before-relation over every model within bounds.
 
-    The search walks with the two names' rows watched, so each model's
-    histories of ``first`` and ``second`` are two slices of the walk's
-    masks.  Their bits are grid coordinates rather than factor indices of
-    the grid's ``FactoredSet``, a bijection that keeps containment and
-    equality.  Only a counterexample is built into a ``Model``.
+    The search watches the two names, so each model's histories of
+    ``first`` and ``second`` come with it; only a counterexample is built
+    into a ``Model``.
     """
     db.resolve(first)  # an unknown name raises before any search
     db.resolve(second)
-    at = _masked_names(db.resolved_triples(), (first, second)).index
-    kx, ky = at(first), at(second)
     checked = 0
-    truncation = None
+    counterexample = truncation = None
     for item in _search(db, bounds, (first, second)):
         if isinstance(item, Truncation):
             truncation = item
             break
         checked += 1
-        fs, f, h = item
-        d = fs.dim
-        low = (1 << d) - 1
-        hx = h >> kx * d & low
-        hy = h >> ky * d & low
+        fs, f, (hx, hy) = item
         if hx & hy != hx or strict and hx == hy:
-            return InferenceVerdict(
-                kind="refuted",
-                strict=strict,
-                bounds=bounds,
-                models_checked=checked,
-                counterexample=Model(fs, f, db.omega),
-            )
-    if truncation is not None and truncation.size == 1:
+            counterexample = Model(fs, f, db.omega)
+            break
+    if counterexample is not None:
+        kind = "refuted"
+    elif truncation is not None and truncation.size == 1:
         kind = "inconclusive"
     elif checked == 0:
         kind = "vacuous"
     else:
         kind = "holds-up-to-bound"
-    return InferenceVerdict(
-        kind=kind,
-        strict=strict,
-        bounds=bounds,
-        models_checked=checked,
-        truncation=truncation,
-    )
+    return InferenceVerdict(kind, strict, bounds, checked, counterexample, truncation)
 
 
 @dataclass(frozen=True)

@@ -240,24 +240,24 @@ def ex2() -> Ex2:
 def expire_budget_in_size(monkeypatch):
     """Run the search's time budget out as it enters a given size.
 
-    ``inference.time.monotonic`` reads 0 until the search builds its first
-    grid of that size and infinity afterwards, so the walk's first deadline
-    check there truncates in that size, whatever the wall time.  Teardown
-    fails if the search never entered the size.
+    ``inference.time.monotonic`` reads 0 until the search lists the grids
+    of that size and infinity afterwards, so the first deadline check there
+    truncates in that size, whatever the wall time.  Teardown fails if the
+    search never entered the size.
     """
     clocks = []
 
     def arm(size: int) -> None:
         now = [0.0]
-        grid = inference.grid_factored_set
+        multisets = inference.factor_size_multisets
 
-        def entering(n, ks):
+        def entering(n):
             if n >= size:
                 now[0] = math.inf
-            return grid(n, ks)
+            return multisets(n)
 
         monkeypatch.setattr(inference.time, "monotonic", lambda: now[0])
-        monkeypatch.setattr(inference, "grid_factored_set", entering)
+        monkeypatch.setattr(inference, "factor_size_multisets", entering)
         clocks.append(now)
 
     yield arm

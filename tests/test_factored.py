@@ -25,7 +25,7 @@ from factoredsets import (
     restricted_polynomial,
     trivial_factorization,
 )
-from factoredsets.partitions import partition_of_rank
+from factoredsets.partitions import format_partition, partition_of_rank
 from factoredsets.factored import _iter_grids, mixed_radix_strides
 from conftest import Ex1, assert_splice_identities, random_factored_set
 
@@ -155,6 +155,19 @@ class TestChimera:
             ex1.fs.chimera([bad, 0])
         with pytest.raises(ValidationError, match=message):
             ex1.fs.chimera({ex1.X: 0, ex1.V: bad})
+        with pytest.raises(ValidationError, match=message):
+            ex1.fs.chimera_pair(1, bad, 0)
+        with pytest.raises(ValidationError, match=message):
+            ex1.fs.chimera_pair(1, 0, bad)
+
+    @pytest.mark.parametrize("factor", ["X", "V"])
+    def test_mapping_missing_a_factor(self, ex1, factor):
+        # Named by the factor it misses, not a bare KeyError on a repr.
+        given = {"X": ex1.V, "V": ex1.X}[factor]
+        with pytest.raises(ValidationError) as caught:
+            ex1.fs.chimera({given: 0})
+        missing = format_partition(getattr(ex1, factor))
+        assert str(caught.value) == f"assignment names no element for factor {missing}"
 
     @pytest.mark.parametrize("bad", [-1, -4, 4, 99])
     def test_set_lift_indices_out_of_range(self, ex1, bad):
@@ -173,6 +186,7 @@ class TestChimera:
         [
             lambda ex1, bad: ex1.fs.ground.check_index(bad),
             lambda ex1, bad: ex1.fs.chimera([bad, 0]),
+            lambda ex1, bad: ex1.fs.chimera_pair(1, 0, bad),
             lambda ex1, bad: ex1.fs.chimera_set(1, [0], [bad]),
             lambda ex1, bad: characteristic_polynomial(ex1.fs, [0, bad]),
             lambda ex1, bad: load_distribution_file(
@@ -183,7 +197,7 @@ class TestChimera:
             lambda ex1, bad: Partition.from_blocks(ex1.fs.ground, [[0, bad]]),
         ],
         ids=[
-            "check_index", "chimera", "chimera_set", "characteristic_polynomial",
+            "check_index", "chimera", "chimera_pair", "chimera_set", "characteristic_polynomial",
             "point_mass", "event_partition", "observes_event", "from_blocks",
         ],
     )

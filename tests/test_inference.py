@@ -394,20 +394,20 @@ class TestSearch:
         assert db.omega.n > size
         now = [0.0]
         reads_after_expiry = []
-        grid = inference.grid_factored_set
+        multisets = inference.factor_size_multisets
 
         def clock():
             if now[0] == math.inf:
                 reads_after_expiry.append(now[0])
             return now[0]
 
-        def entering(n, ks):
+        def entering(n):
             if n >= size:
                 now[0] = math.inf
-            return grid(n, ks)
+            return multisets(n)
 
         monkeypatch.setattr(inference.time, "monotonic", clock)
-        monkeypatch.setattr(inference, "grid_factored_set", entering)
+        monkeypatch.setattr(inference, "factor_size_multisets", entering)
         items = list(
             search_models(
                 db, SearchBounds(max_size=size, surjective_only=True, time_budget=1.0)
@@ -867,7 +867,7 @@ class TestSearchOracle:
         events = []
         entered = []
         conditioned_hold = inference._conditioned_hold
-        grid = inference.grid_factored_set
+        multisets = inference.factor_size_multisets
 
         def clock():
             count[0] += 1
@@ -880,13 +880,13 @@ class TestSearchOracle:
             events.append("check")
             return conditioned_hold(fs, rows, conditioned, labeling)
 
-        def entering(n, ks):
+        def entering(n):
             entered.append(n)
-            return grid(n, ks)
+            return multisets(n)
 
         monkeypatch.setattr(inference.time, "monotonic", clock)
         monkeypatch.setattr(inference, "_conditioned_hold", spy)
-        monkeypatch.setattr(inference, "grid_factored_set", entering)
+        monkeypatch.setattr(inference, "factor_size_multisets", entering)
         items = list(search_models(db, bounds))
         if "expired read" not in events:
             assert items == untimed
@@ -1003,6 +1003,12 @@ class TestCanonicalWalkOracle:
             assert walked.get(grid_factored_set(n, ks), []) == expected, (n, ks)
 
 
+def _bare_walk(n, ks, omega_n):
+    """The walk with no rows to mask: canonicity alone decides."""
+    apart = inference._apart_table((), omega_n, 0)
+    return inference._grid_labelings(n, ks, omega_n, apart)
+
+
 def _cycle_count(p):
     seen = set()
     cycles = 0
@@ -1032,13 +1038,13 @@ class TestWalkCountOracle:
             for omega_n in range(1, 5):
                 orbits, rest = divmod(sum(omega_n**c for c in cycles), len(auts))
                 assert rest == 0
-                walk = inference._grid_labelings(n, ks, omega_n)
+                walk = _bare_walk(n, ks, omega_n)
                 assert sum(1 for _f, _h in walk) == orbits, (n, ks, omega_n)
 
     def test_adjacent_transpositions_leave_the_sorted_labelings(self):
         for n in range(2, 8):
             for omega_n in range(1, 6):
-                walked = [f for f, _ in inference._grid_labelings(n, (n,), omega_n)]
+                walked = [f for f, _ in _bare_walk(n, (n,), omega_n)]
                 assert walked == list(
                     itertools.combinations_with_replacement(range(omega_n), n)
                 ), (n, omega_n)
@@ -1075,16 +1081,19 @@ def _check_pruned_walk(db, max_size):
         for ks in inference.factor_size_multisets(n):
             fs = grid_factored_set(n, ks)
             kept = []
-            for f, _ in inference._grid_labelings(n, ks, db.omega.n):
+            for f, _ in _bare_walk(n, ks, db.omega.n):
                 old = _old_verdicts(Model(fs, f, db.omega), unconditional)
                 if all(e == a for e, _, a in old):
                     kept.append(f)
                 checked += 1
+            # Rows packed at the grid's own dimension, the tightest stride.
+            d = len(ks)
+            apart = inference._apart_table(rows, db.omega.n, d)
+            offsets = {e: [(a * d, b * d) for a, b in pairs[e]] for e in pairs}
             pruned = list(inference._grid_labelings(
-                n, ks, db.omega.n, rows, pairs[True], pairs[False]
+                n, ks, db.omega.n, apart, offsets[True], offsets[False]
             ))
             assert [f for f, _ in pruned] == kept, (n, ks)
-            d = len(ks)
             bits = _grid_to_factor_bits(fs, n, ks)
             for f, h in pruned:
                 model = Model(fs, f, db.omega)
@@ -1156,7 +1165,7 @@ class TestRestrictionTableWalkOracle:
         ]
         assert {(12, (2, 2, 3)), (12, (2, 6)), (12, (3, 4))} <= set(grids)
         for n, ks in grids:
-            walked = [f for f, _ in inference._grid_labelings(n, ks, 3)]
+            walked = [f for f, _ in _bare_walk(n, ks, 3)]
             assert walked == list(
                 _restriction_table_walk(3, _restriction_tables(n, ks))
             ), (n, ks)
@@ -1242,30 +1251,38 @@ class TestGridCheckOracle:
 
 def _walk_every_grid(db, bounds, watched=()):
     """``inference._search`` before the dimension floor: every grid within
-    the bounds is walked, whatever its dimension or size, no time budget."""
+    the bounds is walked, whatever its dimension or size, no time budget.
+    Each grid packs its rows at its own dimension, with a table of its own."""
     triples = db.resolved_triples()
     omega_n = db.omega.n
     rows = {n: p.block_ids for _, names, parts in triples for n, p in zip(names, parts)}
     conditioned = [(e, names) for e, names, _ in triples if names[2] != "_"]
     unconditional = [(e, names[:2]) for e, names, _ in triples if names[2] == "_"]
-    masked = inference._masked_names(triples, watched)
+    asserted = [x for _, pair in unconditional for x in pair]
+    masked = list(dict.fromkeys(asserted + list(watched)))
     masked_rows = [db.resolve(name).block_ids for name in masked]
     at = masked.index
     disjoint = [(at(x), at(y)) for e, (x, y) in unconditional if e]
     meeting = [(at(x), at(y)) for e, (x, y) in unconditional if not e]
     for n in range(1, bounds.max_size + 1):
         for ks in inference.factor_size_multisets(n):
-            if bounds.max_dim is not None and len(ks) > bounds.max_dim:
+            d = len(ks)
+            if bounds.max_dim is not None and d > bounds.max_dim:
                 continue
             fs = grid_factored_set(n, ks)
             walk = inference._grid_labelings(
-                n, ks, omega_n, masked_rows, disjoint, meeting
+                n,
+                ks,
+                omega_n,
+                inference._apart_table(masked_rows, omega_n, d),
+                [(a * d, b * d) for a, b in disjoint],
+                [(a * d, b * d) for a, b in meeting],
             )
             for f, h in walk:
                 if bounds.surjective_only and len(set(f)) != omega_n:
                     continue
                 if inference._conditioned_hold(fs, rows, conditioned, f):
-                    yield fs, f, h
+                    yield fs, f, tuple(h >> at(x) * d & ((1 << d) - 1) for x in watched)
 
 
 def _three_bit_db():
@@ -1329,7 +1346,8 @@ FLOOR_ORACLE_DBS = [(name, db, n) for name, db, n, _ in FLOOR_DBS] + PLANTED_DBS
 def _floor(db, max_size):
     """The floor ``_search`` computes for ``db`` at ``max_size``."""
     triples = db.resolved_triples()
-    masked = inference._masked_names(triples, ())
+    asserted = [x for _, names, _ in triples if names[2] == "_" for x in names[:2]]
+    masked = list(dict.fromkeys(asserted))
     pairs = {True: [], False: []}
     for expected, (x, y, z), _ in triples:
         if z == "_":
@@ -1410,15 +1428,31 @@ class TestDimensionFloor:
         assert verdict.kind == "vacuous"
         assert verdict.models_checked == 0
 
-    def test_one_apart_table_per_walked_dimension(self, ex2, monkeypatch):
+    def test_one_apart_table_per_search(self, ex2, monkeypatch):
+        # Every grid of size at most 8 has at most 3 dimensions: one table
+        # with rows 3 bits apart serves them all.
         built = []
         table = inference._apart_table
 
-        def spy(rows, omega_n, d):
-            built.append(d)
-            return table(rows, omega_n, d)
+        def spy(rows, omega_n, stride):
+            built.append(stride)
+            return table(rows, omega_n, stride)
 
         monkeypatch.setattr(inference, "_apart_table", spy)
         verdict = infer_before(ex2.db, "X", "Y", SearchBounds(max_size=8))
         assert verdict.models_checked == 5
-        assert built == [2, 3]
+        assert built == [3]
+
+    def test_builds_only_the_grids_it_walks(self, ex2, monkeypatch):
+        # ex2's floor is 2, so no grid of one dimension or none is built.
+        built = []
+        grid = inference.grid_factored_set
+
+        def spy(n, ks):
+            built.append((n, ks))
+            return grid(n, ks)
+
+        monkeypatch.setattr(inference, "grid_factored_set", spy)
+        verdict = infer_before(ex2.db, "X", "Y", SearchBounds(max_size=8))
+        assert verdict.models_checked == 5
+        assert built == [(4, (2, 2)), (6, (2, 3)), (8, (2, 2, 2)), (8, (2, 4))]
