@@ -50,9 +50,37 @@ assertions also bound the dimension of any model from below: each asserted
 ``dependent A B | _`` needs a coordinate in both histories, and two such
 pairs can share one only if their names together hold no asserted
 ``orthogonal`` pair.  The search computes that floor exactly, once per
-database, and walks only the grids whose dimension reaches it (and, for
-surjective labelings only, whose size reaches the observation space's);
-a database whose ``| _`` assertions no masks can meet walks no grid.
+database, and walks only the grids whose dimension reaches it and is not
+excluded as below (and, for surjective labelings only, whose size reaches
+the observation space's); a database whose ``| _`` assertions no masks
+can meet walks no grid.
+
+Conditioned assertions can rule out a dimension too, through Lemma D: let
+X and V be full partitions of a factored set and ``E`` a subset; if the
+(X block, V block) pairs of the elements of ``E`` do not form a product
+set, then ``h(X|E)`` meets ``h(V)``.  Proof: let ``H = h(X|E)`` miss
+``h(V)``, and take ``s`` and ``t`` in ``E`` whose pairs ``(X(s), V(s))``
+and ``(X(t), V(t))`` are met while ``(X(s), V(t))`` is not.  ``H``
+generates ``X|E``, so the chimera ``u`` of ``s`` on ``H`` and ``t`` off
+``H`` lies in the block of ``s`` in ``X|E``: ``u`` is in ``E`` and
+``X(u) = X(s)``.  ``h(V)`` is off ``H``, so ``V(u) = V(t)``, and ``E``
+meets the pair ``(X(s), V(t))`` after all.  The search applies it in the
+narrowest form that settles ex2.  A pattern ``(X, V, Y, Z)`` asserts
+``orthogonal X V | _``, ``orthogonal X Z | Y``, ``orthogonal V Z | Y`` and
+``dependent Z W | Y`` for some ``W``, with Y coarser than the common
+refinement of X and V on the observations.  In a model, where ``X*`` is X
+pulled back through the labeling, X* and V* are orthogonal, so every X*
+block meets every V* block and each Y* block meets the pairs of the cells
+in its Y block.  The pattern is strong when that pair set is no product
+for any sets of at least two X and V blocks whose cells are all observed.  In a 2-dimensional model where ``h(X*) = {a}``
+and ``h(V*) = {b}``, Lemma D then puts ``b`` in ``h(X*|E)`` and ``a`` in
+``h(V*|E)`` for every Y* block ``E``; the two conditioned orthogonalities
+keep both out of ``h(Z*|E)``, which is therefore empty for every ``E``,
+and ``dependent Z W | Y`` fails.  So dimension 2 is excluded when every
+2-bit mask assignment the ``| _`` assertions allow gives both X and V of
+some strong pattern a non-empty history.  ex2 is such a database: it has
+no model of dimension 2.  The argument forces only two coordinates, so it
+excludes no other dimension.
 
 Each conditioned assertion runs per yielded labeling on integer label
 tuples: a name's row of block ids over the observations pulls it back with
@@ -373,6 +401,99 @@ def _dimension_floor(
     return next((d for d in range(cap + 1) if colourable(0, d, 0)), None)
 
 
+def _is_product(pairs: Sequence[tuple[int, int]]) -> bool:
+    """Whether distinct ``pairs`` are every pair of their firsts and seconds."""
+    return len(pairs) == len({a for a, _ in pairs}) * len({b for _, b in pairs})
+
+
+def _lemma_d_strong(x: Partition, v: Partition, y: Partition, limit: int = 256) -> bool:
+    """Whether every Y* block a model can have meets a non-product set of
+    (X*, V*) pairs, in every model where X* and V* are orthogonal and each
+    has at least two blocks.
+
+    Needs ``y`` coarser than the common refinement of ``x`` and ``v`` on the
+    observations, so that each (X block, V block) cell lies in one Y block.
+    A model realizes some sets of blocks ``RX`` and ``RV`` of at least two
+    each; its X* and V* are orthogonal, so every cell of ``RX x RV`` holds
+    an element, and a Y* block meets exactly the cells of ``RX x RV`` in its
+    Y block.  A choice with a cell empty on the observations occurs in no
+    model.  Gives up, answering ``False``, on more than ``limit`` choices.
+    """
+    cell_block: dict[tuple[int, int], int] = {}
+    for cell, b in zip(zip(x.block_ids, v.block_ids), y.block_ids):
+        if cell_block.setdefault(cell, b) != b:
+            return False
+    choices = [
+        [c for r in range(2, k + 1) for c in itertools.combinations(range(k), r)]
+        for k in (x.block_count, v.block_count)
+    ]
+    if len(choices[0]) * len(choices[1]) > limit:
+        return False
+    for rx, rv in itertools.product(*choices):
+        cells = list(itertools.product(rx, rv))
+        if not all(c in cell_block for c in cells):
+            continue
+        met: dict[int, list[tuple[int, int]]] = {}
+        for c in cells:
+            met.setdefault(cell_block[c], []).append(c)
+        if any(map(_is_product, met.values())):
+            return False
+    return True
+
+
+def _lemma_d_pairs(triples: Sequence[ResolvedTriple]) -> list[tuple[str, str]]:
+    """The ``(X, V)``, ``X < V``, of each strong Lemma D pattern asserted.
+
+    A pattern ``(X, V, Y, Z)`` asserts ``orthogonal X V | _``,
+    ``orthogonal X Z | Y``, ``orthogonal V Z | Y`` and ``dependent Z W | Y``
+    for some ``W``, each in either order of its first two names; it is
+    strong when ``_lemma_d_strong(X, V, Y)``.
+    """
+    orthogonal = set()
+    dependent = set()  # (Z, Y) of each ``dependent Z W | Y``, either order
+    parts: dict[str, Partition] = {}
+    for expected, (a, b, c), resolved in triples:
+        parts.update(zip((a, b, c), resolved))
+        if expected:
+            orthogonal |= {(a, b, c), (b, a, c)}
+        else:
+            dependent |= {(a, c), (b, c)}
+    pairs = []
+    for x, v, u in sorted(orthogonal):
+        if u != "_" or x >= v:
+            continue
+        ys = {
+            y
+            for a, z, y in orthogonal
+            if a == x and (v, z, y) in orthogonal and (z, y) in dependent
+        }
+        if any(_lemma_d_strong(parts[x], parts[v], parts[y]) for y in ys):
+            pairs.append((x, v))
+    return pairs
+
+
+def _excluded_dimensions(
+    disjoint: Sequence[tuple[int, int]],
+    meeting: Sequence[tuple[int, int]],
+    patterns: Sequence[tuple[int, int]],
+) -> frozenset[int]:
+    """``{2}`` when every 2-bit assignment of masks, one per row, that keeps
+    ``disjoint`` apart and makes ``meeting`` meet, as in ``_dimension_floor``,
+    gives both rows of some pair in ``patterns`` a non-empty mask; else none.
+
+    An assignment is spared exactly when it empties one row of every pair,
+    so each choice of one row per pair is tried as extra empty rows.  Only
+    the first six pairs are tried: fewer pairs exclude no more.
+    """
+    patterns = patterns[:6]
+    if not patterns:
+        return frozenset()
+    for rows in itertools.product(*patterns):
+        if _dimension_floor([*disjoint, *((k, k) for k in rows)], meeting, 2) is not None:
+            return frozenset()
+    return frozenset({2})
+
+
 def _grid_labelings(
     n: int,
     ks: tuple[int, ...],
@@ -525,6 +646,8 @@ def _search(
     # A one-block name's row is all zeros, and its history always empty.
     empty = [(k, k) for k, name in enumerate(masked) if not any(rows[name])]
     floor = _dimension_floor(disjoint + empty, meeting, cap)
+    patterns = [(at(x), at(v)) for x, v in _lemma_d_pairs(triples)]
+    excluded = _excluded_dimensions(disjoint + empty, meeting, patterns)
     apart = _apart_table([rows[name] for name in masked], omega_n, cap)
     disjoint = [(a * cap, b * cap) for a, b in disjoint]
     meeting = [(a * cap, b * cap) for a, b in meeting]
@@ -535,7 +658,8 @@ def _search(
             d = len(ks)
             if d > cap:
                 continue
-            if floor is None or d < floor or bounds.surjective_only and n < omega_n:
+            modelled = floor is not None and floor <= d and d not in excluded
+            if not modelled or bounds.surjective_only and n < omega_n:
                 # No model here: one clock read stands for the walk's first.
                 if deadline is not None and time.monotonic() > deadline:
                     yield Truncation(n)

@@ -208,6 +208,65 @@ def test_criterion_05_conditioned_history_lemmas():
     )
 
 
+def _is_product(pairs) -> bool:
+    return len(pairs) == len({a for a, _ in pairs}) * len({b for _, b in pairs})
+
+
+def test_lemma_d_non_product_pairs_meet_the_other_history():
+    # Lemma D, which lets the search exclude a dimension: if the (X block,
+    # V block) pairs met by E form no product set, h(X|E) meets h(V).
+    rng = random.Random(36_036)
+    fired = 0
+    for _ in range(3000):
+        fs = random_factored_set(rng, min_n=4, max_n=36)
+        x = mixed_random_partition(rng, fs)
+        v = mixed_random_partition(rng, fs)
+        cells: dict[tuple[int, int], list[int]] = {}
+        for s in range(fs.size):
+            cells.setdefault((x.block_of[s], v.block_of[s]), []).append(s)
+        # Some cells, each with some of its elements, so the pairs often
+        # miss a corner of their product.
+        e = [
+            s
+            for members in cells.values()
+            if rng.random() < 0.5
+            for s in rng.sample(members, rng.randint(1, len(members)))
+        ]
+        if _is_product({(x.block_of[s], v.block_of[s]) for s in e}):
+            continue
+        fired += 1
+        assert history(fs, x.restrict(e)) & history(fs, v)
+    assert fired >= 1200
+
+
+def test_refuted_history_rules_stay_refuted():
+    # Three rules that Lemma D's neighbourhood suggests, each with a
+    # counterexample found by brute force over every partition triple.
+    square = grid_factored_set(4, (2, 2))  # factors {01|23} (bit 0), {02|13} (bit 1)
+    x = Partition.from_blocks(square.ground, [[0, 1, 2], [3]])
+    y = Partition.from_blocks(square.ground, [[0, 1], [2, 3]])
+    z = Partition.from_blocks(square.ground, [[0, 2, 3], [1]])
+    hx, hy, hz = (history(square, p) for p in (x, y, z))
+    assert (hx, hy, hz) == (0b11, 0b01, 0b11)
+    assert cond_orthogonal(square, x, z, y)
+    # "X orthogonal to Z given Y implies h(X) & h(Z) <= h(Y)" is false.
+    assert hx & hz & ~hy
+    # "X orthogonal to Z given Y, with neither Z nor X determined by Y,
+    # implies that h(Z) is not within h(X) | h(Y)" is false.
+    assert not y.refines(z) and not y.refines(x)
+    assert hz & ~(hx | hy) == 0
+    # The strong form of Lemma D, "h(X|E) >= h(X) | h(V)", is false, even
+    # with X and V orthogonal.
+    cube = grid_factored_set(8, (2, 2, 2))
+    x = Partition.from_blocks(cube.ground, [[0, 1, 2, 3, 4, 5], [6, 7]])
+    v = cube.factors[2]
+    e = (2, 7)
+    assert not _is_product({(x.block_of[s], v.block_of[s]) for s in e})
+    hx, hv, hxe = history(cube, x), history(cube, v), history(cube, x.restrict(e))
+    assert (hx, hv, hxe) == (0b011, 0b100, 0b101)
+    assert hxe & hv and (hx | hv) & ~hxe
+
+
 def test_criterion_06_compositional_semigraphoid():
     rng = random.Random(20_006)
     fired = [0, 0, 0, 0, 0]

@@ -795,15 +795,15 @@ SEARCH_ORACLE_DBS = [
 ] + PLANTED_DBS
 
 
-@lru_cache(maxsize=None)
-def _old_unbounded_stream(name: str) -> tuple[Model, ...]:
-    """The old search's models for an oracle case, with no dim or surjectivity bound."""
-    _, db, max_size = next(c for c in SEARCH_ORACLE_DBS if c[0] == name)
-    return tuple(_old_search_models(db, SearchBounds(max_size=max_size)))
-
-
 class TestSearchOracle:
     """``search_models`` yields what the old labeling stream plus filter yielded."""
+
+    @pytest.mark.parametrize(
+        "name,db,max_size", SEARCH_ORACLE_DBS, ids=[c[0] for c in SEARCH_ORACLE_DBS]
+    )
+    def test_reference_stream_is_the_old_search(self, name, db, max_size):
+        bounds = SearchBounds(max_size=max_size)
+        assert _reference_models(name, bounds) == list(_old_search_models(db, bounds))
 
     @pytest.mark.parametrize(
         "name,db,max_size", SEARCH_ORACLE_DBS, ids=[c[0] for c in SEARCH_ORACLE_DBS]
@@ -813,18 +813,12 @@ class TestSearchOracle:
     def test_same_models_in_the_same_order(
         self, name, db, max_size, max_dim, surjective_only
     ):
-        # The old search skips grids by dimension and labelings by their
-        # image, so each bounded stream is the unbounded one, filtered.
+        # Against the reference stream, which the test above equates with
+        # the old search up to ``max_size``.
         bounds = SearchBounds(
             max_size=max_size, max_dim=max_dim, surjective_only=surjective_only
         )
-        expected = [
-            m
-            for m in _old_unbounded_stream(name)
-            if (max_dim is None or m.factored.dim <= max_dim)
-            and (not surjective_only or len(set(m.labeling)) == db.omega.n)
-        ]
-        assert list(search_models(db, bounds)) == expected
+        assert list(search_models(db, bounds)) == _reference_models(name, bounds)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("surjective_only", [False, True])
@@ -929,26 +923,24 @@ def _old_infer_before(db, models, first, second, strict):
     return ("vacuous" if checked == 0 else "holds-up-to-bound"), checked, None
 
 
+# (case, reference database, bounds)
 INFER_ORACLE_CASES = [
-    ("ex1", ORACLE_DBS["ex1"], SearchBounds(max_size=9)),
-    ("ex2", ORACLE_DBS["ex2"], SearchBounds(max_size=8)),
-    ("ex1-dim-1", ORACLE_DBS["ex1"], SearchBounds(max_size=9, max_dim=1)),
-    (
-        "ex1-surjective",
-        ORACLE_DBS["ex1"],
-        SearchBounds(max_size=9, surjective_only=True),
-    ),
-] + [(name, db, SearchBounds(max_size=n)) for name, db, n in PLANTED_DBS]
+    ("ex1", "ex1", SearchBounds(max_size=9)),
+    ("ex2", "ex2", SearchBounds(max_size=8)),
+    ("ex1-dim-1", "ex1", SearchBounds(max_size=9, max_dim=1)),
+    ("ex1-surjective", "ex1", SearchBounds(max_size=9, surjective_only=True)),
+] + [(name, name, SearchBounds(max_size=n)) for name, _, n in PLANTED_DBS]
 
 
 class TestInferOracle:
     """``infer_before`` from the walk's masks against pull-backs and ``history``."""
 
     @pytest.mark.parametrize(
-        "name,db,bounds", INFER_ORACLE_CASES, ids=[c[0] for c in INFER_ORACLE_CASES]
+        "case,name,bounds", INFER_ORACLE_CASES, ids=[c[0] for c in INFER_ORACLE_CASES]
     )
-    def test_same_verdicts_as_pullback_histories(self, name, db, bounds):
-        models = list(search_models(db, bounds))
+    def test_same_verdicts_as_pullback_histories(self, case, name, bounds):
+        db = REFERENCE_DBS[name]
+        models = _reference_models(name, bounds)
         names = [*sorted(db.partitions), "_", "!"]
         kinds = set()
         for first, second in itertools.product(names, repeat=2):
@@ -1285,6 +1277,18 @@ def _walk_every_grid(db, bounds, watched=()):
                     yield fs, f, tuple(h >> at(x) * d & ((1 << d) - 1) for x in watched)
 
 
+def _cells_conditioned_db():
+    """ex2's worlds with ex2's pattern conditioned on the cells of X and V."""
+    ex2 = ORACLE_DBS["ex2"]
+    cells = Partition.from_block_of(ex2.omega, {w: w >> 1 for w in range(8)})
+    return OrthogonalityDatabase(
+        ex2.omega,
+        {**ex2.partitions, "C": cells},
+        frozenset({("X", "V", "_"), ("X", "Z", "C"), ("V", "Z", "C")}),
+        frozenset({("X", "X", "_"), ("V", "V", "_"), ("Z", "Z", "C")}),
+    )
+
+
 def _three_bit_db():
     """Three pairwise orthogonal bits of 8 worlds, each dependent on itself."""
     omega = GroundSet(8)
@@ -1339,12 +1343,17 @@ FLOOR_DBS = [
     ),
     # The one-block partition's history is always empty.
     ("one-block-meeting", _two_bit_db(dependent=frozenset({("_", "V", "_")})), 6, None),
+    # ex2's Lemma D pattern conditioned on C, the common refinement of X and
+    # V: each C block meets one (X, V) pair, a product, so nothing is
+    # excluded, and models of dimension 2 exist from size 6.
+    ("cells-conditioned", _cells_conditioned_db(), 6, 2),
 ]
 FLOOR_ORACLE_DBS = [(name, db, n) for name, db, n, _ in FLOOR_DBS] + PLANTED_DBS
 
 
-def _floor(db, max_size):
-    """The floor ``_search`` computes for ``db`` at ``max_size``."""
+def _unconditional_rows(db):
+    """``_search``'s masked names for ``db`` with no name watched, its
+    disjoint pairs (empty rows among them) and its meeting pairs."""
     triples = db.resolved_triples()
     asserted = [x for _, names, _ in triples if names[2] == "_" for x in names[:2]]
     masked = list(dict.fromkeys(asserted))
@@ -1355,8 +1364,64 @@ def _floor(db, max_size):
     empty = [
         (k, k) for k, name in enumerate(masked) if db.resolve(name).block_count == 1
     ]
-    cap = max_size.bit_length() - 1
-    return inference._dimension_floor(pairs[True] + empty, pairs[False], cap)
+    return masked, pairs[True] + empty, pairs[False]
+
+
+def _floor(db, max_size):
+    """The floor ``_search`` computes for ``db`` at ``max_size``."""
+    _, disjoint, meeting = _unconditional_rows(db)
+    return inference._dimension_floor(disjoint, meeting, max_size.bit_length() - 1)
+
+
+def _excluded(db):
+    """The dimensions ``_search`` excludes for ``db`` by Lemma D."""
+    masked, disjoint, meeting = _unconditional_rows(db)
+    at = masked.index
+    pairs = inference._lemma_d_pairs(db.resolved_triples())
+    return inference._excluded_dimensions(
+        disjoint, meeting, [(at(x), at(v)) for x, v in pairs]
+    )
+
+
+# -- one reference stream per test database, shared by the oracles above
+#    and below: every grid walked, every name watched, no time budget
+
+REFERENCE_DBS = {name: db for name, db, _ in SEARCH_ORACLE_DBS + FLOOR_ORACLE_DBS}
+REFERENCE_SIZES = {name: n for name, _, n in SEARCH_ORACLE_DBS + FLOOR_ORACLE_DBS}
+REFERENCE_SIZES["ex2"] = 10  # the exclusion oracle reads ex2 up to size 10
+
+
+def _all_names(db):
+    return [*sorted(db.partitions), "_", "!"]
+
+
+@lru_cache(maxsize=None)
+def _reference_stream(name):
+    db = REFERENCE_DBS[name]
+    bounds = SearchBounds(max_size=REFERENCE_SIZES[name])
+    return tuple(_walk_every_grid(db, bounds, _all_names(db)))
+
+
+def _reference(name, bounds, watched):
+    """``_walk_every_grid(db, bounds, watched)`` for test database ``name``,
+    read off its one reference stream: each bounded stream is the
+    unbounded one, filtered, as a grid is skipped by its dimension and a
+    labeling by its image."""
+    db = REFERENCE_DBS[name]
+    assert bounds.max_size <= REFERENCE_SIZES[name] and bounds.time_budget is None
+    at = _all_names(db).index
+    return [
+        (fs, f, tuple(masks[at(x)] for x in watched))
+        for fs, f, masks in _reference_stream(name)
+        if fs.size <= bounds.max_size
+        and (bounds.max_dim is None or fs.dim <= bounds.max_dim)
+        and (not bounds.surjective_only or len(set(f)) == db.omega.n)
+    ]
+
+
+def _reference_models(name, bounds):
+    omega = REFERENCE_DBS[name].omega
+    return [Model(fs, f, omega) for fs, f, _ in _reference(name, bounds, ())]
 
 
 def _brute_floor(rows, disjoint, meeting, cap):
@@ -1382,7 +1447,7 @@ class TestDimensionFloor:
     ):
         bounds = SearchBounds(max_size=max_size, surjective_only=surjective_only)
         watched = sorted(db.partitions)[:2]
-        expected = list(_walk_every_grid(db, bounds, watched))
+        expected = _reference(name, bounds, watched)
         assert list(inference._search(db, bounds, watched)) == expected
 
     @pytest.mark.parametrize("name,db,max_size,floor", FLOOR_DBS, ids=[c[0] for c in FLOOR_DBS])
@@ -1408,10 +1473,10 @@ class TestDimensionFloor:
             seen.add(floor)
         assert seen == {0, 1, 2, 3, None}
 
-    @pytest.mark.parametrize("size", [1, 2, 3])
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
     def test_ex2_truncates_in_the_size_it_enters(self, ex2, expire_budget_in_size, size):
-        # ex2's floor is 2, so no grid of sizes 1 to 3 is walked: each reads
-        # the clock once instead.
+        # ex2's floor is 2 and Lemma D excludes dimension 2, so no grid of
+        # sizes 1 to 5 is walked: each reads the clock once instead.
         expire_budget_in_size(size)
         verdict = infer_before(
             ex2.db, "X", "Z", SearchBounds(max_size=6, time_budget=1.0)
@@ -1444,7 +1509,8 @@ class TestDimensionFloor:
         assert built == [3]
 
     def test_builds_only_the_grids_it_walks(self, ex2, monkeypatch):
-        # ex2's floor is 2, so no grid of one dimension or none is built.
+        # ex2's floor is 2 and Lemma D excludes dimension 2, so up to size 8
+        # only the one grid of dimension 3 is built.
         built = []
         grid = inference.grid_factored_set
 
@@ -1455,4 +1521,122 @@ class TestDimensionFloor:
         monkeypatch.setattr(inference, "grid_factored_set", spy)
         verdict = infer_before(ex2.db, "X", "Y", SearchBounds(max_size=8))
         assert verdict.models_checked == 5
-        assert built == [(4, (2, 2)), (6, (2, 3)), (8, (2, 2, 2)), (8, (2, 4))]
+        assert built == [(8, (2, 2, 2))]
+
+
+# -- Lemma D: the dimensions the conditioned assertions exclude
+
+
+def _brute_excluded(rows, disjoint, meeting, patterns):
+    """``{2}`` when every 2-bit mask assignment meeting the pairs gives both
+    rows of some pattern a non-empty mask, by trying all."""
+    for masks in itertools.product(range(4), repeat=rows):
+        if (
+            all(not masks[a] & masks[b] for a, b in disjoint)
+            and all(masks[a] & masks[b] for a, b in meeting)
+            and not any(masks[x] and masks[v] for x, v in patterns)
+        ):
+            return frozenset()
+    return frozenset({2})
+
+
+class TestLemmaDExclusion:
+    """No model lies in a dimension the Lemma D rule excludes."""
+
+    def test_only_ex2_is_excluded(self):
+        excluded = {name: _excluded(db) for name, db in REFERENCE_DBS.items()}
+        assert {name: dims for name, dims in excluded.items() if dims} == {"ex2": {2}}
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_DBS))
+    def test_no_model_in_an_excluded_dimension(self, name):
+        # The reference stream walks every grid up to the database's size,
+        # so filtered to ``max_dim = d`` it is the unfloored walk there.
+        for d in _excluded(REFERENCE_DBS[name]):
+            bounds = SearchBounds(max_size=REFERENCE_SIZES[name], max_dim=d)
+            assert not any(fs.dim == d for fs, _, _ in _reference(name, bounds, ()))
+
+    @pytest.mark.slow
+    def test_ex2_has_no_model_of_dimension_two_to_size_twelve(self):
+        bounds = SearchBounds(max_size=12, max_dim=2)
+        walk = _walk_every_grid(ORACLE_DBS["ex2"], bounds)
+        assert not any(fs.dim == 2 for fs, _, _ in walk)
+
+    def test_excluded_dimension_is_not_walked(self, ex2, monkeypatch):
+        # Every grid of dimension at most 2 lies below the floor or is excluded.
+        def no_walk(*args):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(inference, "_grid_labelings", no_walk)
+        verdict = infer_before(ex2.db, "X", "Y", SearchBounds(max_size=12, max_dim=2))
+        assert (verdict.kind, verdict.models_checked) == ("vacuous", 0)
+
+    def test_matches_brute_force(self):
+        rng = random.Random(26)
+        seen = []
+        for _ in range(300):
+            rows = rng.randint(2, 4)
+            disjoint, meeting = [], []
+            for a in range(rows):
+                for b in range(a, rows):
+                    draw = rng.random()
+                    if draw < 0.3 or 0.7 <= draw < 0.75:
+                        disjoint.append((a, b))
+                    if 0.3 <= draw < 0.75:
+                        meeting.append((a, b))
+            patterns = [
+                tuple(rng.sample(range(rows), 2)) for _ in range(rng.randint(1, 3))
+            ]
+            excluded = inference._excluded_dimensions(disjoint, meeting, patterns)
+            assert excluded == _brute_excluded(rows, disjoint, meeting, patterns), (
+                disjoint, meeting, patterns
+            )
+            seen.append(excluded)
+        assert seen.count(frozenset({2})) >= 30 and seen.count(frozenset()) >= 30
+
+    def test_no_pattern_excludes_nothing(self):
+        assert inference._excluded_dimensions([(0, 1)], [(0, 0), (1, 1)], []) == set()
+
+    def test_ex2_pattern_in_either_order(self):
+        # Swapping the first two names of every assertion finds the same pair.
+        ex2 = ORACLE_DBS["ex2"]
+        swapped = replace(
+            ex2,
+            orthogonal_triples={(b, a, c) for a, b, c in ex2.orthogonal_triples},
+            dependent_triples={(b, a, c) for a, b, c in ex2.dependent_triples},
+        )
+        for db in (ex2, swapped):
+            assert inference._lemma_d_pairs(db.resolved_triples()) == [("V", "X")]
+        # Without the conditioned dependence there is no pattern.
+        plain = replace(ex2, dependent_triples=ex2.dependent_triples - {("Z", "Z", "Y")})
+        assert inference._lemma_d_pairs(plain.resolved_triples()) == []
+
+    def test_strong_patterns(self):
+        ex2 = ORACLE_DBS["ex2"]
+        x, v, y, z = (ex2.resolve(n) for n in "XVYZ")
+        cells = _cells_conditioned_db().resolve("C")
+        strong = inference._lemma_d_strong
+        # Each Y block pairs the X and V blocks diagonally.
+        assert strong(x, v, y)
+        # A Y block that is a cell, or an X block, meets a product.
+        assert not strong(x, v, cells) and not strong(x, v, x)
+        # Z is not coarser than the common refinement of X and V.
+        assert not strong(x, v, z)
+        # More block choices than the limit: give up.
+        assert not strong(x, v, y, limit=0)
+
+    def test_choices_with_an_unobserved_cell_are_skipped(self):
+        # Observations are the (X, V) cells (0,0) (0,1) (1,0) (1,1) (2,0);
+        # any choice of X blocks with 2 misses the cell (2,1), and Y pairs
+        # the rest diagonally.
+        omega = GroundSet(5)
+        x = Partition.from_blocks(omega, [[0, 1], [2, 3], [4]])
+        v = Partition.from_blocks(omega, [[0, 2, 4], [1, 3]])
+        y = Partition.from_blocks(omega, [[0, 3, 4], [1, 2]])
+        assert inference._lemma_d_strong(x, v, y)
+        # With (2, 1) observed, in Y's first block, the choice {1, 2} x V
+        # leaves Y's second block the single pair (1, 0), a product.
+        omega = GroundSet(6)
+        x = Partition.from_blocks(omega, [[0, 1], [2, 3], [4, 5]])
+        v = Partition.from_blocks(omega, [[0, 2, 4], [1, 3, 5]])
+        y = Partition.from_blocks(omega, [[0, 3, 4, 5], [1, 2]])
+        assert not inference._lemma_d_strong(x, v, y)
