@@ -64,23 +64,27 @@ and ``(X(t), V(t))`` are met while ``(X(s), V(t))`` is not.  ``H``
 generates ``X|E``, so the chimera ``u`` of ``s`` on ``H`` and ``t`` off
 ``H`` lies in the block of ``s`` in ``X|E``: ``u`` is in ``E`` and
 ``X(u) = X(s)``.  ``h(V)`` is off ``H``, so ``V(u) = V(t)``, and ``E``
-meets the pair ``(X(s), V(t))`` after all.  The search applies it in the
-narrowest form that settles ex2.  A pattern ``(X, V, Y, Z)`` asserts
-``orthogonal X V | _``, ``orthogonal X Z | Y``, ``orthogonal V Z | Y`` and
-``dependent Z W | Y`` for some ``W``, with Y coarser than the common
+meets the pair ``(X(s), V(t))`` after all.  A pattern ``(X, V, Y, Z)``
+asserts ``orthogonal X V | _``, ``orthogonal X Z | Y``, ``orthogonal V Z |
+Y`` and ``dependent Z W | Y`` for some ``W``, with Y coarser than the common
 refinement of X and V on the observations.  In a model, where ``X*`` is X
 pulled back through the labeling, X* and V* are orthogonal, so every X*
 block meets every V* block and each Y* block meets the pairs of the cells
-in its Y block.  The pattern is strong when that pair set is no product
-for any sets of at least two X and V blocks whose cells are all observed.  In a 2-dimensional model where ``h(X*) = {a}``
-and ``h(V*) = {b}``, Lemma D then puts ``b`` in ``h(X*|E)`` and ``a`` in
+in its Y block.  The pattern is strong when Y splits every observed 2x2 of
+cells into its two diagonals.  Then no Y* block meets a product of pairs:
+one meeting ``A x B`` inside the realized blocks meets a product inside two
+realized X blocks, one from ``A``, and two realized V blocks, one from
+``B``, and four cells split into non-products only as two diagonals.  If
+X and V are each named in a ``dependent A B | _``, their histories are
+non-empty and disjoint, so in a 2-dimensional model ``h(X*) = {a}`` and
+``h(V*) = {b}``.  Lemma D then puts ``b`` in ``h(X*|E)`` and ``a`` in
 ``h(V*|E)`` for every Y* block ``E``; the two conditioned orthogonalities
 keep both out of ``h(Z*|E)``, which is therefore empty for every ``E``,
-and ``dependent Z W | Y`` fails.  So dimension 2 is excluded when every
-2-bit mask assignment the ``| _`` assertions allow gives both X and V of
-some strong pattern a non-empty history.  ex2 is such a database: it has
-no model of dimension 2.  The argument forces only two coordinates, so it
-excludes no other dimension.
+and ``dependent Z W | Y`` fails.  So such a strong pattern excludes
+dimension 2.  On masks the rule is exact: a name no ``dependent A B | _``
+names can have an empty history without breaking a ``| _`` assertion.
+ex2 is such a database: it has no model of dimension 2.  The argument
+forces only two coordinates, so it excludes no other dimension.
 
 Each conditioned assertion runs per yielded labeling on integer label
 tuples: a name's row of block ids over the observations pulls it back with
@@ -401,42 +405,27 @@ def _dimension_floor(
     return next((d for d in range(cap + 1) if colourable(0, d, 0)), None)
 
 
-def _is_product(pairs: Sequence[tuple[int, int]]) -> bool:
-    """Whether distinct ``pairs`` are every pair of their firsts and seconds."""
-    return len(pairs) == len({a for a, _ in pairs}) * len({b for _, b in pairs})
-
-
-def _lemma_d_strong(x: Partition, v: Partition, y: Partition, limit: int = 256) -> bool:
+def _lemma_d_strong(x: Partition, v: Partition, y: Partition) -> bool:
     """Whether every Y* block a model can have meets a non-product set of
     (X*, V*) pairs, in every model where X* and V* are orthogonal and each
     has at least two blocks.
 
     Needs ``y`` coarser than the common refinement of ``x`` and ``v`` on the
     observations, so that each (X block, V block) cell lies in one Y block.
-    A model realizes some sets of blocks ``RX`` and ``RV`` of at least two
-    each; its X* and V* are orthogonal, so every cell of ``RX x RV`` holds
-    an element, and a Y* block meets exactly the cells of ``RX x RV`` in its
-    Y block.  A choice with a cell empty on the observations occurs in no
-    model.  Gives up, answering ``False``, on more than ``limit`` choices.
+    Then it holds exactly when ``y`` splits each 2x2 of cells into its two
+    diagonals, as the module docstring shows.  A 2x2 with a cell empty on
+    the observations is realized by no model, so it is skipped.
     """
     cell_block: dict[tuple[int, int], int] = {}
     for cell, b in zip(zip(x.block_ids, v.block_ids), y.block_ids):
         if cell_block.setdefault(cell, b) != b:
             return False
-    choices = [
-        [c for r in range(2, k + 1) for c in itertools.combinations(range(k), r)]
-        for k in (x.block_count, v.block_count)
-    ]
-    if len(choices[0]) * len(choices[1]) > limit:
-        return False
-    for rx, rv in itertools.product(*choices):
-        cells = list(itertools.product(rx, rv))
-        if not all(c in cell_block for c in cells):
-            continue
-        met: dict[int, list[tuple[int, int]]] = {}
-        for c in cells:
-            met.setdefault(cell_block[c], []).append(c)
-        if any(map(_is_product, met.values())):
+    for (x1, x2), (v1, v2) in itertools.product(
+        itertools.combinations(range(x.block_count), 2),
+        itertools.combinations(range(v.block_count), 2),
+    ):
+        a, b, c, e = map(cell_block.get, ((x1, v1), (x2, v2), (x1, v2), (x2, v1)))
+        if None not in (a, b, c, e) and not a == b != c == e:
             return False
     return True
 
@@ -472,26 +461,18 @@ def _lemma_d_pairs(triples: Sequence[ResolvedTriple]) -> list[tuple[str, str]]:
     return pairs
 
 
-def _excluded_dimensions(
-    disjoint: Sequence[tuple[int, int]],
-    meeting: Sequence[tuple[int, int]],
-    patterns: Sequence[tuple[int, int]],
-) -> frozenset[int]:
-    """``{2}`` when every 2-bit assignment of masks, one per row, that keeps
-    ``disjoint`` apart and makes ``meeting`` meet, as in ``_dimension_floor``,
-    gives both rows of some pair in ``patterns`` a non-empty mask; else none.
+def _lemma_d_excludes(
+    meeting: Sequence[tuple[int, int]], patterns: Sequence[tuple[int, int]]
+) -> bool:
+    """Whether every mask assignment that makes each ``meeting`` pair meet,
+    as in ``_dimension_floor``, gives both rows of some pair in ``patterns``
+    a non-empty mask, given that such an assignment exists.
 
-    An assignment is spared exactly when it empties one row of every pair,
-    so each choice of one row per pair is tried as extra empty rows.  Only
-    the first six pairs are tried: fewer pairs exclude no more.
+    A row in a meeting pair is never empty; any other row can be emptied
+    without parting a meeting pair or joining a disjoint one.
     """
-    patterns = patterns[:6]
-    if not patterns:
-        return frozenset()
-    for rows in itertools.product(*patterns):
-        if _dimension_floor([*disjoint, *((k, k) for k in rows)], meeting, 2) is not None:
-            return frozenset()
-    return frozenset({2})
+    forced = {k for pair in meeting for k in pair}
+    return any(x in forced and v in forced for x, v in patterns)
 
 
 def _grid_labelings(
@@ -618,10 +599,12 @@ def _search(
     This is the one place that lays out the walk's masks: a row per name
     asserted ``| _``, then per ``watched`` name not among them, each
     ``cap`` bits wide, where ``cap`` bounds the dimension of every grid
-    within the bounds, so one ``_apart_table`` serves the whole search.  A
-    grid the search does not walk is not built either; with a time budget
-    it reads the clock once, as the walk's first label would, so a spent
-    budget truncates in the same size.
+    within the bounds, so one ``_apart_table`` serves the whole search.  It
+    walks the grids whose dimension reaches ``_dimension_floor``, less
+    dimension 2 when both names of a strong Lemma D pattern are asserted
+    ``dependent A B | _``.  A grid it does not walk is not built either;
+    with a time budget it reads the clock once, as the walk's first label
+    would, so a spent budget truncates in the same size.
     """
     deadline = (
         None if bounds.time_budget is None else time.monotonic() + bounds.time_budget
@@ -647,7 +630,7 @@ def _search(
     empty = [(k, k) for k, name in enumerate(masked) if not any(rows[name])]
     floor = _dimension_floor(disjoint + empty, meeting, cap)
     patterns = [(at(x), at(v)) for x, v in _lemma_d_pairs(triples)]
-    excluded = _excluded_dimensions(disjoint + empty, meeting, patterns)
+    lemma_d = _lemma_d_excludes(meeting, patterns)  # read only when floor <= 2
     apart = _apart_table([rows[name] for name in masked], omega_n, cap)
     disjoint = [(a * cap, b * cap) for a, b in disjoint]
     meeting = [(a * cap, b * cap) for a, b in meeting]
@@ -658,7 +641,7 @@ def _search(
             d = len(ks)
             if d > cap:
                 continue
-            modelled = floor is not None and floor <= d and d not in excluded
+            modelled = floor is not None and floor <= d and not (lemma_d and d == 2)
             if not modelled or bounds.surjective_only and n < omega_n:
                 # No model here: one clock read stands for the walk's first.
                 if deadline is not None and time.monotonic() > deadline:

@@ -1289,6 +1289,13 @@ def _cells_conditioned_db():
     )
 
 
+def _three_and_one_db():
+    """ex2 with a Y that splits the four (X, V) cells 3 + 1, not diagonally."""
+    ex2 = ORACLE_DBS["ex2"]
+    y = Partition.from_block_of(ex2.omega, {w: int(w >= 2) for w in range(8)})
+    return replace(ex2, partitions={**ex2.partitions, "Y": y})
+
+
 def _three_bit_db():
     """Three pairwise orthogonal bits of 8 worlds, each dependent on itself."""
     omega = GroundSet(8)
@@ -1347,6 +1354,21 @@ FLOOR_DBS = [
     # V: each C block meets one (X, V) pair, a product, so nothing is
     # excluded, and models of dimension 2 exist from size 6.
     ("cells-conditioned", _cells_conditioned_db(), 6, 2),
+    # ex2 without ``dependent X Z | _``: X's history can be empty, so its
+    # strong pattern excludes nothing, and models of dimension 2 exist from
+    # size 4.
+    (
+        "ex2-x-unforced",
+        replace(
+            ORACLE_DBS["ex2"],
+            dependent_triples=ORACLE_DBS["ex2"].dependent_triples - {("X", "Z", "_")},
+        ),
+        6,
+        1,
+    ),
+    # Y's one-cell block meets a product, so the pattern is not strong, and
+    # models of dimension 2 exist at size 6.
+    ("ex2-three-and-one", _three_and_one_db(), 6, 2),
 ]
 FLOOR_ORACLE_DBS = [(name, db, n) for name, db, n, _ in FLOOR_DBS] + PLANTED_DBS
 
@@ -1375,12 +1397,11 @@ def _floor(db, max_size):
 
 def _excluded(db):
     """The dimensions ``_search`` excludes for ``db`` by Lemma D."""
-    masked, disjoint, meeting = _unconditional_rows(db)
+    masked, _, meeting = _unconditional_rows(db)
     at = masked.index
     pairs = inference._lemma_d_pairs(db.resolved_triples())
-    return inference._excluded_dimensions(
-        disjoint, meeting, [(at(x), at(v)) for x, v in pairs]
-    )
+    patterns = [(at(x), at(v)) for x, v in pairs]
+    return frozenset({2} if inference._lemma_d_excludes(meeting, patterns) else ())
 
 
 # -- one reference stream per test database, shared by the oracles above
@@ -1540,6 +1561,72 @@ def _brute_excluded(rows, disjoint, meeting, patterns):
     return frozenset({2})
 
 
+def _enumerated_strong(x, v, y):
+    """``_lemma_d_strong`` by every choice of at least two X blocks and two
+    V blocks whose cells are all observed, with no limit on the choices."""
+    cell_block = {}
+    for cell, b in zip(zip(x.block_ids, v.block_ids), y.block_ids):
+        if cell_block.setdefault(cell, b) != b:
+            return False
+    choices = [
+        [c for r in range(2, k + 1) for c in itertools.combinations(range(k), r)]
+        for k in (x.block_count, v.block_count)
+    ]
+    for rx, rv in itertools.product(*choices):
+        cells = list(itertools.product(rx, rv))
+        if not all(c in cell_block for c in cells):
+            continue
+        met = {}
+        for c in cells:
+            met.setdefault(cell_block[c], []).append(c)
+        for pairs in met.values():
+            if len(pairs) == len({a for a, _ in pairs}) * len({b for _, b in pairs}):
+                return False
+    return True
+
+
+def _choice_count(part):
+    """The number of choices of at least two of ``part``'s blocks."""
+    return 2**part.block_count - part.block_count - 1
+
+
+def _partitions_of_cells(cells):
+    """X, V and Y on one observation per ``(X block, V block, Y block)``."""
+    omega = GroundSet(len(cells))
+    return [Partition.from_block_of(omega, dict(enumerate(col))) for col in zip(*cells)]
+
+
+def _lemma_d_draw(rng):
+    """Random X, V and Y of 2-6 blocks each, and whether some 2x2 of
+    (X, V) cells is observed in full."""
+    kx, kv = rng.randint(2, 6), rng.randint(2, 6)
+    cell_y = {}
+    if rng.random() < 0.5:
+        # Diagonal 2x2s on disjoint pairs of X blocks and of V blocks.
+        rows, cols = rng.sample(range(kx), kx), rng.sample(range(kv), kv)
+        for k in range(rng.randint(1, min(kx, kv) // 2)):
+            x1, x2, v1, v2 = rows[2 * k], rows[2 * k + 1], cols[2 * k], cols[2 * k + 1]
+            a, c = rng.sample(range(3), 2)
+            cell_y.update({(x1, v1): a, (x2, v2): a, (x1, v2): c, (x2, v1): c})
+    else:
+        for cell in itertools.product(range(kx), range(kv)):
+            if rng.random() < 0.5:
+                cell_y[cell] = rng.randrange(3)
+    for i in range(kx):
+        cell_y.setdefault((i, rng.randrange(kv)), rng.randrange(3))
+    for j in range(kv):
+        cell_y.setdefault((rng.randrange(kx), j), rng.randrange(3))
+    cells = [(*cell, b) for cell, b in cell_y.items() for _ in range(rng.randint(1, 2))]
+    if rng.random() < 0.05:
+        cells.append((*cells[0][:2], cells[0][2] + 1))  # Y splits a cell
+    full = any(
+        all(c in cell_y for c in itertools.product(rx, rv))
+        for rx in itertools.combinations(range(kx), 2)
+        for rv in itertools.combinations(range(kv), 2)
+    )
+    return *_partitions_of_cells(cells), full
+
+
 class TestLemmaDExclusion:
     """No model lies in a dimension the Lemma D rule excludes."""
 
@@ -1571,9 +1658,11 @@ class TestLemmaDExclusion:
         assert (verdict.kind, verdict.models_checked) == ("vacuous", 0)
 
     def test_matches_brute_force(self):
+        # Only where a 2-bit assignment exists: ``_search`` reads the rule
+        # only where the floor is at most 2.
         rng = random.Random(26)
         seen = []
-        for _ in range(300):
+        while len(seen) < 300:
             rows = rng.randint(2, 4)
             disjoint, meeting = [], []
             for a in range(rows):
@@ -1583,18 +1672,32 @@ class TestLemmaDExclusion:
                         disjoint.append((a, b))
                     if 0.3 <= draw < 0.75:
                         meeting.append((a, b))
+            if inference._dimension_floor(disjoint, meeting, 2) is None:
+                continue
             patterns = [
-                tuple(rng.sample(range(rows), 2)) for _ in range(rng.randint(1, 3))
+                tuple(rng.sample(range(rows), 2)) for _ in range(rng.randint(1, 8))
             ]
-            excluded = inference._excluded_dimensions(disjoint, meeting, patterns)
-            assert excluded == _brute_excluded(rows, disjoint, meeting, patterns), (
-                disjoint, meeting, patterns
-            )
+            excluded = inference._lemma_d_excludes(meeting, patterns)
+            brute = _brute_excluded(rows, disjoint, meeting, patterns)
+            assert excluded == bool(brute), (disjoint, meeting, patterns)
             seen.append(excluded)
-        assert seen.count(frozenset({2})) >= 30 and seen.count(frozenset()) >= 30
+        assert seen.count(True) >= 30 and seen.count(False) >= 30
 
     def test_no_pattern_excludes_nothing(self):
-        assert inference._excluded_dimensions([(0, 1)], [(0, 0), (1, 1)], []) == set()
+        assert _brute_excluded(2, [(0, 1)], [(0, 0), (1, 1)], []) == set()
+        assert not inference._lemma_d_excludes([(0, 0), (1, 1)], [])
+
+    def test_a_seventh_pattern_counts(self):
+        # Rows 0-3 are in meeting pairs and 4 and 5 are not: the first six
+        # patterns each hold row 4 or 5, which can be empty; the seventh
+        # holds rows 2 and 3, which cannot.
+        disjoint, meeting = [(0, 4), (4, 5)], [(0, 1), (2, 3)]
+        patterns = [(0, 4), (1, 4), (2, 4), (3, 4), (0, 5), (1, 5), (2, 3)]
+        assert inference._dimension_floor(disjoint, meeting, 2) is not None
+        for count, excluded in ((6, set()), (7, {2})):
+            first = patterns[:count]
+            assert _brute_excluded(6, disjoint, meeting, first) == excluded
+            assert inference._lemma_d_excludes(meeting, first) == bool(excluded)
 
     def test_ex2_pattern_in_either_order(self):
         # Swapping the first two names of every assertion finds the same pair.
@@ -1621,8 +1724,26 @@ class TestLemmaDExclusion:
         assert not strong(x, v, cells) and not strong(x, v, x)
         # Z is not coarser than the common refinement of X and V.
         assert not strong(x, v, z)
-        # More block choices than the limit: give up.
-        assert not strong(x, v, y, limit=0)
+        # Five X and five V blocks, 676 choices: only the two 2x2s on the
+        # diagonal are observed in full, and Y splits each into diagonals.
+        x, v, y = _partitions_of_cells(
+            [(0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1), (2, 2, 0), (3, 3, 0)]
+            + [(2, 3, 1), (3, 2, 1), (4, 4, 0)]
+        )
+        assert _choice_count(x) * _choice_count(v) == 676
+        assert strong(x, v, y) and _enumerated_strong(x, v, y)
+
+    def test_strong_matches_the_choice_enumeration(self):
+        rng = random.Random(27)
+        strong = past_256 = 0
+        for _ in range(600):
+            x, v, y, full = _lemma_d_draw(rng)
+            verdict = inference._lemma_d_strong(x, v, y)
+            assert verdict == _enumerated_strong(x, v, y), (x, v, y)
+            if verdict and full:
+                strong += 1
+                past_256 += _choice_count(x) * _choice_count(v) > 256
+        assert strong >= 60 and past_256 >= 10
 
     def test_choices_with_an_unobserved_cell_are_skipped(self):
         # Observations are the (X, V) cells (0,0) (0,1) (1,0) (1,1) (2,0);
