@@ -86,15 +86,23 @@ names can have an empty history without breaking a ``| _`` assertion.
 ex2 is such a database: it has no model of dimension 2.  The argument
 forces only two coordinates, so it excludes no other dimension.
 
-Each conditioned assertion runs per yielded labeling on integer label
-tuples: a name's row of block ids over the observations pulls it back with
-one lookup per element, and the triple holds when the histories of its
-first two names, restricted to each block of its third, are disjoint block
-by block.  They are read through ``structure.block_histories`` from the
-grid's history cache.  The search builds a ``Model`` only at its edge: ``search_models``
-(and so ``is_consistent_up_to_bound``) for each model it yields,
-``infer_before`` for its counterexample alone.  ``models_database``
-decides a given model by ``structure.cond_orthogonal`` on the pull-backs.
+Each conditioned assertion is decided per yielded labeling ``f`` by the
+fundamental theorem, on the observations.  The grid's generic masses
+``g`` (``polynomial._generic_masses``, each element's characteristic
+monomial at ``t = n + 1``) are pushed forward, ``M[w]`` the sum of ``g[s]``
+over ``f(s) = w``, and ``(expected, X, Y, Z)`` holds exactly when
+``block_triple_identity(X, Y, Z, M) == expected`` for the database's own
+X, Y and Z: nothing is pulled back.  This is exact.  Each event of the
+pull-backs is a preimage, ``x* & z* = f^-1(x & z)``, so its mass at the
+point is the sum of ``M`` over ``x & z``; a cell with no preimage weighs 0
+on both sides, so non-surjective labelings are decided too; and at
+``t = n + 1`` the identity holds exactly when X* and Y* are orthogonal
+given Z*, as ``polynomial.cond_orth_by_divisibility`` proves.  The search
+builds a ``Model`` only at its edge: ``search_models`` (and so
+``is_consistent_up_to_bound``) for each model it yields, ``infer_before``
+for its counterexample alone.  ``models_database`` decides a given model by
+``structure.cond_orthogonal`` on the pull-backs, which replays every
+witness and counterexample through histories.
 """
 
 from __future__ import annotations
@@ -103,7 +111,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import and_, index
+from operator import index
 from typing import Iterator, Mapping, Sequence
 
 from .factored import (
@@ -118,11 +126,13 @@ from .partitions import (
     Partition,
     ValidationError,
     bell_number,
+    block_triple_identity,
     require_full,
     resolve_name,
 )
+from .polynomial import _generic_masses
 # Re-exported: callers reach ``history`` as ``inference.history`` too.
-from .structure import Labels, block_histories, cond_orthogonal, history  # noqa: F401
+from .structure import Labels, cond_orthogonal, history  # noqa: F401
 
 # (expected orthogonal, names, resolved partitions) of one assertion.
 ResolvedTriple = tuple[bool, tuple[str, str, str], tuple[Partition, Partition, Partition]]
@@ -566,28 +576,25 @@ def _grid_labelings(
 
 def _conditioned_hold(
     fs: FactoredSet,
-    rows: Mapping[str, Sequence[int]],
-    conditioned: Sequence[tuple[bool, tuple[str, str, str]]],
+    omega_n: int,
+    conditioned: Sequence[ResolvedTriple],
     labeling: Labels,
 ) -> bool:
-    """Whether ``labeling`` meets every ``(expected, names)``, up to the first miss."""
-    pulled: dict[str, Labels] = {}
-    blocks_of: dict[str, list[tuple[int, ...]]] = {}
-    for expected, names in conditioned:
-        for name in names:
-            if name not in pulled:
-                pulled[name] = tuple(map(rows[name].__getitem__, labeling))
-        x, y, z = names
-        if (blocks := blocks_of.get(z)) is None:
-            grouped: dict[int, list[int]] = {}
-            for s, b in enumerate(pulled[z]):
-                grouped.setdefault(b, []).append(s)
-            blocks = blocks_of[z] = [tuple(b) for b in grouped.values()]
-        hx = block_histories(fs, pulled[x], blocks)
-        hy = block_histories(fs, pulled[y], blocks)
-        if expected == any(map(and_, hx, hy)):
-            return False
-    return True
+    """Whether ``labeling`` meets every conditioned assertion, up to the first miss.
+
+    Each is decided on the observations, by ``block_triple_identity`` of its
+    own partitions with ``fs``'s generic masses pushed forward through
+    ``labeling`` as weights.
+    """
+    if not conditioned:
+        return True
+    masses = [0] * omega_n
+    for w, g in zip(labeling, _generic_masses(fs)):
+        masses[w] += g
+    return all(
+        block_triple_identity(x, y, z, masses) == expected
+        for expected, _, (x, y, z) in conditioned
+    )
 
 
 def _search(
@@ -611,13 +618,12 @@ def _search(
     )
     triples = db.resolved_triples()
     omega_n = db.omega.n
-    # Resolved partitions are full: ``block_ids[w]`` is the block of ``w``.
-    rows = {n: p.block_ids for _, names, parts in triples for n, p in zip(names, parts)}
-    rows |= {n: db.resolve(n).block_ids for n in watched if n not in rows}
-    conditioned = [(e, names) for e, names, _ in triples if names[2] != "_"]
+    conditioned = [t for t in triples if t[1][2] != "_"]
     unconditional = [(e, names[:2]) for e, names, _ in triples if names[2] == "_"]
     asserted = [n for _, pair in unconditional for n in pair]
     masked = list(dict.fromkeys(asserted + list(watched)))
+    # Resolved partitions are full: ``block_ids[w]`` is the block of ``w``.
+    rows = [db.resolve(name).block_ids for name in masked]
     at = masked.index
     disjoint = [(at(x), at(y)) for e, (x, y) in unconditional if e]
     meeting = [(at(x), at(y)) for e, (x, y) in unconditional if not e]
@@ -627,11 +633,11 @@ def _search(
     if bounds.max_dim is not None:
         cap = min(cap, bounds.max_dim)
     # A one-block name's row is all zeros, and its history always empty.
-    empty = [(k, k) for k, name in enumerate(masked) if not any(rows[name])]
+    empty = [(k, k) for k, row in enumerate(rows) if not any(row)]
     floor = _dimension_floor(disjoint + empty, meeting, cap)
     patterns = [(at(x), at(v)) for x, v in _lemma_d_pairs(triples)]
     lemma_d = _lemma_d_excludes(meeting, patterns)  # read only when floor <= 2
-    apart = _apart_table([rows[name] for name in masked], omega_n, cap)
+    apart = _apart_table(rows, omega_n, cap)
     disjoint = [(a * cap, b * cap) for a, b in disjoint]
     meeting = [(a * cap, b * cap) for a, b in meeting]
     field = (1 << cap) - 1
@@ -657,7 +663,7 @@ def _search(
                 f, h = item
                 if bounds.surjective_only and len(set(f)) != omega_n:
                     continue
-                if _conditioned_hold(fs, rows, conditioned, f):
+                if _conditioned_hold(fs, omega_n, conditioned, f):
                     yield fs, f, tuple(h >> s & field for s in shifts)
 
 

@@ -270,7 +270,11 @@ def cond_orth_by_divisibility(
     one integer point, the block-triple identity with each element's
     monomial evaluated there as its weight.  This route never looks at
     histories, which makes it an independent cross-check of the
-    splice-based decision.
+    splice-based decision.  The model search is its second user: it
+    pushes the grid's generic masses forward through each labeling and
+    decides a conditioned assertion on the observations with the same
+    identity (see ``inference``), since each event of a pull-back is a
+    preimage and weighs at the point what its image sums to.
 
     Why one point decides the identity, for a set of size ``n`` and
     dimension ``d``, with ``t = n + 1`` and the weights of ``_generic_rows``:

@@ -3,7 +3,7 @@ import math
 import random
 from dataclasses import replace
 from functools import lru_cache
-from operator import itemgetter
+from operator import and_, itemgetter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -34,8 +34,9 @@ from factoredsets import (
     search_models,
     trivial_factorization,
 )
-from factoredsets import inference
-from conftest import brute_history
+from factoredsets import inference, polynomial, structure
+from factoredsets.partitions import block_triple_identity
+from conftest import brute_history, random_partition
 
 
 def _two_bit_db(**kwargs):
@@ -188,34 +189,35 @@ class TestAssertionOrder:
             assert [e.expected for e in report.entries] == [e for e, _, _ in triples]
 
         # ex2's conditioning names are ``_`` and Y.  The walk decides the
-        # ``| _`` assertions, so during a search every history the
-        # per-labeling check reads is conditioned on a block of Y pulled
-        # back through the labeling at hand.  Y always pulls back to two
-        # blocks there, so the one block of ``_`` could never pass for it.
-        zs = [names[2] for _, names, _ in ex2.db.resolved_triples()]
+        # ``| _`` assertions, so during a search the per-labeling check
+        # receives the three ``| Y`` assertions, in sorted order.  Y always
+        # pulls back to two blocks there, so the one block of ``_`` could
+        # never pass for it.  The check reads no history.
+        triples = ex2.db.resolved_triples()
+        zs = [names[2] for _, names, _ in triples]
         assert zs == ["Y", "_", "Y", "_", "_", "Y"]
         y = ex2.db.resolve("Y")
-        labelings = []
         block_counts = []
-        block_histories = inference.block_histories
+        history_calls = []
         conditioned_hold = inference._conditioned_hold
+        block_histories = structure.block_histories
 
-        def check(fs, rows, conditioned, labeling):
-            assert [names[2] for _, names in conditioned] == ["Y"] * 3
-            labelings.append(labeling)
-            return conditioned_hold(fs, rows, conditioned, labeling)
+        def check(fs, omega_n, conditioned, labeling):
+            assert list(conditioned) == [t for t in triples if t[1][2] == "Y"]
+            model = Model(fs, labeling, ex2.db.omega)
+            block_counts.append(pullback(model, y).block_count)
+            return conditioned_hold(fs, omega_n, conditioned, labeling)
 
-        def spy(fs, labels, blocks):
-            model = Model(fs, labelings[-1], ex2.db.omega)
-            assert set(blocks) == set(pullback(model, y).blocks)
-            block_counts.append(len(blocks))
-            return block_histories(fs, labels, blocks)
+        def spy(*args):
+            history_calls.append(args)
+            return block_histories(*args)
 
         monkeypatch.setattr(inference, "_conditioned_hold", check)
-        monkeypatch.setattr(inference, "block_histories", spy)
+        monkeypatch.setattr(structure, "block_histories", spy)
         models = list(search_models(ex2.db, SearchBounds(max_size=8)))
         assert len(models) == 5
-        assert labelings and set(block_counts) == {2}
+        assert block_counts and set(block_counts) == {2}
+        assert history_calls == []
 
 
 # Grid shapes and observation spaces for the model-check oracle.
@@ -277,6 +279,35 @@ class TestModelCheckOracle:
             db = ORACLE_DBS[name]
             model = Model(grid_factored_set(n, ORACLE_GRIDS[n]), labeling, db.omega)
             assert models_database(model, db).ok
+
+
+class TestPushforwardLemma:
+    """The search's check on its own: on the observations, with the grid's
+    generic masses pushed forward through the labeling as weights, the
+    block-triple identity of X, Y and Z is ``cond_orthogonal`` of their
+    pull-backs, surjective or not."""
+
+    def test_identity_on_omega_is_cond_orthogonal_of_the_pullbacks(self):
+        rng = random.Random(28_028)
+        verdicts = {True: 0, False: 0}
+        non_surjective = 0
+        for _ in range(1500):
+            ks = rng.choice([(2, 2), (2, 3), (2, 2, 2), (3, 4)])
+            fs = grid_factored_set(math.prod(ks), ks)
+            omega = GroundSet(rng.randint(3, 5))
+            labeling = tuple(rng.randrange(omega.n) for _ in range(fs.size))
+            x, y, z = (random_partition(rng, omega) for _ in range(3))
+            masses = [0] * omega.n
+            for w, g in zip(labeling, polynomial._generic_masses(fs)):
+                masses[w] += g
+            model = Model(fs, labeling, omega)
+            expected = cond_orthogonal(fs, *(pullback(model, p) for p in (x, y, z)))
+            assert block_triple_identity(x, y, z, masses) == expected
+            triple = [(True, ("X", "Y", "Z"), (x, y, z))]
+            assert inference._conditioned_hold(fs, omega.n, triple, labeling) == expected
+            verdicts[expected] += 1
+            non_surjective += len(set(labeling)) < omega.n
+        assert min(verdicts.values()) >= 300 and non_surjective >= 300
 
 
 class TestSearchBounds:
@@ -1241,6 +1272,30 @@ class TestGridCheckOracle:
 # -- differential oracle: the dimension floor against walking every grid
 
 
+def _history_conditioned_hold(fs, rows, conditioned, labeling):
+    """The search's per-labeling check before it pushed masses forward:
+    every name pulled back through ``labeling`` by its row of block ids,
+    each conditioned triple decided by the block-by-block histories of its
+    first two names on the blocks of its third."""
+    pulled = {}
+    blocks_of = {}
+    for expected, names in conditioned:
+        for name in names:
+            if name not in pulled:
+                pulled[name] = tuple(map(rows[name].__getitem__, labeling))
+        x, y, z = names
+        if (blocks := blocks_of.get(z)) is None:
+            grouped = {}
+            for s, b in enumerate(pulled[z]):
+                grouped.setdefault(b, []).append(s)
+            blocks = blocks_of[z] = [tuple(b) for b in grouped.values()]
+        hx = structure.block_histories(fs, pulled[x], blocks)
+        hy = structure.block_histories(fs, pulled[y], blocks)
+        if expected == any(map(and_, hx, hy)):
+            return False
+    return True
+
+
 def _walk_every_grid(db, bounds, watched=()):
     """``inference._search`` before the dimension floor: every grid within
     the bounds is walked, whatever its dimension or size, no time budget.
@@ -1273,7 +1328,7 @@ def _walk_every_grid(db, bounds, watched=()):
             for f, h in walk:
                 if bounds.surjective_only and len(set(f)) != omega_n:
                     continue
-                if inference._conditioned_hold(fs, rows, conditioned, f):
+                if _history_conditioned_hold(fs, rows, conditioned, f):
                     yield fs, f, tuple(h >> at(x) * d & ((1 << d) - 1) for x in watched)
 
 
