@@ -98,7 +98,7 @@ def _header_line(
     if tokens[0] == count_keyword:
         if ground is not None:
             raise ParseError(origin, lineno, f"duplicate '{count_keyword}' line")
-        if len(tokens) != 2 or not tokens[1].isdecimal():
+        if len(tokens) != 2 or not (tokens[1].isascii() and tokens[1].isdecimal()):
             raise ParseError(
                 origin, lineno, f"'{count_keyword}' expects one count", tokens[-1]
             )

@@ -46,14 +46,16 @@ bits are grid coordinates, not the grid ``FactoredSet``'s factor order,
 but containment and equality do not depend on the order.
 
 A grid of dimension ``d`` gives every history ``d`` bits, so the ``| _``
-assertions also bound the dimension of any model from below: each asserted
-``dependent A B | _`` needs a coordinate in both histories, and two such
-pairs can share one only if their names together hold no asserted
-``orthogonal`` pair.  The search computes that floor exactly, once per
-database, and walks only the grids whose dimension reaches it and is not
-excluded as below (and, for surjective labelings only, whose size reaches
-the observation space's); a database whose ``| _`` assertions no masks
-can meet walks no grid.
+assertions also bound the dimension of any model from below.  Coordinate
+``j`` defines a region, the names whose histories hold ``j``: a region
+holds no asserted ``orthogonal A B | _`` pair and no name with one block
+or orthogonal to itself, and each asserted ``dependent A B | _`` needs one
+holding both.  So the floor is the least number of maximal regions that
+cover every dependent pair, and every larger dimension works too, as a
+coordinate may lie in no history.  The search computes these dimensions
+once per database and walks only their grids (and, for surjective
+labelings only, the sizes reaching the observation space's); a database
+whose ``| _`` assertions no regions can cover walks no grid.
 
 Conditioned assertions can rule out a dimension too, through Lemma D: let
 X and V be full partitions of a factored set and ``E`` a subset; if the
@@ -81,10 +83,11 @@ non-empty and disjoint, so in a 2-dimensional model ``h(X*) = {a}`` and
 ``h(V*|E)`` for every Y* block ``E``; the two conditioned orthogonalities
 keep both out of ``h(Z*|E)``, which is therefore empty for every ``E``,
 and ``dependent Z W | Y`` fails.  So such a strong pattern excludes
-dimension 2.  On masks the rule is exact: a name no ``dependent A B | _``
-names can have an empty history without breaking a ``| _`` assertion.
-ex2 is such a database: it has no model of dimension 2.  The argument
-forces only two coordinates, so it excludes no other dimension.
+dimension 2.  In region terms the rule is exact: a name of a dependent
+pair lies in some region, and any other name can lie in none without
+breaking a ``| _`` assertion.  ex2 is such a database: it has no model of
+dimension 2.  The argument forces only two coordinates, so it excludes no
+other dimension.
 
 Each conditioned assertion is decided per yielded labeling ``f`` by the
 fundamental theorem, on the observations.  The grid's generic masses
@@ -367,54 +370,6 @@ def _apart_table(
     ]
 
 
-def _dimension_floor(
-    disjoint: Sequence[tuple[int, int]],
-    meeting: Sequence[tuple[int, int]],
-    cap: int,
-) -> int | None:
-    """The least ``d <= cap`` for which ``d``-bit masks, one per row, can
-    keep every ``disjoint`` pair apart and make every ``meeting`` pair meet;
-    ``None`` if no ``d <= cap`` can.  A pair ``(k, k)`` reads "mask ``k`` is
-    empty" when disjoint and "mask ``k`` is not" when meeting.
-
-    Each meeting pair needs a coordinate both its masks hold.  Disjointness
-    is pairwise, so meeting pairs can share one coordinate exactly when
-    their rows together hold no disjoint pair: the floor is the chromatic
-    number of the graph joining meeting pairs that cannot share, and a
-    meeting pair whose own rows hold a disjoint pair meets in no dimension.
-    The colouring is exact, by backtracking, since a bound from a greedy
-    colouring could lie above the floor and skip a grid holding a model.
-    """
-    apart = {frozenset(pair) for pair in disjoint}
-
-    def clash(group: frozenset[int]) -> bool:
-        return any(frozenset((u, v)) in apart for u in group for v in group)
-
-    groups = list(dict.fromkeys(frozenset(pair) for pair in meeting))
-    if any(map(clash, groups)):
-        return None
-    # Per meeting pair, the earlier ones it cannot share a coordinate with.
-    conflicts = [
-        [u for u in range(v) if clash(groups[u] | groups[v])]
-        for v in range(len(groups))
-    ]
-    colour = [0] * len(groups)
-
-    def colourable(v: int, colours: int, used: int) -> bool:
-        """Whether pairs ``v..`` take colours below ``colours``, ``used`` so
-        far; a pair opens at most one new colour, as colours are symmetric."""
-        if v == len(groups):
-            return True
-        for c in range(min(colours, used + 1)):
-            if all(colour[u] != c for u in conflicts[v]):
-                colour[v] = c
-                if colourable(v + 1, colours, max(used, c + 1)):
-                    return True
-        return False
-
-    return next((d for d in range(cap + 1) if colourable(0, d, 0)), None)
-
-
 def _lemma_d_strong(x: Partition, v: Partition, y: Partition) -> bool:
     """Whether every Y* block a model can have meets a non-product set of
     (X*, V*) pairs, in every model where X* and V* are orthogonal and each
@@ -471,18 +426,47 @@ def _lemma_d_pairs(triples: Sequence[ResolvedTriple]) -> list[tuple[str, str]]:
     return pairs
 
 
-def _lemma_d_excludes(
-    meeting: Sequence[tuple[int, int]], patterns: Sequence[tuple[int, int]]
-) -> bool:
-    """Whether every mask assignment that makes each ``meeting`` pair meet,
-    as in ``_dimension_floor``, gives both rows of some pair in ``patterns``
-    a non-empty mask, given that such an assignment exists.
+def _model_dimensions(
+    disjoint: Sequence[tuple[int, int]],
+    meeting: Sequence[tuple[int, int]],
+    patterns: Sequence[tuple[int, int]],
+    cap: int,
+) -> set[int]:
+    """The dimensions ``d <= cap`` where ``d``-bit masks, one per row, can
+    keep every ``disjoint`` pair apart and make every ``meeting`` pair meet,
+    less 2 where a ``patterns`` pair excludes it by Lemma D.  A pair
+    ``(k, k)`` reads "mask ``k`` is empty" when disjoint and "mask ``k`` is
+    not" when meeting.
 
-    A row in a meeting pair is never empty; any other row can be emptied
-    without parting a meeting pair or joining a disjoint one.
+    Coordinate ``j`` gives a region, the rows whose masks hold ``j``; a
+    region holds no disjoint pair, and only ``forced``, the rows of meeting
+    pairs, need lie in one.  Masks exist in ``d`` bits exactly when ``d``
+    regions cover every meeting pair, and maximal regions cover as well as
+    any; every larger ``d`` works too, as a coordinate may lie in no region.
+    A forced row is never empty and any other can be emptied, so 2 goes
+    when both rows of some ``patterns`` pair are forced.
     """
-    forced = {k for pair in meeting for k in pair}
-    return any(x in forced and v in forced for x, v in patterns)
+    forced = 0
+    for a, b in meeting:
+        forced |= 1 << a | 1 << b
+    clashes = [1 << a | 1 << b for a, b in disjoint]
+    maximal: list[int] = []
+    r = forced
+    while True:  # the submasks of ``forced``, descending, so supersets first
+        if not any(c & r == c for c in clashes) and all(r & m != r for m in maximal):
+            maximal.append(r)
+        if not r:
+            break
+        r = r - 1 & forced
+    pairs = {1 << a | 1 << b for a, b in meeting}
+    for floor in range(cap + 1):
+        if any(
+            all(any(p & r == p for r in cover) for p in pairs)
+            for cover in itertools.combinations(maximal, floor)
+        ):
+            lemma_d = any(forced >> x & forced >> v & 1 for x, v in patterns)
+            return {d for d in range(floor, cap + 1) if not (lemma_d and d == 2)}
+    return set()
 
 
 def _grid_labelings(
@@ -607,9 +591,8 @@ def _search(
     asserted ``| _``, then per ``watched`` name not among them, each
     ``cap`` bits wide, where ``cap`` bounds the dimension of every grid
     within the bounds, so one ``_apart_table`` serves the whole search.  It
-    walks the grids whose dimension reaches ``_dimension_floor``, less
-    dimension 2 when both names of a strong Lemma D pattern are asserted
-    ``dependent A B | _``.  A grid it does not walk is not built either;
+    walks the grids whose dimension ``_model_dimensions`` returns.  A grid
+    it does not walk is not built either;
     with a time budget it reads the clock once, as the walk's first label
     would, so a spent budget truncates in the same size.
     """
@@ -634,9 +617,8 @@ def _search(
         cap = min(cap, bounds.max_dim)
     # A one-block name's row is all zeros, and its history always empty.
     empty = [(k, k) for k, row in enumerate(rows) if not any(row)]
-    floor = _dimension_floor(disjoint + empty, meeting, cap)
     patterns = [(at(x), at(v)) for x, v in _lemma_d_pairs(triples)]
-    lemma_d = _lemma_d_excludes(meeting, patterns)  # read only when floor <= 2
+    dims = _model_dimensions(disjoint + empty, meeting, patterns, cap)
     apart = _apart_table(rows, omega_n, cap)
     disjoint = [(a * cap, b * cap) for a, b in disjoint]
     meeting = [(a * cap, b * cap) for a, b in meeting]
@@ -647,8 +629,7 @@ def _search(
             d = len(ks)
             if d > cap:
                 continue
-            modelled = floor is not None and floor <= d and not (lemma_d and d == 2)
-            if not modelled or bounds.surjective_only and n < omega_n:
+            if d not in dims or bounds.surjective_only and n < omega_n:
                 # No model here: one clock read stands for the walk's first.
                 if deadline is not None and time.monotonic() > deadline:
                     yield Truncation(n)

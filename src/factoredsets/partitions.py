@@ -60,17 +60,16 @@ class GroundSet:
         return self.labels[i] if self.labels is not None else str(i)
 
     def index_of(self, token: str) -> int:
-        """Resolve a display token, a label if declared, else a decimal index."""
+        """Resolve a display token, a label if declared, else a decimal index
+        written in ASCII digits alone."""
         if self.labels is not None:
             try:
                 return self._label_index[token]
             except KeyError:
                 raise ValidationError(f"unknown element {token!r}") from None
-        try:
-            i = int(token)
-        except ValueError:
-            raise ValidationError(f"unknown element {token!r}") from None
-        return self.check_index(i)
+        if not (token.isascii() and token.isdecimal()):
+            raise ValidationError(f"unknown element {token!r}")
+        return self.check_index(int(token))
 
     def check_index(self, i: int) -> int:
         """``i`` itself if it indexes an element; negative indices do not wrap."""

@@ -19,8 +19,10 @@ atoms are the components; generating sets lie in it, are closed under
 supersets in it, and include the history.  Every subset keeps the whole set
 and the empty set closed, so there the components are the single factors.
 
-Histories are cached on the factored set by labeled domain, and both
-``cond_orthogonal`` and the model checker condition through ``block_histories``.
+Histories are cached on the factored set by labeled domain, and
+``cond_orthogonal`` conditions through ``block_histories``.  The model
+checker, ``inference.models_database``, reaches it only through
+``cond_orthogonal``; the model search reads no history here.
 
 Orthogonality and order between subpartitions with different domains are
 computed as the same raw history comparisons; whether that carries meaning is

@@ -690,6 +690,41 @@ class TestBadInputFiles:
         assert err == f"error: {bad}:1: '{keyword}' expects one count (at '\u00b2')\n"
 
     @pytest.mark.parametrize(
+        "name,keyword,argv",
+        [
+            ("bad.ffs", "set", ["dump", "{}"]),
+            ("bad.db", "omega", ["consistent", "--db", "{}", "--max-size", "2"]),
+        ],
+    )
+    def test_non_ascii_digit_count(self, capsys, tmp_path, name, keyword, argv):
+        # str.isdecimal and int() both accept an Arabic-Indic three.
+        bad = tmp_path / name
+        bad.write_text(f"{keyword} \u0663\n", encoding="utf-8")
+        code, out, err = run(capsys, *[a.format(bad) for a in argv])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {bad}:1: '{keyword}' expects one count (at '\u0663')\n"
+
+    @pytest.mark.parametrize("token", ["+1", "-0", "1_0", "\u0663"])
+    def test_element_token_not_in_ascii_digits(self, capsys, tmp_path, token):
+        # int() reads each as an index: 1, 0, 10 and 3.
+        bad = tmp_path / "bad.ffs"
+        bad.write_text(f"set 4\nfactor X {{ 0 {token} | 2 3 }}\n", encoding="utf-8")
+        code, out, err = run(capsys, "dump", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {bad}:2: unknown element {token!r}\n"
+
+    @pytest.mark.parametrize("token", ["+0", "-0", "0_1", "\u0663"])
+    def test_event_token_not_in_ascii_digits(self, capsys, tmp_path, token):
+        unlabeled = tmp_path / "grid.ffs"
+        unlabeled.write_text("set 4\nfactor X { 0 1 | 2 3 }\nfactor V { 0 2 | 1 3 }\n")
+        code, out, err = run(capsys, "orth", str(unlabeled), "X", "V", "--event", token)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: unknown element {token!r}\n"
+
+    @pytest.mark.parametrize(
         "argv",
         [["history", "{}", "--partition", "X"], ["dump", "{}"]],
     )

@@ -1,9 +1,11 @@
+import collections
 import itertools
 import math
 import random
 from dataclasses import replace
 from functools import lru_cache
 from operator import and_, itemgetter
+from typing import Sequence
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -1444,19 +1446,35 @@ def _unconditional_rows(db):
     return masked, pairs[True] + empty, pairs[False]
 
 
+def _model_floor(disjoint, meeting, cap):
+    """The least dimension ``_model_dimensions`` returns with no pattern,
+    ``None`` if it returns none."""
+    return min(inference._model_dimensions(disjoint, meeting, (), cap), default=None)
+
+
+def _excludes_two(disjoint, meeting, patterns):
+    """Whether the patterns take dimension 2 from ``_model_dimensions``,
+    where it is there without them."""
+    assert 2 in inference._model_dimensions(disjoint, meeting, (), 2)
+    return 2 not in inference._model_dimensions(disjoint, meeting, patterns, 2)
+
+
 def _floor(db, max_size):
     """The floor ``_search`` computes for ``db`` at ``max_size``."""
     _, disjoint, meeting = _unconditional_rows(db)
-    return inference._dimension_floor(disjoint, meeting, max_size.bit_length() - 1)
+    return _model_floor(disjoint, meeting, max_size.bit_length() - 1)
 
 
 def _excluded(db):
     """The dimensions ``_search`` excludes for ``db`` by Lemma D."""
-    masked, _, meeting = _unconditional_rows(db)
+    masked, disjoint, meeting = _unconditional_rows(db)
     at = masked.index
     pairs = inference._lemma_d_pairs(db.resolved_triples())
     patterns = [(at(x), at(v)) for x, v in pairs]
-    return frozenset({2} if inference._lemma_d_excludes(meeting, patterns) else ())
+    return frozenset(
+        inference._model_dimensions(disjoint, meeting, (), 2)
+        - inference._model_dimensions(disjoint, meeting, patterns, 2)
+    )
 
 
 # -- one reference stream per test database, shared by the oracles above
@@ -1511,6 +1529,56 @@ def _brute_floor(rows, disjoint, meeting, cap):
     return None
 
 
+# The floor as the search computed it before regions: an exact colouring of
+# the meeting pairs that cannot share a coordinate.  Kept as a reference.
+def _colouring_floor(
+    disjoint: Sequence[tuple[int, int]],
+    meeting: Sequence[tuple[int, int]],
+    cap: int,
+) -> int | None:
+    """The least ``d <= cap`` for which ``d``-bit masks, one per row, can
+    keep every ``disjoint`` pair apart and make every ``meeting`` pair meet;
+    ``None`` if no ``d <= cap`` can.  A pair ``(k, k)`` reads "mask ``k`` is
+    empty" when disjoint and "mask ``k`` is not" when meeting.
+
+    Each meeting pair needs a coordinate both its masks hold.  Disjointness
+    is pairwise, so meeting pairs can share one coordinate exactly when
+    their rows together hold no disjoint pair: the floor is the chromatic
+    number of the graph joining meeting pairs that cannot share, and a
+    meeting pair whose own rows hold a disjoint pair meets in no dimension.
+    The colouring is exact, by backtracking, since a bound from a greedy
+    colouring could lie above the floor and skip a grid holding a model.
+    """
+    apart = {frozenset(pair) for pair in disjoint}
+
+    def clash(group: frozenset[int]) -> bool:
+        return any(frozenset((u, v)) in apart for u in group for v in group)
+
+    groups = list(dict.fromkeys(frozenset(pair) for pair in meeting))
+    if any(map(clash, groups)):
+        return None
+    # Per meeting pair, the earlier ones it cannot share a coordinate with.
+    conflicts = [
+        [u for u in range(v) if clash(groups[u] | groups[v])]
+        for v in range(len(groups))
+    ]
+    colour = [0] * len(groups)
+
+    def colourable(v: int, colours: int, used: int) -> bool:
+        """Whether pairs ``v..`` take colours below ``colours``, ``used`` so
+        far; a pair opens at most one new colour, as colours are symmetric."""
+        if v == len(groups):
+            return True
+        for c in range(min(colours, used + 1)):
+            if all(colour[u] != c for u in conflicts[v]):
+                colour[v] = c
+                if colourable(v + 1, colours, max(used, c + 1)):
+                    return True
+        return False
+
+    return next((d for d in range(cap + 1) if colourable(0, d, 0)), None)
+
+
 class TestDimensionFloor:
     """Skipping the grids below the floor changes nothing the search yields."""
 
@@ -1544,10 +1612,45 @@ class TestDimensionFloor:
                         disjoint.append(pair)
                     if 0.45 <= draw < 0.8:
                         meeting.append(pair)
-            floor = inference._dimension_floor(disjoint, meeting, 3)
+            floor = _model_floor(disjoint, meeting, 3)
             assert floor == _brute_floor(rows, disjoint, meeting, 3), (disjoint, meeting)
             seen.add(floor)
         assert seen == {0, 1, 2, 3, None}
+
+    def test_matches_the_colouring(self):
+        # Up to 7 rows and 4 bits, too many for ``_brute_floor``: the regions
+        # against the colouring the search used before them, and the Lemma D
+        # rule as the search read it then, on the forced rows alone.
+        rng = random.Random(29)
+        seen = collections.Counter()
+        for _ in range(3000):
+            rows, cap = rng.randint(1, 7), min(4, rng.randint(0, 7))
+            split = rng.random()  # the share of pairs of two rows kept apart
+            disjoint, meeting = [], []
+            for a in range(rows):
+                for b in range(a, rows):
+                    pair = (a, b) if rng.random() < 0.5 else (b, a)
+                    apart, meet = (0.03, 0.5) if a == b else (split, 0.2)
+                    draw = rng.random()
+                    if draw < apart or 0.98 < draw:
+                        disjoint.append(pair)
+                    if apart <= draw < apart + meet or 0.98 < draw:
+                        meeting.append(pair)
+            patterns = [
+                tuple(rng.sample(range(rows), 2)) for _ in range(rng.randint(0, 3))
+            ] if rows > 1 else []
+            floor = _colouring_floor(disjoint, meeting, cap)
+            forced = {k for pair in meeting for k in pair}
+            excluded = any(x in forced and v in forced for x, v in patterns)
+            expected = set() if floor is None else set(range(floor, cap + 1))
+            if excluded:
+                expected.discard(2)
+            dims = inference._model_dimensions(disjoint, meeting, patterns, cap)
+            assert dims == expected, (disjoint, meeting, patterns, cap)
+            seen[floor] += 1
+            seen["2 excluded"] += excluded and floor is not None and floor <= 2 <= cap
+        assert min(seen[floor] for floor in (0, 1, 2, 3, 4, None)) >= 30, seen
+        assert seen["2 excluded"] >= 30, seen
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
     def test_ex2_truncates_in_the_size_it_enters(self, ex2, expire_budget_in_size, size):
@@ -1727,12 +1830,12 @@ class TestLemmaDExclusion:
                         disjoint.append((a, b))
                     if 0.3 <= draw < 0.75:
                         meeting.append((a, b))
-            if inference._dimension_floor(disjoint, meeting, 2) is None:
+            if _model_floor(disjoint, meeting, 2) is None:
                 continue
             patterns = [
                 tuple(rng.sample(range(rows), 2)) for _ in range(rng.randint(1, 8))
             ]
-            excluded = inference._lemma_d_excludes(meeting, patterns)
+            excluded = _excludes_two(disjoint, meeting, patterns)
             brute = _brute_excluded(rows, disjoint, meeting, patterns)
             assert excluded == bool(brute), (disjoint, meeting, patterns)
             seen.append(excluded)
@@ -1740,7 +1843,7 @@ class TestLemmaDExclusion:
 
     def test_no_pattern_excludes_nothing(self):
         assert _brute_excluded(2, [(0, 1)], [(0, 0), (1, 1)], []) == set()
-        assert not inference._lemma_d_excludes([(0, 0), (1, 1)], [])
+        assert not _excludes_two([(0, 1)], [(0, 0), (1, 1)], [])
 
     def test_a_seventh_pattern_counts(self):
         # Rows 0-3 are in meeting pairs and 4 and 5 are not: the first six
@@ -1748,11 +1851,11 @@ class TestLemmaDExclusion:
         # holds rows 2 and 3, which cannot.
         disjoint, meeting = [(0, 4), (4, 5)], [(0, 1), (2, 3)]
         patterns = [(0, 4), (1, 4), (2, 4), (3, 4), (0, 5), (1, 5), (2, 3)]
-        assert inference._dimension_floor(disjoint, meeting, 2) is not None
+        assert _model_floor(disjoint, meeting, 2) is not None
         for count, excluded in ((6, set()), (7, {2})):
             first = patterns[:count]
             assert _brute_excluded(6, disjoint, meeting, first) == excluded
-            assert inference._lemma_d_excludes(meeting, first) == bool(excluded)
+            assert _excludes_two(disjoint, meeting, first) == bool(excluded)
 
     def test_ex2_pattern_in_either_order(self):
         # Swapping the first two names of every assertion finds the same pair.

@@ -68,6 +68,14 @@ class TestGroundSet:
         assert unlabeled.index_of("2") == 2
         with pytest.raises(ValidationError):
             unlabeled.index_of("3")
+        assert unlabeled.index_of("01") == 1
+
+    @pytest.mark.parametrize("token", ["+1", "-0", "1_0", "\u0663", " 1", "1\n"])
+    def test_index_tokens_are_ascii_digits(self, token):
+        # int() accepts each of these: a sign, an underscore, a non-ASCII
+        # digit (Arabic-Indic three) and surrounding whitespace.
+        with pytest.raises(ValidationError, match="unknown element"):
+            GroundSet(11).index_of(token)
 
     def test_labels_do_not_affect_equality(self):
         assert GroundSet(2, ("a", "b")) == GroundSet(2)
