@@ -49,6 +49,7 @@ from .partitions import (
     ValidationError,
     bell_number,
     format_partition,
+    is_ascii_digits,
     iter_partitions,
     partition_of_rank,
 )
@@ -463,6 +464,24 @@ def _cmd_counterfactable(args) -> tuple[int, dict, list[str]]:
 # -- parser ------------------------------------------------------------------
 
 
+def _integer(text: str) -> int:
+    """An integer argument: an optional ``-`` and ASCII digits.  A negative
+    value parses, so each command's range check names it."""
+    if not is_ascii_digits(text.removeprefix("-")):
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}")
+    return int(text)
+
+
+def _seconds(text: str) -> float:
+    """A ``float`` argument written in ASCII without ``_``."""
+    try:
+        if text.isascii() and "_" not in text:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid number of seconds: {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="factoredsets",
@@ -476,11 +495,11 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("count-fact", _cmd_count_fact, "count the factorizations of an n-element set")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_integer)
 
     p = command("enum-fact", _cmd_enum_fact, "list the factorizations of an n-element set")
-    p.add_argument("n", type=int)
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("n", type=_integer)
+    p.add_argument("--limit", type=_integer, default=None)
 
     p = command("history", _cmd_history, "smallest factor set generating a partition")
     p.add_argument("file")
@@ -513,11 +532,11 @@ def build_parser() -> argparse.ArgumentParser:
         "ft-verify", _cmd_ft_verify,
         "sweep orthogonality vs. polynomial identity vs. sampled independence",
     )
-    p.add_argument("--max-size", type=int, default=4, dest="max_size")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--max-size", type=_integer, default=4, dest="max_size")
+    p.add_argument("--seed", type=_integer, default=DEFAULT_SEED)
+    p.add_argument("--trials", type=_integer, default=5)
     p.add_argument(
-        "--sample", type=int, default=None,
+        "--sample", type=_integer, default=None,
         help="cap on partition triples per factorization (default: exhaustive)",
     )
 
@@ -531,10 +550,10 @@ def build_parser() -> argparse.ArgumentParser:
     consistent = command("consistent", _cmd_consistent, "search for any model of a database")
     consistent.add_argument("--db", required=True)
     for p in (infer, consistent):
-        p.add_argument("--max-size", type=int, required=True, dest="max_size")
-        p.add_argument("--max-dim", type=int, default=None, dest="max_dim")
+        p.add_argument("--max-size", type=_integer, required=True, dest="max_size")
+        p.add_argument("--max-dim", type=_integer, default=None, dest="max_dim")
         p.add_argument("--surjective", action="store_true")
-        p.add_argument("--time-budget", type=float, default=None, dest="time_budget")
+        p.add_argument("--time-budget", type=_seconds, default=None, dest="time_budget")
     infer.add_argument(
         "--non-strict", action="store_true",
         help="test history containment instead of strict containment",

@@ -29,6 +29,7 @@ from .partitions import (
     Partition,
     ValidationError,
     format_partition,
+    is_ascii_digits,
     parse_partition,
     resolve_name,
 )
@@ -98,7 +99,7 @@ def _header_line(
     if tokens[0] == count_keyword:
         if ground is not None:
             raise ParseError(origin, lineno, f"duplicate '{count_keyword}' line")
-        if len(tokens) != 2 or not (tokens[1].isascii() and tokens[1].isdecimal()):
+        if len(tokens) != 2 or not is_ascii_digits(tokens[1]):
             raise ParseError(
                 origin, lineno, f"'{count_keyword}' expects one count", tokens[-1]
             )
@@ -302,10 +303,19 @@ def parse_distribution_text(
         j = index[name]
         if j in rows:
             raise ParseError(origin, lineno, f"duplicate weights for factor {name!r}", name)
-        try:
-            rows[j] = tuple(Fraction(tok) for tok in tokens[2:])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(origin, lineno, f"bad fraction: {exc}") from None
+        weights = []
+        for tok in tokens[2:]:
+            # ``p`` or ``p/q`` in ASCII digits: ``Fraction`` alone would also
+            # read signs, decimals, exponents, ``_`` and other scripts' digits.
+            num, slash, den = tok.partition("/")
+            try:
+                if is_ascii_digits(num) and (is_ascii_digits(den) or not slash):
+                    weights.append(Fraction(tok))
+                    continue
+            except (ValueError, ZeroDivisionError):  # too many digits, or q is 0
+                pass
+            raise ParseError(origin, lineno, f"bad fraction: {tok!r}")
+        rows[j] = tuple(weights)
     missing = [fsf.factor_names[j] for j in range(fs.dim) if j not in rows]
     if missing:
         raise ParseError(origin, 1, f"missing weights for factor {missing[0]!r}")

@@ -111,6 +111,7 @@ witness and counterexample through histories.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -206,7 +207,7 @@ class Model:
 def pullback(model: Model, part: Partition) -> Partition:
     """Preimage partition on the model's elements; empty preimages vanish."""
     require_full(model.omega, part)
-    pulled = map(part.block_ids.__getitem__, model.labeling)  # as the search pulls back
+    pulled = map(part.block_ids.__getitem__, model.labeling)
     return Partition.from_block_of(model.factored.ground, dict(enumerate(pulled)))
 
 
@@ -299,49 +300,32 @@ class Truncation:
 
 
 @lru_cache(maxsize=None)
-def _grid_automorphisms(n: int, ks: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Ground permutations preserving the reference grid factorization.
-
-    Generated as all combinations of permutations of equal-block-count
-    factor positions with per-factor block relabelings; the identity is
-    first.
-    """
-    d = len(ks)
-    strides = mixed_radix_strides(ks)
-    digits = list(itertools.product(*map(range, ks)))  # element s has digits[s]
-    perms = []
-    for sigma in itertools.permutations(range(d)):
-        if any(ks[sigma[j]] != ks[j] for j in range(d)):
-            continue
-        for rhos in itertools.product(
-            *(itertools.permutations(range(k)) for k in ks)
-        ):
-            perms.append(
-                tuple(
-                    sum(rhos[j][ds[j]] * strides[sigma[j]] for j in range(d))
-                    for ds in digits
-                )
-            )
-    return tuple(perms)
-
-
-@lru_cache(maxsize=None)
-def _walk_chains(n: int, ks: tuple[int, ...]) -> tuple[tuple, ...]:
+def _walk_chains(ks: tuple[int, ...]) -> tuple[tuple, ...]:
     """Per automorphism the walk compares against, its comparisons as a chain.
 
-    Those automorphisms are the non-identity grid automorphisms, or on one
-    factor the ``n - 1`` adjacent transpositions, which leave exactly the
-    sorted labelings.  A node ``(j, p[j], depth, next)`` compares ``f[j]``
-    with ``f[p[j]]``; its depth ``max(j, p[j])`` is the first at which both
-    are placed.  Nodes follow the moved positions ``j`` ascending, leaving
-    out each ``j`` whose pair ``(p[j], j)`` an earlier node already
-    compared: that is ``p[j] < j`` with ``p[p[j]] == j``, and the walk
-    reaches ``j`` only once it was equal.
+    Those automorphisms are the grid's non-identity ones, each a
+    permutation ``sigma`` of equal-block-count factors composed with block
+    relabelings ``rhos``, or on one factor the ``n - 1`` adjacent
+    transpositions, which leave exactly the sorted labelings.  A node
+    ``(j, p[j], depth, next)`` compares ``f[j]`` with ``f[p[j]]``; its depth
+    ``max(j, p[j])`` is the first at which both are placed.  Nodes follow
+    the moved positions ``j`` ascending, leaving out each ``j`` whose pair
+    ``(p[j], j)`` an earlier node already compared: that is ``p[j] < j``
+    with ``p[p[j]] == j``, and the walk reaches ``j`` only once it was equal.
     """
-    if ks == (n,):
+    n = math.prod(ks)
+    d = len(ks)
+    if d == 1:
         auts = [[*range(j), j + 1, j, *range(j + 2, n)] for j in range(n - 1)]
     else:
-        auts = _grid_automorphisms(n, ks)[1:]
+        strides = mixed_radix_strides(ks)
+        digits = list(itertools.product(*map(range, ks)))  # element s has digits[s]
+        auts = [
+            [sum(rhos[j][ds[j]] * strides[sigma[j]] for j in range(d)) for ds in digits]
+            for sigma in itertools.permutations(range(d))
+            if all(ks[sigma[j]] == ks[j] for j in range(d))
+            for rhos in itertools.product(*map(itertools.permutations, map(range, ks)))
+        ][1:]  # the identity comes first
     chains = []
     for p in auts:
         node = None
@@ -443,6 +427,9 @@ def _model_dimensions(
     pairs, need lie in one.  Masks exist in ``d`` bits exactly when ``d``
     regions cover every meeting pair, and maximal regions cover as well as
     any; every larger ``d`` works too, as a coordinate may lie in no region.
+    Only ``clashing``, the rows of disjoint pairs of forced rows, can keep a
+    forced row out of a region, so the walk runs over the submasks of
+    ``clashing`` alone and every other forced row joins each maximal region.
     A forced row is never empty and any other can be emptied, so 2 goes
     when both rows of some ``patterns`` pair are forced.
     """
@@ -450,14 +437,19 @@ def _model_dimensions(
     for a, b in meeting:
         forced |= 1 << a | 1 << b
     clashes = [1 << a | 1 << b for a, b in disjoint]
+    clashes = [c for c in clashes if c & forced == c]
+    clashing = 0
+    for c in clashes:
+        clashing |= c
     maximal: list[int] = []
-    r = forced
-    while True:  # the submasks of ``forced``, descending, so supersets first
+    r = clashing
+    while True:  # the submasks of ``clashing``, descending, so supersets first
         if not any(c & r == c for c in clashes) and all(r & m != r for m in maximal):
             maximal.append(r)
         if not r:
             break
-        r = r - 1 & forced
+        r = r - 1 & clashing
+    maximal = [r | forced & ~clashing for r in maximal]
     pairs = {1 << a | 1 << b for a, b in meeting}
     for floor in range(cap + 1):
         if any(
@@ -478,8 +470,9 @@ def _grid_labelings(
     meeting: Sequence[tuple[int, int]] = (),
     deadline: float | None = None,
 ) -> Iterator[tuple[tuple[int, ...], int] | None]:
-    """The labelings no larger than their image under any automorphism of
-    ``_walk_chains(n, ks)``, in order, each with its history masks.
+    """The labelings no larger than their image under each automorphism that
+    ``_walk_chains(ks)`` holds a chain for, in order, each with its history
+    masks.
 
     Labels are tried in ascending order at each position.  Each automorphism
     ``p`` still tied with the prefix ``f`` waits, in ``waiting[depth]``, at
@@ -512,7 +505,7 @@ def _grid_labelings(
         for i in range(n)
     ]
     waiting: list[list[tuple]] = [[] for _ in range(n)]
-    for chain in _walk_chains(n, ks):
+    for chain in _walk_chains(ks):
         waiting[chain[2]].append(chain)
     filed: list[list[int]] = [[] for _ in range(n)]  # per depth, lists appended to
     f = [-1] * n

@@ -12,9 +12,10 @@ of its smallest member.  Two partitions are equal exactly when their domains
 and block-id sequences are equal, which makes values hashable and cheap to
 deduplicate.
 
-The layers above share three helpers from here: the full-partition guard,
+The layers above share four helpers from here: the full-partition guard,
 the block-triple identity that independence and polynomial divisibility
-decide with their own element weights, and the ``_``/``!`` name resolver.
+decide with their own element weights, the ``_``/``!`` name resolver, and
+the one rule for numbers written as text, ``is_ascii_digits``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,13 @@ from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
 class ValidationError(ValueError):
     """A value failed its structural invariants."""
+
+
+def is_ascii_digits(token: str) -> bool:
+    """Whether ``token`` is one or more ASCII digits, the one form a count,
+    an element index or a weight's numerator and denominator take in text;
+    ``int()`` would also read signs, ``_`` and other scripts' digits."""
+    return token.isascii() and token.isdecimal()
 
 
 @dataclass(frozen=True)
@@ -67,7 +75,7 @@ class GroundSet:
                 return self._label_index[token]
             except KeyError:
                 raise ValidationError(f"unknown element {token!r}") from None
-        if not (token.isascii() and token.isdecimal()):
+        if not is_ascii_digits(token):
             raise ValidationError(f"unknown element {token!r}")
         return self.check_index(int(token))
 

@@ -119,9 +119,14 @@ def history(fs: FactoredSet, part: Partition) -> int:
 def block_histories(
     fs: FactoredSet, labels: Labels, blocks: Iterable[tuple[int, ...]]
 ) -> Iterator[int]:
-    """Lazily, per ascending block, the history of ``s -> labels[s]`` on that block."""
+    """Lazily, per ascending block, the history of ``s -> labels[s]`` on that block.
+
+    Each block's labels are renumbered in restricted-growth order, the key
+    ``history`` gives the same subpartition, so both share one cache entry.
+    """
     for b in blocks:
-        sub = labels if len(b) == len(labels) else tuple(map(labels.__getitem__, b))
+        relabel: dict[int, int] = {}
+        sub = tuple(relabel.setdefault(labels[s], len(relabel)) for s in b)
         yield _labeled_history(fs, b, sub)
 
 

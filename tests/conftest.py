@@ -8,8 +8,10 @@ reproducibility.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+from functools import lru_cache
 from typing import Iterator
 
 import pytest
@@ -51,6 +53,39 @@ def brute_history(fs: FactoredSet, part: Partition) -> int:
         if stable and join.restrict(dom).refines(part):
             h &= mask
     return h
+
+
+@lru_cache(maxsize=None)
+def _old_grid_automorphisms(n, ks):
+    """Grid automorphisms as first written: runs of equal block counts, digit formula.
+
+    The tests' reference group, built apart from the search's own chains:
+    the Burnside count and the canonicity filters read it.  The identity is
+    first.
+    """
+    d = len(ks)
+    strides = [math.prod(ks[j + 1:]) for j in range(d)]
+    runs = []
+    for j in range(d):
+        if runs and ks[runs[-1][0]] == ks[j]:
+            runs[-1].append(j)
+        else:
+            runs.append([j])
+    digits = [tuple((s // strides[j]) % ks[j] for j in range(d)) for s in range(n)]
+    perms = []
+    for placed_runs in itertools.product(*(itertools.permutations(r) for r in runs)):
+        sigma = [0] * d
+        for run, placed in zip(runs, placed_runs):
+            for j, target in zip(run, placed):
+                sigma[j] = target
+        for rhos in itertools.product(*(itertools.permutations(range(k)) for k in ks)):
+            perms.append(
+                tuple(
+                    sum(rhos[j][digits[s][j]] * strides[sigma[j]] for j in range(d))
+                    for s in range(n)
+                )
+            )
+    return tuple(perms)
 
 
 def iter_coarsenings(part: Partition) -> Iterator[Partition]:

@@ -615,6 +615,33 @@ class TestReports:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count-fact", "\u0663"],  # an Arabic-Indic three
+            ["count-fact", "1_2"],
+            ["count-fact", "+3"],
+            ["enum-fact", "4", "--limit", "1_0"],
+            ["infer", "--db", DB1, "--before", "X", "Y", "--max-size", "\u0664"],
+            ["infer", "--db", DB1, "--before", "X", "Y", "--max-size", "4",
+             "--max-dim", "\u0662"],
+            ["consistent", "--db", DB1, "--max-size", "2", "--time-budget", "\u0661"],
+            ["consistent", "--db", DB1, "--max-size", "2", "--time-budget", "1_0"],
+            ["ft-verify", "--max-size", "2", "--seed", "1_0"],
+            ["ft-verify", "--max-size", "2", "--trials", "\u0661"],
+            ["ft-verify", "--max-size", "2", "--sample", "1_0"],
+        ],
+    )
+    def test_numbers_in_ascii_digits_only(self, capsys, argv):
+        # ``int`` and ``float`` read each of these.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        kind = "number of seconds" if argv[-2] == "--time-budget" else "integer"
+        assert err.endswith(f": invalid {kind}: {argv[-1]!r}\n")
+
     def test_negative_enum_fact_limit_exits_2(self, capsys):
         code, out, err = run(capsys, "enum-fact", "4", "--limit", "-1")
         assert code == 2
@@ -1073,12 +1100,12 @@ def _statement_per_handler_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count-fact", help="count the factorizations of an n-element set")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=cli._integer)
     p.set_defaults(handler=cli._cmd_count_fact)
 
     p = sub.add_parser("enum-fact", help="list the factorizations of an n-element set")
-    p.add_argument("n", type=int)
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("n", type=cli._integer)
+    p.add_argument("--limit", type=cli._integer, default=None)
     p.set_defaults(handler=cli._cmd_enum_fact)
 
     p = sub.add_parser("history", help="smallest factor set generating a partition")
@@ -1117,11 +1144,11 @@ def _statement_per_handler_parser():
         "ft-verify",
         help="sweep orthogonality vs. polynomial identity vs. sampled independence",
     )
-    p.add_argument("--max-size", type=int, default=4, dest="max_size")
-    p.add_argument("--seed", type=int, default=cli.DEFAULT_SEED)
-    p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--max-size", type=cli._integer, default=4, dest="max_size")
+    p.add_argument("--seed", type=cli._integer, default=cli.DEFAULT_SEED)
+    p.add_argument("--trials", type=cli._integer, default=5)
     p.add_argument(
-        "--sample", type=int, default=None,
+        "--sample", type=cli._integer, default=None,
         help="cap on partition triples per factorization (default: exhaustive)",
     )
     p.set_defaults(handler=cli._cmd_ft_verify)
@@ -1134,10 +1161,10 @@ def _statement_per_handler_parser():
     p = sub.add_parser("infer", help="temporal inference over all models within bounds")
     p.add_argument("--db", required=True)
     p.add_argument("--before", nargs=2, metavar=("A", "B"), required=True)
-    p.add_argument("--max-size", type=int, required=True, dest="max_size")
-    p.add_argument("--max-dim", type=int, default=None, dest="max_dim")
+    p.add_argument("--max-size", type=cli._integer, required=True, dest="max_size")
+    p.add_argument("--max-dim", type=cli._integer, default=None, dest="max_dim")
     p.add_argument("--surjective", action="store_true")
-    p.add_argument("--time-budget", type=float, default=None, dest="time_budget")
+    p.add_argument("--time-budget", type=cli._seconds, default=None, dest="time_budget")
     p.add_argument(
         "--non-strict", action="store_true",
         help="test history containment instead of strict containment",
@@ -1146,10 +1173,10 @@ def _statement_per_handler_parser():
 
     p = sub.add_parser("consistent", help="search for any model of a database")
     p.add_argument("--db", required=True)
-    p.add_argument("--max-size", type=int, required=True, dest="max_size")
-    p.add_argument("--max-dim", type=int, default=None, dest="max_dim")
+    p.add_argument("--max-size", type=cli._integer, required=True, dest="max_size")
+    p.add_argument("--max-dim", type=cli._integer, default=None, dest="max_dim")
     p.add_argument("--surjective", action="store_true")
-    p.add_argument("--time-budget", type=float, default=None, dest="time_budget")
+    p.add_argument("--time-budget", type=cli._seconds, default=None, dest="time_budget")
     p.set_defaults(handler=cli._cmd_consistent)
 
     p = sub.add_parser("observes", help="observation predicates for an agent partition")

@@ -395,3 +395,25 @@ class TestDistributionFiles:
             parse_distribution_text(text, ex1.file, "bad.dist")
         assert str(exc.value).startswith(f"bad.dist:{lineno}: {message}")
         assert exc.value.lineno == lineno
+
+    @pytest.mark.parametrize(
+        "weight,rest",
+        [
+            ("\u0663/6", "1/2"),  # an Arabic-Indic three
+            ("1_5/30", "1/2"),
+            ("0.5", "1/2"),
+            ("1e-1", "9/10"),
+            ("+1/2", "1/2"),
+            ("-1/2", "3/2"),
+        ],
+    )
+    def test_weight_not_p_or_p_over_q_in_ascii_digits(self, ex1, weight, rest):
+        # ``Fraction`` reads each of these, and each pair sums to 1.
+        text = f"weights V 1/2 1/2\nweights X {weight} {rest}\n"
+        with pytest.raises(ParseError) as exc:
+            parse_distribution_text(text, ex1.file, "bad.dist")
+        assert str(exc.value) == f"bad.dist:2: bad fraction: {weight!r}"
+
+    def test_weights_p_and_p_over_q(self, ex1):
+        dist = parse_distribution_text("weights X 1 0\nweights V 01/4 3/04\n", ex1.file)
+        assert dist.weights == ((1, 0), (Fraction(1, 4), Fraction(3, 4)))

@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import random
+import time
 from dataclasses import replace
 from functools import lru_cache
 from operator import and_, itemgetter
@@ -38,7 +39,7 @@ from factoredsets import (
 )
 from factoredsets import inference, polynomial, structure
 from factoredsets.partitions import block_triple_identity
-from conftest import brute_history, random_partition
+from conftest import _old_grid_automorphisms, brute_history, random_partition
 
 
 def _two_bit_db(**kwargs):
@@ -705,33 +706,6 @@ class TestCompleteness:
 # -- differential oracle: the pruned search against the unpruned one it replaced
 
 
-def _old_grid_automorphisms(n, ks):
-    """Grid automorphisms as first written: runs of equal block counts, digit formula."""
-    d = len(ks)
-    strides = [math.prod(ks[j + 1:]) for j in range(d)]
-    runs = []
-    for j in range(d):
-        if runs and ks[runs[-1][0]] == ks[j]:
-            runs[-1].append(j)
-        else:
-            runs.append([j])
-    digits = [tuple((s // strides[j]) % ks[j] for j in range(d)) for s in range(n)]
-    perms = []
-    for placed_runs in itertools.product(*(itertools.permutations(r) for r in runs)):
-        sigma = [0] * d
-        for run, placed in zip(runs, placed_runs):
-            for j, target in zip(run, placed):
-                sigma[j] = target
-        for rhos in itertools.product(*(itertools.permutations(range(k)) for k in ks)):
-            perms.append(
-                tuple(
-                    sum(rhos[j][digits[s][j]] * strides[sigma[j]] for j in range(d))
-                    for s in range(n)
-                )
-            )
-    return tuple(perms)
-
-
 def _old_grid_labelings(n, omega_n, auts):
     """The walk before it kept history masks: lex-leader comparisons alone."""
     f = [-1] * n
@@ -776,7 +750,7 @@ def _old_search_models(db, bounds):
             if ks == (n,):
                 candidates = itertools.combinations_with_replacement(range(omega_n), n)
             else:
-                auts = inference._grid_automorphisms(n, ks)[1:]
+                auts = _old_grid_automorphisms(n, ks)[1:]
                 candidates = _old_grid_labelings(n, omega_n, auts)
             for f in candidates:
                 if bounds.surjective_only and len(set(f)) != omega_n:
@@ -927,14 +901,6 @@ class TestSearchOracle:
         assert events.count("expired read") == 1
         assert "check" not in events[events.index("expired read"):]
 
-    def test_grid_automorphisms_match_the_old_construction(self):
-        for n in range(2, 17):
-            for ks in inference.factor_size_multisets(n):
-                if ks != (n,):
-                    assert inference._grid_automorphisms(n, ks) == (
-                        _old_grid_automorphisms(n, ks)
-                    )
-
 
 def _old_infer_before(db, models, first, second, strict):
     """``infer_before`` before the walk watched its names, over a model stream.
@@ -1058,7 +1024,7 @@ class TestWalkCountOracle:
         ]
         assert grids == [(4, (2, 2)), (6, (2, 3)), (8, (2, 2, 2)), (8, (2, 4))]
         for n, ks in grids:
-            auts = inference._grid_automorphisms(n, ks)
+            auts = _old_grid_automorphisms(n, ks)
             cycles = [_cycle_count(p) for p in auts]
             for omega_n in range(1, 5):
                 orbits, rest = divmod(sum(omega_n**c for c in cycles), len(auts))
@@ -1150,7 +1116,7 @@ def _restriction_tables(n, ks):
     ``[0, i)`` other than the identity; entry ``n`` is every non-identity
     automorphism.
     """
-    auts = inference._grid_automorphisms(n, ks)[1:]
+    auts = _old_grid_automorphisms(n, ks)[1:]
     tables = []
     for i in range(n + 1):
         restrictions = dict.fromkeys(p[:i] for p in auts if max(p[:i], default=-1) < i)
@@ -1239,7 +1205,7 @@ def _grid_models(name, n, ks):
 
 def _search_accepts(name, n, ks, labeling):
     """Whether the search yields the least labeling in the orbit of ``labeling``."""
-    orbit = (tuple(labeling[s] for s in p) for p in inference._grid_automorphisms(n, ks))
+    orbit = (tuple(labeling[s] for s in p) for p in _old_grid_automorphisms(n, ks))
     return min(orbit) in _grid_models(name, n, ks)
 
 
@@ -1620,9 +1586,27 @@ class TestDimensionFloor:
     def test_matches_the_colouring(self):
         # Up to 7 rows and 4 bits, too many for ``_brute_floor``: the regions
         # against the colouring the search used before them, and the Lemma D
-        # rule as the search read it then, on the forced rows alone.
+        # rule as the search read it then, on the forced rows alone.  Then
+        # 12 to 24 rows with at most 3 disjoint pairs, where most forced rows
+        # clash with none and join every region.
         rng = random.Random(29)
         seen = collections.Counter()
+
+        def check(rows, cap, disjoint, meeting):
+            patterns = [
+                tuple(rng.sample(range(rows), 2)) for _ in range(rng.randint(0, 3))
+            ] if rows > 1 else []
+            floor = _colouring_floor(disjoint, meeting, cap)
+            forced = {k for pair in meeting for k in pair}
+            excluded = any(x in forced and v in forced for x, v in patterns)
+            expected = set() if floor is None else set(range(floor, cap + 1))
+            if excluded:
+                expected.discard(2)
+            dims = inference._model_dimensions(disjoint, meeting, patterns, cap)
+            assert dims == expected, (disjoint, meeting, patterns, cap)
+            seen[rows > 7, floor] += 1
+            seen["2 excluded"] += excluded and floor is not None and floor <= 2 <= cap
+
         for _ in range(3000):
             rows, cap = rng.randint(1, 7), min(4, rng.randint(0, 7))
             split = rng.random()  # the share of pairs of two rows kept apart
@@ -1636,21 +1620,43 @@ class TestDimensionFloor:
                         disjoint.append(pair)
                     if apart <= draw < apart + meet or 0.98 < draw:
                         meeting.append(pair)
-            patterns = [
-                tuple(rng.sample(range(rows), 2)) for _ in range(rng.randint(0, 3))
-            ] if rows > 1 else []
-            floor = _colouring_floor(disjoint, meeting, cap)
-            forced = {k for pair in meeting for k in pair}
-            excluded = any(x in forced and v in forced for x, v in patterns)
-            expected = set() if floor is None else set(range(floor, cap + 1))
-            if excluded:
-                expected.discard(2)
-            dims = inference._model_dimensions(disjoint, meeting, patterns, cap)
-            assert dims == expected, (disjoint, meeting, patterns, cap)
-            seen[floor] += 1
-            seen["2 excluded"] += excluded and floor is not None and floor <= 2 <= cap
-        assert min(seen[floor] for floor in (0, 1, 2, 3, 4, None)) >= 30, seen
+            check(rows, cap, disjoint, meeting)
+        assert min(seen[False, floor] for floor in (0, 1, 2, 3, 4, None)) >= 30, seen
         assert seen["2 excluded"] >= 30, seen
+        for _ in range(400):
+            rows, cap = rng.randint(12, 24), rng.randint(1, 4)
+            few = rng.sample(range(rows), 3)
+            disjoint = rng.sample(list(itertools.combinations(few, 2)), rng.randint(0, 3))
+            if rng.random() < 0.1:
+                disjoint[:1] = [(few[0], few[0])]
+            # The clashing rows' pairs first, so the colouring fails fast.
+            meeting = [(k, rng.randrange(rows)) for k in few if rng.random() < 0.7] + [
+                tuple(rng.sample(range(rows), 2)) for _ in range(rng.randint(1, 2 * rows))
+            ]
+            check(rows, cap, disjoint, meeting)
+        assert min(seen[True, floor] for floor in (1, 2, 3, None)) >= 10, seen
+
+    def test_a_long_chain_of_forced_names_is_quick(self):
+        # 40 names, each asserted dependent on the next and orthogonal to
+        # none: no forced row clashes, so one region holds them all.  Walking
+        # every submask of the forced rows would take 2**40 steps.
+        omega = GroundSet(4)
+        names = [f"A{i}" for i in range(40)]
+        halves = [Partition.from_blocks(omega, [[0, 1], [2, 3]]),
+                  Partition.from_blocks(omega, [[0, 2], [1, 3]])]
+        db = OrthogonalityDatabase(
+            omega,
+            {name: halves[i % 2] for i, name in enumerate(names)},
+            frozenset(),
+            frozenset((a, b, "_") for a, b in zip(names, names[1:])),
+        )
+        started = time.perf_counter()
+        verdict = infer_before(db, "A0", "A1", SearchBounds(max_size=1))
+        assert time.perf_counter() - started < 1.0
+        assert verdict.kind == "vacuous"
+        rows = range(len(names))
+        meeting = list(zip(rows, rows[1:]))
+        assert inference._model_dimensions([], meeting, [], 4) == {1, 2, 3, 4}
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
     def test_ex2_truncates_in_the_size_it_enters(self, ex2, expire_budget_in_size, size):

@@ -296,6 +296,17 @@ class TestBlockHistories:
         for route in routes + routes:  # the second round reads the cache
             assert route() == expected
 
+    def test_both_routes_share_one_cache_entry(self):
+        # On the block {2, 3}, X's labels read (1, 0) and its restriction
+        # reads (0, 1): one subpartition, one entry.
+        fs = grid_factored_set(4, (2, 2))
+        x = Partition.from_blocks(fs.ground, [[0, 3], [1, 2]])
+        block = (2, 3)
+        assert list(block_histories(fs, x.block_ids, [block])) == [
+            history(fs, x.restrict(block))
+        ]
+        assert [key for key in fs._history_cache if key[0] == block] == [(block, (0, 1))]
+
 
 class TestSpliceComponentRule:
     """Every history is the union of domain components whose complement fails,
