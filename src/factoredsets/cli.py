@@ -49,9 +49,9 @@ from .partitions import (
     ValidationError,
     bell_number,
     format_partition,
-    is_ascii_digits,
     iter_partitions,
     partition_of_rank,
+    read_digits,
 )
 from .polynomial import (
     characteristic_polynomial,
@@ -59,10 +59,6 @@ from .polynomial import (
     irreducible_components,
 )
 from .probability import DEFAULT_SEED, fundamental_theorem_check
-
-
-class _Failure(Exception):
-    """Input-level failure: message printed to stderr, exit code 2."""
 
 
 def _digest(path: str) -> str:
@@ -98,7 +94,7 @@ def _largest_term_log10(n: int) -> float:
 
 
 def _cmd_count_fact(args) -> tuple[int, dict, list[str]]:
-    too_long = _Failure(f"the count for n = {args.n} is too long to print")
+    too_long = ValidationError(f"the count for n = {args.n} is too long to print")
     # The count is at least its largest term, so a term whose digits are
     # well past the limit is refused before any factorial is computed.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
@@ -117,7 +113,7 @@ _LISTING_LIMIT = 10**6
 
 def _cmd_enum_fact(args) -> tuple[int, dict, list[str]]:
     if args.limit is not None and args.limit < 0:
-        raise _Failure("--limit must be at least 0")
+        raise ValidationError("--limit must be at least 0")
     # The count is at least its largest term, and past 10^6 exactly when
     # that term is (sizes up to 11 have at most 15121 factorizations, primes
     # one, and larger composite sizes a term past 10^6), so the estimate
@@ -127,7 +123,7 @@ def _cmd_enum_fact(args) -> tuple[int, dict, list[str]]:
         and args.n > 1
         and _largest_term_log10(args.n) > math.log10(_LISTING_LIMIT)
     ):
-        raise _Failure(
+        raise ValidationError(
             f"enum-fact {args.n} would list more than {_LISTING_LIMIT} "
             f"factorizations; list the first N with --limit N (N <= {_LISTING_LIMIT})"
         )
@@ -157,7 +153,7 @@ def _cmd_orth(args) -> tuple[int, dict, list[str]]:
     x = fsf.resolve(args.a)
     y = fsf.resolve(args.b)
     if args.given is not None and args.event is not None:
-        raise _Failure("--given and --event are mutually exclusive")
+        raise ValidationError("--given and --event are mutually exclusive")
     if args.given is not None:
         verdict = structure.cond_orthogonal(fs, x, y, fsf.resolve(args.given))
         query = {"kind": "conditional", "given": args.given}
@@ -207,7 +203,7 @@ def _cmd_poly(args) -> tuple[int, dict, list[str]]:
     payload: dict = {"event": args.event, "polynomial": format_polynomial(poly, names)}
     if args.factor:
         if not event:
-            raise _Failure("cannot factor the polynomial of an empty event")
+            raise ValidationError("cannot factor the polynomial of an empty event")
         decomp = irreducible_components(fsf.fs, event)
         rendered = []
         for mask, factor in zip(decomp.components, decomp.factors):
@@ -240,9 +236,9 @@ _TRIPLE_LIMIT = 10**6
 def _cmd_ft_verify(args) -> tuple[int, dict, list[str]]:
     # A sweep that checks no triple must not report agreement.
     if args.max_size < 2:
-        raise _Failure("--max-size must be at least 2")
+        raise ValidationError("--max-size must be at least 2")
     if args.sample is not None and args.sample < 1:
-        raise _Failure("--sample must be at least 1")
+        raise ValidationError("--sample must be at least 1")
     triples = 0
     for n in range(2, args.max_size + 1):
         per_factorization = bell_number(n) ** 3
@@ -252,12 +248,12 @@ def _cmd_ft_verify(args) -> tuple[int, dict, list[str]]:
         if triples <= _TRIPLE_LIMIT:
             continue
         if args.sample is None:
-            raise _Failure(
+            raise ValidationError(
                 f"an exhaustive sweep of sizes 2..{n} has {triples} partition "
                 f"triples (limit {_TRIPLE_LIMIT}); cap the triples "
                 "per factorization with --sample N"
             )
-        raise _Failure(
+        raise ValidationError(
             f"a sweep of sizes 2..{n} with --sample {args.sample} has {triples} "
             f"partition triples (limit {_TRIPLE_LIMIT}); lower --max-size"
         )
@@ -410,7 +406,7 @@ def _cmd_observes(args) -> tuple[int, dict, list[str]]:
     agent = fsf.resolve(args.agent)
     world = fsf.resolve(args.world)
     if (args.event is None) == (args.partition is None):
-        raise _Failure("exactly one of --event and --partition is required")
+        raise ValidationError("exactly one of --event and --partition is required")
     if args.event is not None:
         verdict = agency.observes_event(fs, agent, _event(fsf, args.event), world)
         outcome = "yes" if verdict else "no"
@@ -467,9 +463,10 @@ def _cmd_counterfactable(args) -> tuple[int, dict, list[str]]:
 def _integer(text: str) -> int:
     """An integer argument: an optional ``-`` and ASCII digits.  A negative
     value parses, so each command's range check names it."""
-    if not is_ascii_digits(text.removeprefix("-")):
+    value = read_digits(text.removeprefix("-"))
+    if value is None:
         raise argparse.ArgumentTypeError(f"invalid integer: {text!r}")
-    return int(text)
+    return -value if text.startswith("-") else value
 
 
 def _seconds(text: str) -> float:
@@ -598,7 +595,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         code, results, lines = args.handler(args)
-    except (_Failure, ParseError, ValidationError) as exc:
+    except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

@@ -29,11 +29,11 @@ from .partitions import (
     Partition,
     ValidationError,
     format_partition,
-    is_ascii_digits,
     parse_partition,
+    read_digits,
     resolve_name,
 )
-from .probability import FactoredDistribution
+from .probability import FactoredDistribution, check_weight_row
 
 
 class ParseError(ValueError):
@@ -99,11 +99,12 @@ def _header_line(
     if tokens[0] == count_keyword:
         if ground is not None:
             raise ParseError(origin, lineno, f"duplicate '{count_keyword}' line")
-        if len(tokens) != 2 or not is_ascii_digits(tokens[1]):
+        count = read_digits(tokens[1]) if len(tokens) == 2 else None
+        if count is None:
             raise ParseError(
                 origin, lineno, f"'{count_keyword}' expects one count", tokens[-1]
             )
-        return GroundSet(int(tokens[1]))
+        return GroundSet(count)
     if ground is None:
         raise ParseError(origin, lineno, f"'labels' must follow '{count_keyword}'")
     if ground.labels is not None or body_started:
@@ -305,24 +306,21 @@ def parse_distribution_text(
             raise ParseError(origin, lineno, f"duplicate weights for factor {name!r}", name)
         weights = []
         for tok in tokens[2:]:
-            # ``p`` or ``p/q`` in ASCII digits: ``Fraction`` alone would also
-            # read signs, decimals, exponents, ``_`` and other scripts' digits.
             num, slash, den = tok.partition("/")
-            try:
-                if is_ascii_digits(num) and (is_ascii_digits(den) or not slash):
-                    weights.append(Fraction(tok))
-                    continue
-            except (ValueError, ZeroDivisionError):  # too many digits, or q is 0
-                pass
-            raise ParseError(origin, lineno, f"bad fraction: {tok!r}")
+            p = read_digits(num)
+            q = read_digits(den) if slash else 1
+            if p is None or not q:
+                raise ParseError(origin, lineno, f"bad fraction: {tok!r}")
+            weights.append(Fraction(p, q))
+        try:
+            check_weight_row(weights, fs.factors[j].block_count, name)
+        except ValidationError as exc:
+            raise ParseError(origin, lineno, str(exc)) from None
         rows[j] = tuple(weights)
     missing = [fsf.factor_names[j] for j in range(fs.dim) if j not in rows]
     if missing:
         raise ParseError(origin, 1, f"missing weights for factor {missing[0]!r}")
-    try:
-        return FactoredDistribution(fs, tuple(rows[j] for j in range(fs.dim)))
-    except ValidationError as exc:
-        raise ParseError(origin, 1, str(exc)) from None
+    return FactoredDistribution(fs, tuple(rows[j] for j in range(fs.dim)))
 
 
 # -- canonical emitters ------------------------------------------------------

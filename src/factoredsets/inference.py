@@ -41,9 +41,10 @@ histories at full length.  The walk is the only place the search decides
 a ``| _`` assertion: it skips a subtree as soon as the masks of an
 asserted ``orthogonal A B | _`` meet and decides the rest from ints at
 full length.  ``infer_before`` decides whether
-``h(X)`` is contained in ``h(Y)`` from the masks of its two names; their
-bits are grid coordinates, not the grid ``FactoredSet``'s factor order,
-but containment and equality do not depend on the order.
+``h(X)`` is contained in ``h(Y)`` from the masks of its two names.  Bit
+``j`` is grid coordinate ``j`` and also factor ``j`` of the grid
+``FactoredSet``, which sorts its factors by block ids: a slower
+coordinate's ids begin with more zeros.
 
 A grid of dimension ``d`` gives every history ``d`` bits, so the ``| _``
 assertions also bound the dimension of any model from below.  Coordinate

@@ -12,10 +12,12 @@ of its smallest member.  Two partitions are equal exactly when their domains
 and block-id sequences are equal, which makes values hashable and cheap to
 deduplicate.
 
-The layers above share four helpers from here: the full-partition guard,
+The layers above share five helpers from here: the full-partition guard,
 the block-triple identity that independence and polynomial divisibility
-decide with their own element weights, the ``_``/``!`` name resolver, and
-the one rule for numbers written as text, ``is_ascii_digits``.
+decide with their own element weights, the ``_``/``!`` name resolver,
+``read_digits``, the one reader that turns text from a file or the command
+line into a number, and ``as_integer``, the one check that a value passed
+in Python is an integer.
 """
 
 from __future__ import annotations
@@ -30,11 +32,24 @@ class ValidationError(ValueError):
     """A value failed its structural invariants."""
 
 
-def is_ascii_digits(token: str) -> bool:
-    """Whether ``token`` is one or more ASCII digits, the one form a count,
-    an element index or a weight's numerator and denominator take in text;
+def read_digits(token: str) -> int | None:
+    """The number ``token`` writes in ASCII digits alone, else ``None``: the
+    one form a count, an element index or a weight's terms take in text.
     ``int()`` would also read signs, ``_`` and other scripts' digits."""
-    return token.isascii() and token.isdecimal()
+    if token.isascii() and token.isdecimal():
+        try:
+            return int(token)
+        except ValueError:  # past the interpreter's int-to-string digit limit
+            pass
+    return None
+
+
+def as_integer(value: object, what: str) -> int:
+    """``value`` as an int, if it is one; ``what`` names it in the error."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValidationError(f"{what} {value!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -45,11 +60,7 @@ class GroundSet:
     labels: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        try:
-            negative = index(self.n) < 0
-        except TypeError:
-            raise ValidationError(f"ground set size {self.n!r} is not an integer") from None
-        if negative:
+        if as_integer(self.n, "ground set size") < 0:
             raise ValidationError(f"ground set size must be >= 0, got {self.n}")
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(self.labels))
@@ -75,9 +86,10 @@ class GroundSet:
                 return self._label_index[token]
             except KeyError:
                 raise ValidationError(f"unknown element {token!r}") from None
-        if not is_ascii_digits(token):
+        i = read_digits(token)
+        if i is None:
             raise ValidationError(f"unknown element {token!r}")
-        return self.check_index(int(token))
+        return self.check_index(i)
 
     def check_index(self, i: int) -> int:
         """``i`` itself if it indexes an element; negative indices do not wrap."""
@@ -356,11 +368,8 @@ def partition_of_rank(ground: GroundSet, rank: int) -> Partition:
     ``T(r, m) = m T(r - 1, m) + T(r - 1, m + 1)``.
     """
     n = ground.n
-    try:
-        if not 0 <= index(rank) < bell_number(n):
-            raise ValidationError(f"rank {rank} out of range for {n} elements")
-    except TypeError:
-        raise ValidationError(f"rank {rank!r} is not an integer") from None
+    if not 0 <= as_integer(rank, "rank") < bell_number(n):
+        raise ValidationError(f"rank {rank} out of range for {n} elements")
     table = [[1] * (n + 2)]
     for _ in range(1, n):
         prev = table[-1]

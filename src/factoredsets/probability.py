@@ -32,13 +32,13 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import index
 from typing import Iterable, Mapping, Sequence
 
 from .factored import FactoredSet
 from .partitions import (
     Partition,
     ValidationError,
+    as_integer,
     block_triple_identity,
     require_full,
 )
@@ -61,6 +61,20 @@ def _scaled_row(row: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     return tuple(w.numerator * (scale // w.denominator) for w in row), scale
 
 
+def check_weight_row(row: Sequence[Fraction], blocks: int, factor: object) -> None:
+    """Refuse a row unless it is ``blocks`` nonnegative weights summing to one.
+
+    ``factor`` names the factor in the error, by index or by a file's name.
+    """
+    if len(row) != blocks:
+        raise ValidationError(f"factor {factor!r} needs one weight per block")
+    scaled, scale = _scaled_row(row)
+    if any(w < 0 for w in scaled):
+        raise ValidationError(f"factor {factor!r} has a negative weight")
+    if sum(scaled) != scale:
+        raise ValidationError(f"factor {factor!r} weights must sum to 1")
+
+
 @dataclass(frozen=True, slots=True)
 class FactoredDistribution:
     """Per-factor block weights, nonnegative rationals summing to one."""
@@ -78,13 +92,7 @@ class FactoredDistribution:
         if len(coerced) != fs.dim:
             raise ValidationError("one weight vector per factor is required")
         for j, row in enumerate(coerced):
-            if len(row) != fs.factors[j].block_count:
-                raise ValidationError(f"factor {j} needs one weight per block")
-            scaled, scale = _scaled_row(row)
-            if any(w < 0 for w in scaled):
-                raise ValidationError(f"factor {j} has a negative weight")
-            if sum(scaled) != scale:
-                raise ValidationError(f"factor {j} weights must sum to 1")
+            check_weight_row(row, fs.factors[j].block_count, j)
 
     def __repr__(self) -> str:
         # A generic witness's weights can run to thousands of digits, more
@@ -171,15 +179,9 @@ def _draw_rows(fs: FactoredSet, rng: random.Random, max_weight: int) -> _IntRows
     again while they reach ``max_weight``, plus one.  So the stream is the
     same as ``randint``'s, without ``randrange``'s per-call argument checks,
     for any generator whose ``randint`` goes through ``getrandbits``.  The
-    bound is checked once, first: a ``max_weight`` of 0 would never leave
-    the loop.
+    caller checks that ``max_weight`` is an int of at least 1: a
+    ``max_weight`` of 0 would never leave the loop.
     """
-    try:
-        max_weight = index(max_weight)
-    except TypeError:
-        raise ValidationError(f"max_weight {max_weight!r} is not an integer") from None
-    if max_weight < 1:
-        raise ValidationError(f"max_weight must be at least 1, got {max_weight}")
     bits = rng.getrandbits
     k = max_weight.bit_length()
     rows = []
@@ -211,6 +213,9 @@ def random_distribution(
     Strict positivity avoids the measure-zero degeneracies where a dependent
     pair happens to look independent.
     """
+    max_weight = as_integer(max_weight, "max_weight")
+    if max_weight < 1:
+        raise ValidationError(f"max_weight must be at least 1, got {max_weight}")
     return _normalized(fs, _draw_rows(fs, rng, max_weight))
 
 
@@ -269,10 +274,7 @@ def fundamental_theorem_check(
     ``random_distribution`` draws and decides independence on the raw
     integer rows (each row is its normalized weights times its total).
     """
-    try:
-        trials = index(trials)
-    except TypeError:
-        raise ValidationError(f"trials {trials!r} is not an integer") from None
+    trials = as_integer(trials, "trials")
     if trials < 1:
         raise ValidationError("at least one trial is required")
     orth = cond_orthogonal(fs, x, y, z)

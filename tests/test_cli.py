@@ -30,6 +30,7 @@ DB1 = str(data_path("ex1.db"))
 DB2 = str(data_path("ex2.db"))
 MODEL2 = str(data_path("ex2-model.ffs"))
 DIST1 = str(data_path("ex1-uniform.dist"))
+HUGE = "9" * 5000  # past int()'s default limit of 4300 digits
 
 
 class TestBasicCommands:
@@ -604,6 +605,7 @@ class TestReports:
             ("infer", ["--time-budget", "-1"], "time_budget must be a number of seconds >= 0"),
             ("infer", ["--time-budget", "nan"], "time_budget must be a number of seconds >= 0"),
             ("consistent", ["--time-budget", "nan"], "time_budget must be a number of seconds >= 0"),
+            ("infer", ["--max-size", "0"], "max_size must be at least 1"),
         ],
     )
     def test_bad_search_bounds_exit_2(self, capsys, command, flags, message):
@@ -630,10 +632,15 @@ class TestReports:
             ["ft-verify", "--max-size", "2", "--seed", "1_0"],
             ["ft-verify", "--max-size", "2", "--trials", "\u0661"],
             ["ft-verify", "--max-size", "2", "--sample", "1_0"],
+            ["consistent", "--db", DB1, "--max-size", "2", "--time-budget", "abc"],
+            pytest.param(["count-fact", HUGE], id="count-fact-5000-digits"),
+            pytest.param(["ft-verify", "--seed", "-" + HUGE], id="seed-5000-digits"),
         ],
     )
     def test_numbers_in_ascii_digits_only(self, capsys, argv):
-        # ``int`` and ``float`` read each of these.
+        # ``int`` and ``float`` read each of these up to ``--sample 1_0``.
+        # The rest are text that ``float`` refuses and digit strings that
+        # ``int`` refuses.
         with pytest.raises(SystemExit) as exc:
             main(argv)
         out, err = capsys.readouterr()
@@ -741,6 +748,34 @@ class TestBadInputFiles:
         assert code == 2
         assert out == ""
         assert err == f"error: {bad}:2: unknown element {token!r}\n"
+
+    @pytest.mark.parametrize(
+        "name,text,argv,lineno,message",
+        [
+            ("huge.ffs", f"set {HUGE}\n", ["dump", "{}"], 1,
+             f"'set' expects one count (at {HUGE!r})"),
+            ("huge.ffs", f"set 4\nfactor X {{ 0 1 | 2 {HUGE} }}\n", ["dump", "{}"], 2,
+             f"unknown element {HUGE!r}"),
+            ("huge.db", f"omega {HUGE}\n", ["consistent", "--db", "{}", "--max-size", "2"],
+             1, f"'omega' expects one count (at {HUGE!r})"),
+            ("huge.db", f"# count\nomega {HUGE}\n", ["dump", "{}"], 2,
+             f"'omega' expects one count (at {HUGE!r})"),
+            ("huge.dist", f"weights X 1/2 1/2\nweights V {HUGE} 1\n",
+             ["prob", EX1, "{}", "--event", "00"], 2, f"bad fraction: {HUGE!r}"),
+        ],
+        ids=["set-count", "element-token", "omega-count", "omega-count-dump", "weight"],
+    )
+    def test_digits_past_the_int_limit(
+        self, capsys, tmp_path, name, text, argv, lineno, message
+    ):
+        # ASCII digits, but more than ``int``'s default limit of 4300: each
+        # is refused at its line, as any other malformed number is.
+        bad = tmp_path / name
+        bad.write_text(text)
+        code, out, err = run(capsys, *[a.format(bad) for a in argv])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {bad}:{lineno}: {message}\n"
 
     @pytest.mark.parametrize("token", ["+0", "-0", "0_1", "\u0663"])
     def test_event_token_not_in_ascii_digits(self, capsys, tmp_path, token):

@@ -147,6 +147,11 @@ class TestChimera:
         fs = trivial_factorization(GroundSet(1))
         assert fs.chimera([]) == 0
 
+    @pytest.mark.parametrize("assignment", [[], [0], [0, 1, 2]])
+    def test_assignment_of_the_wrong_length(self, ex1, assignment):
+        with pytest.raises(ValidationError, match="^assignment must name one element per factor$"):
+            ex1.fs.chimera(assignment)
+
     @pytest.mark.parametrize("bad", [-1, -4, 4, 99])
     def test_element_indices_out_of_range(self, ex1, bad):
         # Python indexing would wrap -1 around to element 3.

@@ -388,6 +388,11 @@ class TestDistributionFiles:
             ("weights X 1/2 1/2\nweights X 1/2 1/2\n", 2, "duplicate weights for factor 'X'"),
             ("weights X 1/0 1/2\n", 1, "bad fraction: "),
             ("weights X 1/2 half\n", 1, "bad fraction: "),
+            ("weights X 1/2 1/2\n# V next\nweights V 1/3 1/3\n", 3,
+             "factor 'V' weights must sum to 1"),
+            ("weights X 1/2 1/2\nweights V 1/4 1/4 1/2\n", 2,
+             "factor 'V' needs one weight per block"),
+            ("weights V 1/2 1/2\nweights X 1\n", 2, "factor 'X' needs one weight per block"),
         ],
     )
     def test_bad_line_named(self, ex1, text, lineno, message):
@@ -413,6 +418,14 @@ class TestDistributionFiles:
         with pytest.raises(ParseError) as exc:
             parse_distribution_text(text, ex1.file, "bad.dist")
         assert str(exc.value) == f"bad.dist:2: bad fraction: {weight!r}"
+
+    @pytest.mark.parametrize("weight", ["9" * 5000, "1/" + "9" * 5000])
+    def test_weight_past_the_int_digit_limit(self, ex1, weight):
+        # ASCII digits, but more than int()'s default limit of 4300.
+        text = f"weights V 1/2 1/2\nweights X {weight} 1/2\n"
+        with pytest.raises(ParseError) as exc:
+            parse_distribution_text(text, ex1.file, "huge.dist")
+        assert str(exc.value) == f"huge.dist:2: bad fraction: {weight!r}"
 
     def test_weights_p_and_p_over_q(self, ex1):
         dist = parse_distribution_text("weights X 1 0\nweights V 01/4 3/04\n", ex1.file)

@@ -68,6 +68,18 @@ class TestDatabase:
                 dependent_triples=frozenset(),
             )
 
+    @pytest.mark.parametrize("name", ["_", "!"])
+    def test_reserved_names_rejected(self, name):
+        omega = GroundSet(2)
+        with pytest.raises(ValidationError) as caught:
+            OrthogonalityDatabase(
+                omega=omega,
+                partitions={name: Partition.discrete(omega)},
+                orthogonal_triples=frozenset(),
+                dependent_triples=frozenset(),
+            )
+        assert str(caught.value) == f"{name!r} is reserved"
+
     def test_specials_resolve(self):
         db = _two_bit_db()
         assert db.resolve("_") == Partition.indiscrete(db.omega)
@@ -153,6 +165,11 @@ class TestModel:
         with pytest.raises(ValidationError, match="^labeling target out of range$"):
             Model(ex1.fs, (bad, 0, 1, 2), ex1.db.omega)
 
+    @pytest.mark.parametrize("labeling", [(0, 1, 2), (0, 1, 2, 3, 0)])
+    def test_labeling_must_cover_every_element(self, ex1, labeling):
+        with pytest.raises(ValidationError, match="^labeling must cover every element$"):
+            Model(ex1.fs, labeling, ex1.db.omega)
+
 
 class TestModelsDatabase:
     def test_identity_model_of_the_two_bit_db(self, ex1):
@@ -175,6 +192,11 @@ class TestModelsDatabase:
         report = models_database(ex2.model, ex2.db)
         assert report.ok
         assert len(report.entries) == 6
+
+    def test_model_of_another_space_is_refused(self, ex1):
+        model = Model(ex1.fs, (0, 0, 1, 1), GroundSet(2))
+        with pytest.raises(ValidationError, match="^model and database observe different spaces$"):
+            models_database(model, _two_bit_db())
 
 
 class TestAssertionOrder:
@@ -1086,6 +1108,8 @@ def _check_pruned_walk(db, max_size):
             ))
             assert [f for f, _ in pruned] == kept, (n, ks)
             bits = _grid_to_factor_bits(fs, n, ks)
+            # Grid coordinate j is factor j of the grid ``FactoredSet``.
+            assert bits == [1 << j for j in range(d)], (n, ks)
             for f, h in pruned:
                 model = Model(fs, f, db.omega)
                 for k, name in enumerate(masked):

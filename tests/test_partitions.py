@@ -70,10 +70,16 @@ class TestGroundSet:
             unlabeled.index_of("3")
         assert unlabeled.index_of("01") == 1
 
-    @pytest.mark.parametrize("token", ["+1", "-0", "1_0", "\u0663", " 1", "1\n"])
+    @pytest.mark.parametrize(
+        "token",
+        ["+1", "-0", "1_0", "\u0663", " 1", "1\n",
+         pytest.param("9" * 5000, id="5000-digits")],
+    )
     def test_index_tokens_are_ascii_digits(self, token):
-        # int() accepts each of these: a sign, an underscore, a non-ASCII
-        # digit (Arabic-Indic three) and surrounding whitespace.
+        # int() accepts each of these but the last: a sign, an underscore, a
+        # non-ASCII digit (Arabic-Indic three) and surrounding whitespace.
+        # The last is past int()'s default limit of 4300 digits, so int()
+        # raises a plain ValueError on it.
         with pytest.raises(ValidationError, match="unknown element"):
             GroundSet(11).index_of(token)
 
@@ -114,6 +120,8 @@ class TestCanonicalize:
             Partition(g, (0, 1, 2), (1, 0, 0))
         with pytest.raises(ValidationError):
             Partition(g, (1, 0), (0, 0))
+        with pytest.raises(ValidationError, match="^domain and block ids differ in length$"):
+            Partition(g, (0, 1), (0,))
 
 
 class TestSpecialPartitions:
@@ -180,6 +188,12 @@ class TestCommonRefinement:
         assert got.block_count == 1
         with pytest.raises(ValidationError):
             common_refinement([])
+
+    def test_mismatched_domains_rejected(self):
+        g = GroundSet(4)
+        p = Partition.from_blocks(g, [[0, 1], [2, 3]])
+        with pytest.raises(ValidationError, match="^common refinement requires matching domains$"):
+            common_refinement([p, p.restrict([0, 1, 2])])
 
     def test_least_upper_bound(self):
         # Z refines both inputs exactly when it refines their join.
@@ -308,6 +322,12 @@ class TestPartitionOfRank:
     def test_rank_out_of_range(self, n, rank):
         with pytest.raises(ValidationError, match="out of range"):
             partition_of_rank(GroundSet(n), rank)
+
+    @pytest.mark.parametrize("rank", [1.0, "1", None])
+    def test_rank_must_be_an_integer(self, rank):
+        with pytest.raises(ValidationError) as caught:
+            partition_of_rank(GroundSet(3), rank)
+        assert str(caught.value) == f"rank {rank!r} is not an integer"
 
 
 def _seeded_masses(fs, rng) -> list[int]:

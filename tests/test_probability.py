@@ -25,7 +25,6 @@ from factoredsets import (
     trivial_factorization,
 )
 from factoredsets import polynomial
-from factoredsets.probability import _draw_rows
 from conftest import mixed_random_partition, random_factored_set, random_subset
 
 H = Fraction(1, 2)
@@ -330,6 +329,8 @@ class TestConditionalIndependence:
         ind = Partition.indiscrete(ex1.fs.ground)
         with pytest.raises(ValidationError, match="different factored set"):
             conditional_independence_holds(ex1.fs, other, ex1.X, ex1.V, ind)
+        with pytest.raises(ValidationError, match="different factored set"):
+            prob(ex1.fs, other, [0])
 
     def test_discrete_conditioning_is_always_independent(self):
         rng = random.Random(59)
@@ -401,7 +402,14 @@ class TestFundamentalTheoremCheck:
     @pytest.mark.parametrize("trials", [2.0, "2", None])
     def test_trials_must_be_an_integer(self, ex1, trials):
         ind = Partition.indiscrete(ex1.fs.ground)
-        with pytest.raises(ValidationError, match="not an integer"):
+        with pytest.raises(ValidationError) as caught:
+            fundamental_theorem_check(ex1.fs, ex1.V, ex1.V, ind, trials=trials)
+        assert str(caught.value) == f"trials {trials!r} is not an integer"
+
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_at_least_one_trial_is_required(self, ex1, trials):
+        ind = Partition.indiscrete(ex1.fs.ground)
+        with pytest.raises(ValidationError, match="^at least one trial is required$"):
             fundamental_theorem_check(ex1.fs, ex1.V, ex1.V, ind, trials=trials)
 
     def test_repr_leaves_out_a_witness_too_long_to_print(self):
@@ -437,21 +445,19 @@ class _NoDraws(random.Random):
 
 class TestMaxWeightIsCheckedBeforeAnyDraw:
     # A max_weight of 0 would redraw forever: ``getrandbits(0)`` is 0.  The
-    # generator here refuses every draw, so no case can loop.
+    # generator here refuses every draw, so no case can loop.  The check is
+    # ``random_distribution``'s: the per-trial draws take only the constant.
 
     @pytest.mark.parametrize("max_weight", [0, -3])
     def test_below_one_is_refused(self, ex1, max_weight):
         with pytest.raises(ValidationError, match="at least 1"):
             random_distribution(ex1.fs, _NoDraws(1), max_weight)
-        with pytest.raises(ValidationError, match="at least 1"):
-            _draw_rows(ex1.fs, _NoDraws(1), max_weight)
 
     @pytest.mark.parametrize("max_weight", [97.0, "97", None])
     def test_non_integers_are_refused(self, ex1, max_weight):
-        with pytest.raises(ValidationError, match="not an integer"):
+        with pytest.raises(ValidationError) as caught:
             random_distribution(ex1.fs, _NoDraws(1), max_weight)
-        with pytest.raises(ValidationError, match="not an integer"):
-            _draw_rows(ex1.fs, _NoDraws(1), max_weight)
+        assert str(caught.value) == f"max_weight {max_weight!r} is not an integer"
 
 
 def _generic_distribution(fs):

@@ -247,6 +247,8 @@ class TestHistory:
         for part in (Partition.discrete(other), Partition.empty(other)):
             with pytest.raises(ValidationError, match="different ground set"):
                 history(fs, part)
+            with pytest.raises(ValidationError, match="different ground set"):
+                splice_components(fs, part)
         # The cache key names no ground set, so the check must not rest on a
         # miss: a cached (domain, block ids) on another ground is rejected.
         own = Partition.discrete(fs.ground)
