@@ -338,21 +338,30 @@ def _walk_chains(ks: tuple[int, ...]) -> tuple[tuple, ...]:
     return tuple(chains)
 
 
+class _Rows(dict):
+    """A table whose row ``v`` is ``build(v)``, built when first read."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, v: int) -> list[int]:
+        row = self[v] = self.build(v)
+        return row
+
+
 def _apart_table(
     rows: Sequence[Sequence[int]], omega_n: int, stride: int
-) -> list[list[int]]:
+) -> Mapping[int, list[int]]:
     """``apart[v][u]`` sets bit ``k*stride`` for each row ``k`` with labels
     ``v`` and ``u`` in different blocks; shifted by ``j``, it sets those
-    rows' coordinate ``j`` in the walk's packed masks."""
+    rows' coordinate ``j`` in the walk's packed masks.  The walk reads row
+    ``v`` first where it places label ``v``, after its clock read, so it
+    builds at most one row per read and none for a label it never places."""
     labels = range(omega_n)
     shifts = [k * stride for k in range(len(rows))]
-    return [
-        [
-            sum(1 << k for k, row in zip(shifts, rows) if row[v] != row[u])
-            for u in labels
-        ]
-        for v in labels
-    ]
+    return _Rows(lambda v: [
+        sum(1 << k for k, row in zip(shifts, rows) if row[v] != row[u]) for u in labels
+    ])
 
 
 def _lemma_d_strong(x: Partition, v: Partition, y: Partition) -> bool:
@@ -466,7 +475,7 @@ def _grid_labelings(
     n: int,
     ks: tuple[int, ...],
     omega_n: int,
-    apart: Sequence[Sequence[int]],
+    apart: Mapping[int, Sequence[int]],
     disjoint: Sequence[tuple[int, int]] = (),
     meeting: Sequence[tuple[int, int]] = (),
     deadline: float | None = None,
@@ -584,11 +593,13 @@ def _search(
     This is the one place that lays out the walk's masks: a row per name
     asserted ``| _``, then per ``watched`` name not among them, each
     ``cap`` bits wide, where ``cap`` bounds the dimension of every grid
-    within the bounds, so one ``_apart_table`` serves the whole search.  It
-    walks the grids whose dimension ``_model_dimensions`` returns.  A grid
-    it does not walk is not built either;
-    with a time budget it reads the clock once, as the walk's first label
-    would, so a spent budget truncates in the same size.
+    within the bounds, so one ``_apart_table`` serves the whole search.  Its
+    rows are built from the first walked grid on, as the walk first places
+    each label and inside the time budget, so a search that walks no grid
+    builds none.  It walks the grids whose dimension ``_model_dimensions``
+    returns.  A grid it does not walk is not built either; with a time
+    budget it reads the clock once, as the walk's first label would, so a
+    spent budget truncates in the same size.
     """
     deadline = (
         None if bounds.time_budget is None else time.monotonic() + bounds.time_budget
@@ -697,12 +708,10 @@ def infer_before(
 ) -> InferenceVerdict:
     """Quantify the (strict) before-relation over every model within bounds.
 
-    The search watches the two names, so each model's histories of
-    ``first`` and ``second`` come with it; only a counterexample is built
+    The search watches and resolves the two names, so each model's histories
+    of ``first`` and ``second`` come with it; only a counterexample is built
     into a ``Model``.
     """
-    db.resolve(first)  # an unknown name raises before any search
-    db.resolve(second)
     checked = 0
     counterexample = truncation = None
     for item in _search(db, bounds, (first, second)):

@@ -22,6 +22,7 @@ in Python is an integer.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import index
@@ -60,8 +61,11 @@ class GroundSet:
     labels: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if as_integer(self.n, "ground set size") < 0:
+        n = as_integer(self.n, "ground set size")
+        if n < 0:
             raise ValidationError(f"ground set size must be >= 0, got {self.n}")
+        if n > sys.maxsize:  # past any index, so no element could be reached
+            raise ValidationError(f"ground set size must be <= {sys.maxsize}, got {n}")
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(self.labels))
             if len(self.labels) != self.n:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import getitem
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -48,6 +49,16 @@ def _exact(coeff: object) -> Fraction | int:
     return coeff if type(coeff) is int else Fraction(coeff)
 
 
+def _summed(
+    pairs: Iterable[tuple[Monomial, Fraction | int]]
+) -> dict[Monomial, Fraction | int]:
+    """Per monomial of ``pairs``, the sum of its coefficients; zero sums dropped."""
+    out: dict[Monomial, Fraction | int] = {}
+    for mono, coeff in pairs:
+        out[mono] = out.get(mono, 0) + coeff
+    return {mono: coeff for mono, coeff in out.items() if coeff}
+
+
 class SetPolynomial:
     """Sparse exact-coefficient polynomial in factor-block variables.
 
@@ -59,13 +70,9 @@ class SetPolynomial:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Monomial, Fraction | int] | None = None):
-        clean: dict[Monomial, Fraction | int] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                coeff = _exact(coeff)
-                if coeff:
-                    clean[tuple(sorted(mono))] = coeff
-        self.terms = clean
+        self.terms = _summed(
+            (tuple(sorted(mono)), _exact(coeff)) for mono, coeff in (terms or {}).items()
+        )
 
     @classmethod
     def _of(cls, terms: dict[Monomial, Fraction | int]) -> "SetPolynomial":
@@ -92,14 +99,7 @@ class SetPolynomial:
     __hash__ = None  # type: ignore[assignment]
 
     def __add__(self, other: "SetPolynomial") -> "SetPolynomial":
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            s = out.get(mono, 0) + coeff
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        return SetPolynomial._of(out)
+        return SetPolynomial._of(_summed(chain(self.terms.items(), other.terms.items())))
 
     def __neg__(self) -> "SetPolynomial":
         return SetPolynomial._of({m: -c for m, c in self.terms.items()})
@@ -110,20 +110,12 @@ class SetPolynomial:
     def __mul__(self, other: "SetPolynomial | int | Fraction") -> "SetPolynomial":
         """Product with a polynomial, or with a scalar converted as a coefficient."""
         if not isinstance(other, SetPolynomial):
-            other = _exact(other)
-            return SetPolynomial._of(
-                {m: c * other for m, c in self.terms.items()} if other else {}
-            )
-        out: dict[Monomial, Fraction | int] = {}
-        for m0, c0 in self.terms.items():
-            for m1, c1 in other.terms.items():
-                mono = tuple(sorted(m0 + m1))
-                s = out.get(mono, 0) + c0 * c1
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
-        return SetPolynomial._of(out)
+            other = SetPolynomial({(): other})
+        return SetPolynomial._of(_summed(
+            (tuple(sorted(m0 + m1)), c0 * c1)
+            for m0, c0 in self.terms.items()
+            for m1, c1 in other.terms.items()
+        ))
 
     __rmul__ = __mul__
 

@@ -16,8 +16,8 @@ of the partition's domain whose complement does not generate the partition.
 The factor subsets along which the domain is closed under splicing form a
 Boolean algebra (union by splice identity 5, complement by identity 4) whose
 atoms are the components; generating sets lie in it, are closed under
-supersets in it, and include the history.  Every subset keeps the whole set
-and the empty set closed, so there the components are the single factors.
+supersets in it, and include the history.  The whole set and the empty set
+are closed along every subset, so there its atoms are the single factors.
 
 Histories are cached on the factored set by labeled domain, and
 ``cond_orthogonal`` conditions through ``block_histories``.  The model
@@ -83,8 +83,6 @@ def splice_components(fs: FactoredSet, part: Partition) -> tuple[int, ...]:
 
 
 def _components(fs: FactoredSet, domain: tuple[int, ...]) -> tuple[int, ...]:
-    if len(domain) == fs.size or not domain:
-        return tuple(1 << j for j in range(fs.dim))
     comps = fs._component_cache.get(domain)
     if comps is None:
         # A factor subset keeps the domain closed under splicing exactly when
@@ -197,9 +195,7 @@ def cond_orthogonal(fs: FactoredSet, x: Partition, y: Partition, z: Partition) -
 def cond_before(
     fs: FactoredSet, x: Partition, y: Partition, elements: Iterable[int]
 ) -> bool:
-    """History containment after restricting both partitions to an event."""
+    """Whether ``x`` is ``before`` ``y`` once both are restricted to an event."""
     require_full(fs.ground, x, y)
     sub = set(elements)
-    hx = history(fs, x.restrict(sub))
-    hy = history(fs, y.restrict(sub))
-    return hx & hy == hx
+    return before(fs, x.restrict(sub), y.restrict(sub)).is_before

@@ -777,6 +777,27 @@ class TestBadInputFiles:
         assert out == ""
         assert err == f"error: {bad}:{lineno}: {message}\n"
 
+    @pytest.mark.parametrize(
+        "name,text,argv",
+        [
+            ("huge.ffs", f"set {10**30}\nfactor X _\n", ["dump", "{}"]),
+            ("huge.db", f"omega {10**30}\npartition X !\ndependent X X | _\n",
+             ["consistent", "--db", "{}", "--max-size", "2"]),
+        ],
+        ids=["set-count", "omega-count"],
+    )
+    def test_count_past_the_largest_index(self, capsys, tmp_path, name, text, argv):
+        # Digits ``int()`` reads, but a set that no index could reach: the
+        # .ffs crashed and the search on the .db never finished.
+        bad = tmp_path / name
+        bad.write_text(text)
+        code, out, err = run(capsys, *[a.format(bad) for a in argv])
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: {bad}:1: ground set size must be <= {sys.maxsize}, got {10**30}\n"
+        )
+
     @pytest.mark.parametrize("token", ["+0", "-0", "0_1", "\u0663"])
     def test_event_token_not_in_ascii_digits(self, capsys, tmp_path, token):
         unlabeled = tmp_path / "grid.ffs"

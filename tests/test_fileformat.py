@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -348,6 +349,20 @@ class TestDatabaseFiles:
             parse_database_text(text, "order.db")
         assert str(exc.value).startswith(f"order.db:{lineno}: ")
         assert exc.value.lineno == lineno
+
+    @pytest.mark.parametrize(
+        "parse,text",
+        [
+            (parse_factored_set_text, f"set {10**30}\nfactor X _\n"),
+            (parse_database_text, f"omega {10**30}\npartition X !\ndependent X X | _\n"),
+        ],
+        ids=["set-count", "omega-count"],
+    )
+    def test_count_past_the_largest_index(self, parse, text):
+        # Read in full, but no index reaches past ``sys.maxsize``.
+        with pytest.raises(ParseError, match=f"must be <= {sys.maxsize}") as exc:
+            parse(text, "huge")
+        assert str(exc.value).startswith("huge:1: ")
 
     def test_missing_omega_line(self):
         with pytest.raises(ParseError, match="missing 'omega N' line"):

@@ -574,10 +574,13 @@ class TestInferBefore:
 
     @pytest.mark.parametrize("pair", [("W", "X"), ("X", "W")])
     def test_unknown_name_raises_before_any_search(self, ex1, monkeypatch, pair):
+        # The search resolves its watched names before it builds a table or
+        # a grid, so an unknown one raises with nothing built or walked.
         def no_search(*args):
             raise AssertionError("searched")
 
-        monkeypatch.setattr(inference, "_search", no_search)
+        for stage in ("_apart_table", "grid_factored_set", "_grid_labelings"):
+            monkeypatch.setattr(inference, stage, no_search)
         with pytest.raises(ValidationError, match="unknown partition name"):
             infer_before(ex1.db, *pair, SearchBounds(max_size=3))
 
@@ -1716,6 +1719,55 @@ class TestDimensionFloor:
         verdict = infer_before(ex2.db, "X", "Y", SearchBounds(max_size=8))
         assert verdict.models_checked == 5
         assert built == [3]
+
+    @staticmethod
+    def _self_dependent_db(omega_n, x):
+        omega = GroundSet(omega_n)
+        return OrthogonalityDatabase(
+            omega, {"X": x(omega)}, frozenset(), frozenset({("X", "X", "_")})
+        )
+
+    @staticmethod
+    def _spy_tables(monkeypatch):
+        tables = []
+        table = inference._apart_table
+
+        def spy(rows, omega_n, stride):
+            tables.append(table(rows, omega_n, stride))
+            return tables[-1]
+
+        monkeypatch.setattr(inference, "_apart_table", spy)
+        return tables
+
+    def test_no_table_row_without_a_walked_grid(self, monkeypatch):
+        # A one-block X has an empty history in every model, so no grid can
+        # hold ``dependent X X | _`` and none is walked.
+        db = self._self_dependent_db(300, Partition.indiscrete)
+        tables = self._spy_tables(monkeypatch)
+        verdict = is_consistent_up_to_bound(db, SearchBounds(max_size=4))
+        assert not verdict.consistent and verdict.truncation is None
+        assert [len(t) for t in tables] == [0]
+
+    @pytest.mark.parametrize("reads,size", [(1, 1), (2, 2), (3, 2), (8, 2)])
+    def test_table_rows_are_built_inside_the_budget(self, monkeypatch, reads, size):
+        # The clock reads 0 for its first ``reads`` reads and infinity after.
+        # The first read sets the deadline.  Size 1 walks no grid and reads
+        # the clock once; size 2 walks one and reads it per placed label,
+        # each of the 40 labels in turn.  So the budget runs out in the size
+        # being entered, and no more table rows are built than reads made.
+        db = self._self_dependent_db(40, Partition.discrete)
+        tables = self._spy_tables(monkeypatch)
+        count = [0]
+
+        def clock():
+            count[0] += 1
+            return 0.0 if count[0] <= reads else math.inf
+
+        monkeypatch.setattr(inference.time, "monotonic", clock)
+        items = list(search_models(db, SearchBounds(max_size=2, time_budget=1.0)))
+        assert items[-1] == Truncation(size)
+        assert count[0] == reads + 1
+        assert len(tables) == 1 and len(tables[0]) <= reads
 
     def test_builds_only_the_grids_it_walks(self, ex2, monkeypatch):
         # ex2's floor is 2 and Lemma D excludes dimension 2, so up to size 8

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from collections import Counter
 from typing import Iterator
 
@@ -53,11 +54,19 @@ class TestGroundSet:
             (-1, "ground set size must be >= 0, got -1"),
             (2.5, "ground set size 2.5 is not an integer"),
             ("3", "ground set size '3' is not an integer"),
+            (
+                sys.maxsize + 1,
+                f"ground set size must be <= {sys.maxsize}, got {sys.maxsize + 1}",
+            ),
         ],
     )
     def test_size_must_be_a_non_negative_integer(self, n, message):
         with pytest.raises(ValidationError, match=message):
             GroundSet(n)
+
+    def test_largest_size_is_an_index_bound(self):
+        # Building the set allocates nothing per element.
+        assert GroundSet(sys.maxsize).n == sys.maxsize
 
     def test_token_resolution(self):
         g = GroundSet(3, ("a", "b", "c"))

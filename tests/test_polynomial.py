@@ -126,6 +126,16 @@ class TestConstructorExactness:
         terms = SetPolynomial({self.MONO: 3, (): 0}).terms
         assert terms == {self.MONO: 3} and type(terms[self.MONO]) is int
 
+    def test_monomials_equal_once_sorted_sum_their_coefficients(self):
+        xy, yx = ((0, 1), (1, 0)), ((1, 0), (0, 1))
+        assert SetPolynomial({xy: 1, yx: 1}).terms == {xy: 2}
+
+    def test_opposite_coefficients_cancel_once_sorted(self):
+        xy, yx = ((0, 1), (1, 0)), ((1, 0), (0, 1))
+        p = SetPolynomial({xy: 1, yx: -1})
+        assert p.is_zero
+        assert p == p - p
+
     def test_booleans_are_numbers_not_names(self):
         assert format_polynomial(SetPolynomial({(): True})) == "1"
         assert SetPolynomial({self.MONO: False}).is_zero

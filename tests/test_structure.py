@@ -319,10 +319,12 @@ class TestSpliceComponentRule:
         for mask in range(1 << fs.dim):
             assert generates(fs, mask, x) == splice_scan_generates(fs, mask, x.block_of)
         assert history(fs, x) == brute_history(fs, x)
+        comps = splice_components(fs, x)
         if x.domain:
-            comps = irreducible_components(fs, x.domain).components
+            assert irreducible_components(fs, x.domain).components == comps
             assert comps == old_irreducible_masks(fs, x.domain)
-            assert splice_components(fs, x) == comps
+        if len(x.domain) in (0, fs.size):  # every factor subset keeps these closed
+            assert comps == tuple(1 << j for j in range(fs.dim))
 
     def test_every_subpartition_to_size_five(self):
         for n in range(6):
