@@ -35,6 +35,13 @@ from .partitions import (
 )
 from .probability import FactoredDistribution, check_weight_row
 
+# The largest ``set``/``omega`` count a file may declare.  A partition line
+# builds tuples as long as the ground set, so a count that no memory holds
+# would fail with MemoryError deep inside the reader instead of at its line.
+# A one-factor file at the limit loads and dumps in about a second within
+# 250 MB (Python 3.11.7).
+MAX_ELEMENTS = 10**6
+
 
 class ParseError(ValueError):
     def __init__(self, path: str, lineno: int, message: str, token: str | None = None):
@@ -103,6 +110,11 @@ def _header_line(
         if count is None:
             raise ParseError(
                 origin, lineno, f"'{count_keyword}' expects one count", tokens[-1]
+            )
+        if count > MAX_ELEMENTS:
+            raise ParseError(
+                origin, lineno,
+                f"'{count_keyword}' count must be <= {MAX_ELEMENTS}, got {count}",
             )
         return GroundSet(count)
     if ground is None:

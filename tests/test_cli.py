@@ -17,6 +17,7 @@ from factoredsets import (
 )
 from factoredsets import cli
 from factoredsets.cli import main
+from factoredsets.fileformat import MAX_ELEMENTS
 
 
 def run(capsys, *argv):
@@ -794,9 +795,51 @@ class TestBadInputFiles:
         code, out, err = run(capsys, *[a.format(bad) for a in argv])
         assert code == 2
         assert out == ""
+        keyword = text.split()[0]
         assert err == (
-            f"error: {bad}:1: ground set size must be <= {sys.maxsize}, got {10**30}\n"
+            f"error: {bad}:1: '{keyword}' count must be <= {MAX_ELEMENTS}, got {10**30}\n"
         )
+
+    @pytest.mark.parametrize("count", [10**12, MAX_ELEMENTS + 1])
+    @pytest.mark.parametrize(
+        "name,text,argv",
+        [
+            ("huge.ffs", "set {}\nfactor X _\n", ["dump", "{}"]),
+            ("huge.db", "omega {}\npartition X _\n",
+             ["consistent", "--db", "{}", "--max-size", "2"]),
+        ],
+        ids=["set-count", "omega-count"],
+    )
+    def test_count_past_the_element_limit(self, capsys, tmp_path, name, text, argv, count):
+        # Within any index, but a partition line would build tuples of
+        # ``count`` elements: at 10**12 both commands died of MemoryError.
+        bad = tmp_path / name
+        bad.write_text(text.format(count))
+        code, out, err = run(capsys, *[a.format(bad) for a in argv])
+        assert code == 2
+        assert out == ""
+        keyword = text.split()[0]
+        assert err == (
+            f"error: {bad}:1: '{keyword}' count must be <= {MAX_ELEMENTS}, got {count}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "name,text,argv,expected",
+        [
+            ("small.ffs", "set 2\nfactor X !\n", ["dump", "{}"], "set 2\nfactor X !\n"),
+            ("small.db", "omega 2\npartition X !\n",
+             ["consistent", "--db", "{}", "--max-size", "2"],
+             "consistent (witness model of size 1 found)\n"),
+        ],
+        ids=["set-count", "omega-count"],
+    )
+    def test_count_within_the_element_limit(
+        self, capsys, tmp_path, name, text, argv, expected
+    ):
+        good = tmp_path / name
+        good.write_text(text)
+        code, out, _ = run(capsys, *[a.format(good) for a in argv])
+        assert (code, out) == (0, expected)
 
     @pytest.mark.parametrize("token", ["+0", "-0", "0_1", "\u0663"])
     def test_event_token_not_in_ascii_digits(self, capsys, tmp_path, token):

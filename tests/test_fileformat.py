@@ -1,5 +1,4 @@
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -19,6 +18,7 @@ from factoredsets import (
     resolve_model,
 )
 from factoredsets.fileformat import (
+    MAX_ELEMENTS,
     FactoredSetFile,
     ParseError,
     _header_line,
@@ -359,10 +359,20 @@ class TestDatabaseFiles:
         ids=["set-count", "omega-count"],
     )
     def test_count_past_the_largest_index(self, parse, text):
-        # Read in full, but no index reaches past ``sys.maxsize``.
-        with pytest.raises(ParseError, match=f"must be <= {sys.maxsize}") as exc:
+        # Read in full, but no index reaches past ``sys.maxsize``, and the
+        # reader's element limit is far below it.
+        with pytest.raises(ParseError, match=f"must be <= {MAX_ELEMENTS}, got") as exc:
             parse(text, "huge")
         assert str(exc.value).startswith("huge:1: ")
+
+    @pytest.mark.parametrize("keyword", ["set", "omega"])
+    def test_count_at_the_element_limit(self, keyword):
+        # The header alone builds nothing per element, so the limit itself
+        # is read without allocating a ground set's worth of tuples.
+        ground = _header_line("limit", 1, [keyword, str(MAX_ELEMENTS)], keyword, None, False)
+        assert ground == GroundSet(MAX_ELEMENTS)
+        with pytest.raises(ParseError, match=f"limit:1: '{keyword}' count must be"):
+            _header_line("limit", 1, [keyword, str(MAX_ELEMENTS + 1)], keyword, None, False)
 
     def test_missing_omega_line(self):
         with pytest.raises(ParseError, match="missing 'omega N' line"):
